@@ -23,11 +23,12 @@ from . import __version__
 from .cellplan import build_plan
 from .errors import NomaHarqError
 from .fbl import CodeParams
-from .markov import analyze, build_transition_matrix, oma_metrics
+from .markov import analyze, build_transition_matrix, oma_metrics, \
+    stationary_distribution
 from .montecarlo import SimConfig, simulate_coordinated, simulate_oma_baseline, \
     simulate_uncoordinated
 from .optimizer import GaParams, min_blocklength, pareto_front
-from .sic import SystemConfig
+from .sic import SystemConfig, SystemState
 
 SCHEMA_VERSION = 1
 
@@ -240,18 +241,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ]
     fields = ["user", "per", "p_s", "eta", "p0_db", "R", "n", "N", "alphas"]
 
+    tm = build_transition_matrix(cfg) if emit_matrix or state_table else None
     if emit_matrix:
-        tm = build_transition_matrix(cfg)
         with open(emit_matrix, "w") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"s{j}" for j in range(tm.dim)])
             for row in tm.matrix:
                 writer.writerow([repr(float(v)) for v in row])
     if state_table:
-        from .markov import stationary_distribution
-        from .sic import SystemState
-
-        tm = build_transition_matrix(cfg)
         stat = stationary_distribution(tm)
         with open(state_table, "w") as fh:
             writer = csv.writer(fh)
@@ -273,6 +270,7 @@ def _sweep_point(payload: dict) -> List[dict]:
     snr_db = payload["snr_db"]
     system = SystemConfig(alphas=alphas, p0=db_to_linear(snr_db), code=code)
     rows: List[dict] = []
+    metrics = None
 
     def base(scenario, user, per, per_se, p_s, eta, tx, cap, n_users, n_hat):
         return {
@@ -283,7 +281,8 @@ def _sweep_point(payload: dict) -> List[dict]:
         }
 
     if payload["scenario"] == "coordinated":
-        for m in analyze(system):
+        metrics = analyze(system)
+        for m in metrics:
             rows.append(base("coordinated", m.user + 1, m.per, 0.0,
                              m.success_prob, m.throughput, math.nan, 0.0,
                              system.n_users, system.n_users))
@@ -304,7 +303,7 @@ def _sweep_point(payload: dict) -> List[dict]:
                              float(sim.throughput[u]), float(sim.mean_tx_power[u]),
                              float(sim.cap_fraction[u]), sim.n_users, sim.n_hat))
     if payload["oma"]:
-        for m in oma_metrics(system):
+        for m in oma_metrics(system, metrics):
             rows.append(base("oma", m.user + 1, m.per, 0.0, m.success_prob,
                              m.throughput, math.nan, 0.0,
                              system.n_users, system.n_users))

@@ -17,6 +17,10 @@ class NumericalError(NomaHarqError):
         self.residual = residual
 
 
+class ReducibleChainError(NumericalError):
+    """The chain has several closed classes, so no unique stationary vector."""
+
+
 class InfeasibleError(NomaHarqError):
     """No feasible solution within the search bounds.
 

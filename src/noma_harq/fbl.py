@@ -13,7 +13,7 @@ All SINRs are linear-scale; dB conversion belongs to the caller.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import erfc
@@ -114,21 +114,27 @@ def per_ir(gammas: Sequence[float], code: CodeParams) -> float:
     return min(1.0, max(0.0, eps))
 
 
-def per_cc_batch(gammas: np.ndarray, code: CodeParams) -> np.ndarray:
-    """Vectorized per_cc over an array of MRC-combined SINRs.
+def per_cc_batch(gammas: np.ndarray, code: CodeParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized per_cc over an array of MRC-combined SINRs, with the
+    matching success probabilities: returns (eps, 1 - eps).
 
-    Entries <= 0 map to 1.0.  Used by the transition-matrix builder where
-    inputs are constructed internally and already validated.
+    The smaller of the two is the Gaussian tail Q(|z|) and the larger its
+    complement, so a success probability near 0 keeps its relative
+    precision just as an error rate near 0 does.  Entries <= 0 map to
+    (1.0, 0.0).  Used by the successor-table builder, where inputs are
+    constructed internally and already validated.
     """
     g = np.asarray(gammas, dtype=float)
-    out = np.ones_like(g)
+    z = np.full_like(g, -np.inf)
     ok = g > 0.0
     gg = g[ok]
     v = (1.0 - (1.0 + gg) ** -2) * LOG2E_SQ
     num = code.n * np.log2(1.0 + gg) - code.k + math.log2(code.n)
     # dispersion can underflow to 0 for tiny positive SINR; the mean term decides
     with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.where(v > 0.0, num / np.sqrt(code.n * v),
-                       np.where(num < 0.0, -np.inf, np.inf))
-    out[ok] = np.clip(0.5 * erfc(arg / math.sqrt(2.0)), 0.0, 1.0)
-    return out
+        z[ok] = np.where(v > 0.0, num / np.sqrt(code.n * v),
+                         np.where(num < 0.0, -np.inf, np.inf))
+    tail = 0.5 * erfc(np.abs(z) / math.sqrt(2.0))
+    fails_rarely = z >= 0.0
+    return (np.where(fails_rarely, tail, 1.0 - tail),
+            np.where(fails_rarely, 1.0 - tail, tail))

@@ -27,7 +27,7 @@ from scipy.stats import chi2
 
 from .cellplan import UserPosition, build_plan, locate_segment
 from .fbl import CodeParams, per_cc
-from .markov import _state_digits, oma_received_power, throughput
+from .markov import _check_user_count, _state_digits, oma_received_power, throughput
 from .sic import Phase, SystemConfig, SystemState, decoding_order
 
 # decimation stride for the goodness-of-fit visit counts; the chain
@@ -259,6 +259,7 @@ def simulate_coordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimR
         raise ValueError("scenario must be 'coordinated'")
     sys_cfg = cfg.system
     n = sys_cfg.n_users
+    _check_user_count(n)
     code = sys_cfg.code
     if per_fn is None:
         per_fn = lambda g: per_cc(g, code)
@@ -324,6 +325,7 @@ def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> Si
         raise ValueError("scenario must be 'uncoordinated'")
     sys_cfg = cfg.system
     n = cfg.n_actual
+    _check_user_count(n)
     n_hat = cfg.n_hat
     code = sys_cfg.code
     if per_fn is None:

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import noma_harq.cli as cli
+import noma_harq.markov as markov
 from noma_harq.cli import main
 
 ANCHOR_ARGS = ["--alphas", "0.29,0.35,0.36", "--snr-db", "-2.02",
@@ -61,6 +63,18 @@ class TestAnalyze:
         assert len(probs) == 27
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
+    def test_matrix_built_once_for_both_dumps(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.build_transition_matrix
+        monkeypatch.setattr(cli, "build_transition_matrix",
+                            lambda cfg: built.append(cfg) or real(cfg))
+        assert main(["analyze"] + ANCHOR_ARGS + [
+            "--emit-matrix", str(tmp_path / "pi.csv"),
+            "--state-table", str(tmp_path / "states.csv"),
+            "--out", str(tmp_path / "a.csv"),
+        ]) == 0
+        assert len(built) == 1
+
     def test_csv_header_and_meta(self, tmp_path, capsys):
         assert main(["analyze"] + ANCHOR_ARGS) == 0
         out = capsys.readouterr().out.splitlines()
@@ -97,6 +111,21 @@ class TestSweep:
         payload = run_json(tmp_path, ["sweep"] + ANCHOR_ARGS + ["--oma"])
         scenarios = {r["scenario"] for r in payload["results"]}
         assert scenarios == {"coordinated", "oma"}
+
+    def test_oma_reuses_the_cluster_analysis(self, tmp_path, monkeypatch):
+        sizes = []
+        real = markov.analyze
+
+        def counting(cfg):
+            sizes.append(cfg.n_users)
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "analyze", counting)
+        monkeypatch.setattr(markov, "analyze", counting)
+        run_json(tmp_path, ["sweep", "--alphas", "0.29,0.35,0.36", "--snr-db", "0,1",
+                            "--rate", "0.25", "--blocklength", "100", "--oma"])
+        # per grid point: the 3-user cluster once, the single-user baseline once
+        assert sorted(sizes) == [1, 1, 3, 3]
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
         args = ["sweep", "--alphas", "0.29,0.35,0.36", "--snr-db", "0,1,2",

@@ -3,6 +3,7 @@ edge guards, and monotonicity properties."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -156,9 +157,25 @@ class TestPerCC:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
         gammas = np.concatenate([[0.0], rng.uniform(0, 50, size=200)])
-        batch = per_cc_batch(gammas, self.CODE)
+        batch, success = per_cc_batch(gammas, self.CODE)
         for g, b in zip(gammas, batch):
             assert b == pytest.approx(per_cc(float(g), self.CODE), abs=1e-15)
+        assert np.abs(batch + success - 1.0).max() <= 1e-15
+
+    def test_batch_success_keeps_relative_precision(self):
+        # decodes that almost surely fail: 1 - eps would round to 0 or
+        # keep only a few digits
+        code = CodeParams(k=50, n=100)
+        gammas = np.array([0.05, 0.1, 0.2, 0.3])
+        _, success = per_cc_batch(gammas, code)
+        with mpmath.workdps(40):
+            for g, q in zip(gammas, success):
+                g = mpmath.mpf(float(g))
+                v = (1 - (1 + g) ** -2) * mpmath.log(mpmath.e, 2) ** 2
+                z = (code.n * mpmath.log(1 + g, 2) - code.k
+                     + mpmath.log(code.n, 2)) / mpmath.sqrt(code.n * v)
+                exact = mpmath.erfc(-z / mpmath.sqrt(2)) / 2
+                assert abs(q - exact) <= 1e-12 * exact
 
 
 class TestPerIR:

@@ -1,10 +1,15 @@
 """Transition-matrix structure, stationary solve, and per-user metrics."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
+from noma_harq.errors import NumericalError
 from noma_harq.fbl import CodeParams
 from noma_harq.markov import (
+    StationaryDistribution,
     TransitionMatrix,
     analyze,
     build_transition_matrix,
@@ -16,7 +21,8 @@ from noma_harq.markov import (
     throughput,
     transition_prob,
 )
-from noma_harq.sic import Phase, SystemConfig, SystemState
+from noma_harq.montecarlo import SimConfig, simulate_coordinated, simulate_uncoordinated
+from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -27,6 +33,84 @@ def random_config(rng, n_max=4):
     raw = rng.uniform(0.2, 1.0, size=n)
     return SystemConfig(alphas=tuple(raw / raw.sum()),
                         p0=float(rng.uniform(0.05, 30.0)), code=CODE)
+
+
+def assert_relative(got: float, want: float, tol: float = 1e-12) -> None:
+    assert abs(got - want) <= tol * abs(want), (got, want)
+
+
+def exact_metrics(cfg: SystemConfig, dps: int = 400):
+    """PER and p_s of every user from the chain in dps-digit arithmetic.
+
+    Only the SIC decoding order comes from the package (the scalar
+    decoding_order); stage SINRs, error rates, the stationary vector (a
+    replaced-row solve, exact at this precision down to the smallest
+    double) and the per-user sums over transition entries are evaluated
+    here.
+    """
+    n = cfg.n_users
+    m = 3**n
+    k, blk = cfg.code.k, cfg.code.n
+    with mpmath.workdps(dps):
+        powers = [mpmath.mpf(a) * mpmath.mpf(cfg.p0) for a in cfg.alphas]
+
+        def eps_of(gamma):
+            v = (1 - (1 + gamma) ** -2) * mpmath.log(mpmath.e, 2) ** 2
+            num = blk * mpmath.log(1 + gamma, 2) - k + mpmath.log(blk, 2)
+            return mpmath.erfc(num / mpmath.sqrt(2 * blk * v)) / 2
+
+        pm = mpmath.zeros(m, m)
+        for s in range(m):
+            ph = SystemState.from_index(s, n).phases
+            order = decoding_order(SystemState(ph), cfg).order
+            reach = mpmath.mpf(1)
+            for w, j in enumerate(order):
+                undecoded = order[w:]
+                g = powers[j] / (sum(powers[u] for u in undecoded if u != j) + 1)
+                if ph[j] is Phase.R:
+                    stored = [u for u in range(n) if u != j and (
+                        ph[u] is Phase.F or (ph[u] is Phase.R and u in undecoded))]
+                    g += powers[j] / (sum(powers[u] for u in stored) + 1)
+                e = eps_of(g)
+                nxt = sum((int(Phase.F) if ph[u] is Phase.R else int(Phase.R)) * 3**u
+                          for u in undecoded)
+                pm[s, nxt] += reach * e
+                reach *= 1 - e
+            pm[s, 0] += reach
+        a = pm.T - mpmath.eye(m)
+        a[m - 1, :] = mpmath.ones(1, m)
+        rhs = mpmath.zeros(m, 1)
+        rhs[m - 1] = 1
+        p = mpmath.lu_solve(a, rhs)
+        digits = [SystemState.from_index(s, n).phases for s in range(m)]
+        per, p_s = [], []
+        for i in range(n):
+            to_f = [mpmath.fsum(pm[s, t] for t in range(m) if digits[t][i] is Phase.F)
+                    for s in range(m)]
+            to_s = [mpmath.fsum(pm[s, t] for t in range(m) if digits[t][i] is Phase.S)
+                    for s in range(m)]
+            per.append(mpmath.fsum(
+                p[s] * (1 if digits[s][i] is Phase.F else to_f[s])
+                for s in range(m) if digits[s][i] is not Phase.S))
+            p_s.append(mpmath.fsum(p[s] * to_s[s] for s in range(m)
+                                   if digits[s][i] is not Phase.R))
+    return [float(e) for e in per], [float(q) for q in p_s]
+
+
+def gth_oracle(matrix: np.ndarray) -> np.ndarray:
+    """Stationary vector by textbook Grassmann-Taksar-Heyman elimination:
+    no subtraction anywhere, so every component is right to a few ulps
+    relative."""
+    a = np.array(matrix, dtype=float)
+    m = len(a)
+    for n in range(m - 1, 0, -1):
+        a[:n, n] /= a[n, :n].sum()
+        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
+    x = np.zeros(m)
+    x[0] = 1.0
+    for j in range(1, m):
+        x[j] = x[:j] @ a[:j, j]
+    return x / x.sum()
 
 
 def single_user_chain(eps1: float, eps2: float) -> TransitionMatrix:
@@ -130,6 +214,31 @@ class TestTransitionMatrix:
             build_transition_matrix(cfg)
 
 
+class TestUserCap:
+    NINE = SystemConfig(alphas=tuple(np.full(9, 1 / 9)), p0=1.0, code=CODE)
+    PAIR = SystemConfig(alphas=(0.4, 0.6), p0=1.0, code=CODE)
+
+    @pytest.mark.parametrize("call", [
+        lambda self: analyze(self.NINE),
+        lambda self: max_user_per(self.NINE.alphas, 1.0, CODE),
+        lambda self: simulate_coordinated(SimConfig(system=self.NINE, slots=2000, warmup=100)),
+        lambda self: simulate_uncoordinated(SimConfig(
+            system=self.PAIR, slots=2000, warmup=100, scenario="uncoordinated",
+            n_actual=9, n_hat=2)),
+    ], ids=["analyze", "max_user_per", "coordinated", "uncoordinated"])
+    def test_nine_users_rejected_before_allocating(self, call):
+        # the 9-user successor table alone would take 1.4 MB, the
+        # simulators' pair counts 3 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="8-user cap"):
+                call(self)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestStationary:
     def test_high_power_concentrates_on_all_success(self):
         cfg = SystemConfig(alphas=(0.3, 0.7), p0=1e9, code=CODE)
@@ -152,6 +261,30 @@ class TestStationary:
             assert np.abs(tm.matrix.T @ p - p).max() <= 1e-10
             assert abs(p.sum() - 1.0) <= 1e-9
             assert p.min() >= 0.0
+
+    @pytest.mark.parametrize("n_users", [5, 6])
+    @pytest.mark.parametrize("snr_db", [4.0, -10.0])
+    def test_sparse_solve_matches_dense_oracle(self, n_users, snr_db):
+        # 4 dB: one regenerative LU; -10 dB: every user nearly always
+        # fails, so sticky states send the solve to GTH
+        raw = np.linspace(1.0, 2.0, n_users)
+        cfg = SystemConfig(alphas=tuple(raw / raw.sum()), p0=10 ** (snr_db / 10),
+                           code=CODE)
+        tm = build_transition_matrix(cfg)
+        want = gth_oracle(tm.matrix)
+        got = stationary_distribution(tm).probs
+        seen = want > 0.0
+        assert np.all(np.abs(got[seen] - want[seen]) <= 1e-12 * want[seen])
+        assert np.all(got[~seen] == 0.0)
+        oracle = StationaryDistribution(probs=want)
+        for m in analyze(cfg):
+            assert_relative(m.per, per_user(m.user, oracle, tm))
+            assert_relative(m.success_prob, success_prob(m.user, oracle, tm))
+
+    def test_two_closed_classes_raise(self):
+        matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(NumericalError, match="2 closed classes"):
+            stationary_distribution(TransitionMatrix(matrix=matrix, n_users=1))
 
     def test_matches_power_iteration(self):
         tm = build_transition_matrix(ANCHOR_CFG)
@@ -204,6 +337,41 @@ class TestUserMetrics:
             for db in grid_db
         ]
         assert all(a >= b for a, b in zip(worst, worst[1:]))
+
+    def test_closed_form_matches_dense_oracle(self):
+        rng = np.random.default_rng(26)
+        for n_users in range(1, 6):
+            for _ in range(4):
+                raw = rng.uniform(0.2, 1.0, size=n_users)
+                cfg = SystemConfig(alphas=tuple(raw / raw.sum()),
+                                   p0=float(rng.uniform(0.05, 30.0)), code=CODE)
+                tm = build_transition_matrix(cfg)
+                oracle = StationaryDistribution(probs=gth_oracle(tm.matrix))
+                for m in analyze(cfg):
+                    assert_relative(m.per, per_user(m.user, oracle, tm))
+                    assert_relative(m.success_prob, success_prob(m.user, oracle, tm))
+
+    @pytest.mark.parametrize("alphas,k", [
+        ((1.0,), 25), ((0.4, 0.6), 25), ((0.29, 0.35, 0.36), 25),
+        ((0.27, 0.32, 0.41), 25), ((0.3, 0.7), 50),
+    ])
+    def test_exact_chain_relative_accuracy(self, alphas, k):
+        code = CodeParams(k=k, n=100)
+        for db in range(-10, 15, 2):
+            cfg = SystemConfig(alphas=alphas, p0=10 ** (db / 10), code=code)
+            per, p_s = exact_metrics(cfg)
+            for m, e, q in zip(analyze(cfg), per, p_s):
+                # exact values below the smallest normal double have no
+                # float64 image to compare with
+                if e > 1e-300:
+                    assert_relative(m.per, e)
+                if q > 1e-300:
+                    assert_relative(m.success_prob, q)
+
+    def test_silenced_user_objective_is_one(self):
+        # user 0 fails every decode, so its R/F parity never changes and
+        # the chain has two closed classes
+        assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
 
     def test_max_user_per_matches_analyze(self):
         rng = np.random.default_rng(25)
