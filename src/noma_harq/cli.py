@@ -23,7 +23,7 @@ from . import __version__
 from .cellplan import build_plan
 from .errors import NomaHarqError
 from .fbl import CodeParams
-from .markov import analyze, build_transition_matrix, oma_metrics, \
+from .markov import MAX_USERS, analyze, build_transition_matrix, oma_metrics, \
     stationary_distribution
 from .montecarlo import SimConfig, simulate_coordinated, simulate_oma_baseline, \
     simulate_uncoordinated
@@ -114,6 +114,12 @@ class Resolver:
             value = cast(value)
         self.resolved[key] = value
         return value
+
+
+def _check_users(n_users: int) -> None:
+    """Reject a cluster too large to analyse before any work starts."""
+    if n_users > MAX_USERS:
+        raise UsageError(f"{n_users} users exceeds the {MAX_USERS}-user cap")
 
 
 def _code_params(res: Resolver) -> CodeParams:
@@ -218,6 +224,7 @@ def emit(records: List[dict], fields: List[str], meta: dict,
 def cmd_analyze(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
     cfg = _system_config(res)
+    _check_users(cfg.n_users)
     fmt = res.get("format", "csv")
     out = res.get("out")
     emit_matrix = res.get("emit_matrix")
@@ -263,12 +270,31 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _point_configs(payload: dict):
+    """The cluster of one sweep grid point, and its simulation setup when
+    the scenario is uncoordinated (else None)."""
+    code = CodeParams(k=payload["k"], n=payload["n"])
+    system = SystemConfig(alphas=tuple(payload["alphas"]),
+                          p0=db_to_linear(payload["snr_db"]), code=code)
+    if payload["scenario"] != "uncoordinated":
+        return system, None
+    return system, SimConfig(
+        system=system,
+        slots=payload["slots"],
+        seed=payload["seed"],
+        scenario="uncoordinated",
+        n_actual=payload["users"],
+        n_hat=payload["n_hat"],
+        warmup=payload["warmup"],
+        episodes=payload["episodes"],
+    )
+
+
 def _sweep_point(payload: dict) -> List[dict]:
     """One SNR grid point of a sweep; module-level so pools can pickle it."""
-    alphas = tuple(payload["alphas"])
-    code = CodeParams(k=payload["k"], n=payload["n"])
+    system, sim_cfg = _point_configs(payload)
+    code = system.code
     snr_db = payload["snr_db"]
-    system = SystemConfig(alphas=alphas, p0=db_to_linear(snr_db), code=code)
     rows: List[dict] = []
     metrics = None
 
@@ -280,23 +306,14 @@ def _sweep_point(payload: dict) -> List[dict]:
             "mean_tx_power": tx, "cap_fraction": cap, "seed": payload["seed"],
         }
 
-    if payload["scenario"] == "coordinated":
+    if sim_cfg is None:
         metrics = analyze(system)
         for m in metrics:
             rows.append(base("coordinated", m.user + 1, m.per, 0.0,
                              m.success_prob, m.throughput, math.nan, 0.0,
                              system.n_users, system.n_users))
     else:
-        sim = simulate_uncoordinated(SimConfig(
-            system=system,
-            slots=payload["slots"],
-            seed=payload["seed"],
-            scenario="uncoordinated",
-            n_actual=payload["users"],
-            n_hat=payload["n_hat"],
-            warmup=payload["warmup"],
-            episodes=payload["episodes"],
-        ))
+        sim = simulate_uncoordinated(sim_cfg)
         for u in range(sim.n_users):
             rows.append(base("uncoordinated", u + 1, float(sim.per[u]),
                              float(sim.per_stderr[u]), float(sim.success_prob[u]),
@@ -318,20 +335,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = res.get("scenario", "coordinated")
     if scenario not in ("coordinated", "uncoordinated"):
         raise UsageError(f"unknown scenario {scenario!r}")
+    oma = bool(res.get("oma", False))
+    users = res.get("users", len(alphas), cast=int)
+    if scenario == "uncoordinated":
+        _check_users(users)
+    if scenario == "coordinated" or oma:
+        _check_users(len(alphas))
     seed = res.get("seed", 1, cast=int)
     payloads = [
         {
             "alphas": list(alphas), "k": code.k, "n": code.n,
-            "snr_db": snr, "scenario": scenario, "oma": bool(res.get("oma", False)),
+            "snr_db": snr, "scenario": scenario, "oma": oma,
             "slots": res.get("slots", 200_000, cast=int),
             "seed": seed + idx,
-            "users": res.get("users", len(alphas), cast=int),
+            "users": users,
             "n_hat": res.get("n_hat", len(alphas), cast=int),
             "warmup": res.get("warmup", 1000, cast=int),
             "episodes": res.get("episodes", 50, cast=int),
         }
         for idx, snr in enumerate(grid)
     ]
+    try:
+        for payload in payloads:
+            _point_configs(payload)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     workers = _max_workers()
     rows: List[dict] = []
     if workers > 1 and len(payloads) > 1:
@@ -349,6 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_optimize_pareto(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
     n_users = res.get("users", required=True, cast=int)
+    _check_users(n_users)
     code = _code_params(res)
     grid = _parse_grid(res.get("snr_db", required=True))
     params = _ga_params(res)
@@ -368,6 +397,7 @@ def cmd_optimize_pareto(args: argparse.Namespace) -> int:
 def cmd_min_blocklength(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
     n_users = res.get("users", required=True, cast=int)
+    _check_users(n_users)
     k = res.get("bits", required=True, cast=int)
     snr_db = res.get("snr_db", required=True, cast=float)
     target = res.get("target_per", required=True, cast=float)

@@ -64,8 +64,7 @@ _R, _F = int(Phase.R), int(Phase.F)
 ROW_SUM_TOL = 1e-6
 # required residual of the stationary solve, ||Pi^T p - p||_inf
 STATIONARY_TOL = 1e-10
-# largest cluster analysed or simulated: 3^8 = 6561 states; the simulators'
-# pair counts take (3^N)^2 int64s, ~28 GB at N = 10
+# largest cluster analysed or simulated: 3^8 = 6561 states
 MAX_USERS = 8
 # regenerative systems up to this many states (N <= 4) are factored dense;
 # SuperLU is faster from 243 states on
@@ -165,6 +164,18 @@ def _stage_tables(digits: np.ndarray, powers: np.ndarray):
     return orders, gammas
 
 
+def _fallback_successors(digits: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """(3^N, N) successors: column w is the next state when the first SIC
+    failure is at stage position w.  Users decoded before w go to S (digit
+    0); everyone from w onward falls back: fresh packets to R,
+    retransmissions to F."""
+    m, n = digits.shape
+    pow3 = 3 ** np.arange(n, dtype=np.int64)
+    fail_digit = np.where(digits == _R, _F, _R).astype(np.int64)
+    fd = fail_digit[np.arange(m)[:, None], orders] * pow3[orders]
+    return np.cumsum(fd[:, ::-1], axis=1)[:, ::-1]
+
+
 def _chain_table(powers: np.ndarray, code: CodeParams):
     """Successor table of the chain: every state's N+1 moves at once.
 
@@ -180,11 +191,7 @@ def _chain_table(powers: np.ndarray, code: CodeParams):
     digits = _state_digits(len(powers))
     orders, gammas = _stage_tables(digits, np.asarray(powers, dtype=float))
     eps, ok = per_cc_batch(gammas, code)
-    m, n = digits.shape
-    pow3 = 3 ** np.arange(n, dtype=np.int64)
-    fail_digit = np.where(digits == _R, _F, _R).astype(np.int64)
-    fd = fail_digit[np.arange(m)[:, None], orders] * pow3[orders]
-    succ_fail = np.cumsum(fd[:, ::-1], axis=1)[:, ::-1]
+    succ_fail = _fallback_successors(digits, orders)
     q_succ = np.cumprod(ok, axis=1)
     p_fail = eps.copy()
     p_fail[:, 1:] *= q_succ[:, :-1]

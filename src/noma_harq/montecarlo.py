@@ -12,6 +12,16 @@ control their received level); it is drawn only to account transmit
 power, with channel inversion capped at power_cap_factor times the mean
 and the capped fraction reported.
 
+Decode tables come from the analysis's vectorized engine
+(markov._stage_tables and the same fall-back successors as the chain's
+table), all 3^N states at once; the scalar sic path is a test oracle
+only.  The stage failure model per_fn is an array hook: it maps the
+(3^N, N) stage SINRs to failure probabilities, a scalar result being
+broadcast.  The chain tallies slots by rotation, state and first-failure
+stage, and the per-user statistics and state visits follow from those
+counts and the successor tables, so memory is O(n_hat * 3^N * N) with no
+3^N x 3^N array.
+
 Seeding: np.random.SeedSequence(seed).spawn(...) derives independent
 child streams (dynamics, placement, fading) so every run is reproducible
 bit for bit and the streams never alias.  Uncoordinated episodes each
@@ -26,9 +36,16 @@ import numpy as np
 from scipy.stats import chi2
 
 from .cellplan import UserPosition, build_plan, locate_segment
-from .fbl import CodeParams, per_cc
-from .markov import _check_user_count, _state_digits, oma_received_power, throughput
-from .sic import Phase, SystemConfig, SystemState, decoding_order
+from .fbl import CodeParams, per_cc, per_cc_batch
+from .markov import (
+    _check_user_count,
+    _fallback_successors,
+    _stage_tables,
+    _state_digits,
+    oma_received_power,
+    throughput,
+)
+from .sic import Phase, SystemConfig
 
 # decimation stride for the goodness-of-fit visit counts; the chain
 # decorrelates within a few slots, so stride-10 samples are near-iid
@@ -120,7 +137,7 @@ class SimResult:
         return self.state_visits / self.state_visits.sum()
 
 
-PerFn = Callable[[float], float]
+PerFn = Callable[[np.ndarray], np.ndarray]
 
 
 def disk_positions(rng: np.random.Generator, n: int, r_outer: float):
@@ -129,56 +146,48 @@ def disk_positions(rng: np.random.Generator, n: int, r_outer: float):
     return r_outer * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
 
 
-def _decode_tables(cfg: SystemConfig, per_fn: PerFn):
-    """Per-state stage failure probabilities and fall-back successors.
+def _decode_tables(powers: np.ndarray, code: CodeParams,
+                   per_fn: Optional[PerFn] = None):
+    """Per-state stage failure probabilities and successors, for all 3^N
+    states at once from the vectorized SIC engine of the analysis.
 
-    succ[s][w] is the next state when the first SIC failure hits stage
-    position w (decoded users go to S, everyone from w on falls back:
-    fresh packets to R, retransmissions to F).  The all-success successor
-    is always the all-S state, index 0.
+    Returns (eps_tab, succ_tab) as nested lists, so the slot loop reads
+    Python floats and ints.  eps_tab[s][w] is the failure probability of
+    stage w in state s, per_fn of the stage SINRs broadcast to the table
+    shape (default: the Chase-combining finite-blocklength formula).
+    succ_tab[s][w] for w < N is the next state when the first SIC failure
+    hits stage w; succ_tab[s][N] = 0 is the all-success successor.
     """
-    n = cfg.n_users
-    pow3 = [3**i for i in range(n)]
-    eps_tab = []
-    succ_tab = []
-    for s in range(3**n):
-        st = SystemState.from_index(s, n)
-        dec = decoding_order(st, cfg)
-        eps_tab.append(tuple(per_fn(g) for g in dec.stage_sinrs))
-        fall = [
-            int(Phase.F) if ph is Phase.R else int(Phase.R) for ph in st.phases
-        ]
-        tails = [0] * n
-        acc = 0
-        for w in range(n - 1, -1, -1):
-            u = dec.order[w]
-            acc += fall[u] * pow3[u]
-            tails[w] = acc
-        succ_tab.append(tuple(tails))
-    return eps_tab, succ_tab
+    digits = _state_digits(len(powers))
+    orders, gammas = _stage_tables(digits, np.asarray(powers, dtype=float))
+    if per_fn is None:
+        eps = per_cc_batch(gammas, code)[0]
+    else:
+        eps = np.broadcast_to(per_fn(gammas), gammas.shape)
+    succ = np.zeros((len(digits), digits.shape[1] + 1), dtype=np.int64)
+    succ[:, :-1] = _fallback_successors(digits, orders)
+    return eps.tolist(), succ.tolist()
 
 
-def _metrics_from_pairs(pairs: np.ndarray, n_users: int, code: CodeParams):
-    """Per-user empirical e_i, p_s, eta from transition pair counts.
+def _transition_tallies(counts: np.ndarray, tables) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-user numerators of the empirical e_i and p_s.
 
-    Uses the same per-slot functionals as the analysis: e_i counts slots
-    already in F plus R slots about to fail; p_s counts fresh packets
-    that decode first try.
+    counts[rot, s, w] is the number of counted slots in state s under
+    rotation rot whose first SIC failure hit stage w (w = N: none), and
+    tables[rot] the matching _decode_tables pair.  Uses the same per-slot
+    functionals as the analysis: e_i counts slots already in F plus R
+    slots about to fail; p_s counts fresh packets that decode first try.
     """
-    digits = _state_digits(n_users)
-    total = int(pairs.sum())
-    row_tot = pairs.sum(axis=1)
-    per = np.empty(n_users)
-    p_s = np.empty(n_users)
-    for i in range(n_users):
-        in_f = digits[:, i] == int(Phase.F)
-        in_r = digits[:, i] == int(Phase.R)
-        fresh = ~in_r
-        in_s = digits[:, i] == int(Phase.S)
-        hits = row_tot[in_f].sum() + pairs[np.ix_(in_r, in_f)].sum()
-        per[i] = hits / total
-        p_s[i] = pairs[np.ix_(fresh, in_s)].sum() / total
-    return per, p_s, total
+    n = counts.shape[-1] - 1
+    digits = _state_digits(n)
+    hit = np.flatnonzero(counts)
+    c = counts.ravel()[hit]
+    now = digits[hit // (n + 1) % len(digits)]
+    succ = np.asarray([succ_tab for _, succ_tab in tables], dtype=np.int64)
+    nxt = digits[succ.ravel()[hit]]
+    fails = (now == int(Phase.F)) | ((now == int(Phase.R)) & (nxt == int(Phase.F)))
+    fresh_ok = (now != int(Phase.R)) & (nxt == int(Phase.S))
+    return c @ fails, c @ fresh_ok
 
 
 def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
@@ -218,42 +227,61 @@ def _fading_ledger(fade_rng, n_cols: int, slots: int, cap_factor: float,
     return inv_sum, cap_cnt
 
 
-def _run_chain(dyn_rng, eps_for, succ_for, n_users: int, slots: int,
-               warmup: int, pairs: np.ndarray, visits_thin=None,
-               start_state: int = 0, rotation_period: int = 0) -> int:
-    """Evolve the phase-vector chain; accumulate (state, next) pair counts.
+def _run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
+               visits_thin=None) -> np.ndarray:
+    """Evolve the phase-vector chain from the all-success state.
 
-    eps_for/succ_for map (rotation, state) to the per-stage tables;
-    rotation_period 0 disables rotation.  Returns the final state.
+    tables[rot] is the (eps_tab, succ_tab) pair of _decode_tables for
+    rotation rot; slot t uses tables[t % len(tables)].  Returns the counts
+    (len(tables), 3^N, N+1): slots after the warmup by rotation, state and
+    first-failure stage (N: every stage succeeded).
     """
-    state = start_state
+    n_rot = len(tables)
+    m = 3**n_users
+    counts = [[[0] * (n_users + 1) for _ in range(m)] for _ in range(n_rot)]
+    state = 0
     done = 0
     while done < slots:
         take = min(_CHUNK, slots - done)
         uni = dyn_rng.random((take, n_users))
-        for r in range(take):
-            rot = (done % rotation_period) if rotation_period else 0
-            eps = eps_for(rot, state)
-            row = uni[r]
-            nxt = 0
+        for row in uni:
+            rot = done % n_rot
+            eps_tab, succ_tab = tables[rot]
+            eps = eps_tab[state]
             for w in range(n_users):
                 if row[w] < eps[w]:
-                    nxt = succ_for(rot, state)[w]
                     break
+            else:
+                w = n_users
             if done >= warmup:
-                pairs[state, nxt] += 1
+                counts[rot][state][w] += 1
                 if visits_thin is not None and (done - warmup) % THIN_STRIDE == 0:
                     visits_thin[state] += 1
-            state = nxt
+            state = succ_tab[state][w]
             done += 1
-    return state
+    return np.array(counts, dtype=np.int64)
+
+
+def _empirical_metrics(f_hits: np.ndarray, s_hits: np.ndarray, total: int,
+                       code: CodeParams):
+    """PER, p_s and throughput, each with its standard error, from the
+    per-user tallies over total counted slots."""
+    per = f_hits / total
+    p_s = s_hits / total
+    per_se = _binomial_se(per, total)
+    ps_se = _binomial_se(p_s, total)
+    eta, eta_se = _throughput_with_se(per, per_se, p_s, ps_se, code)
+    return dict(per=per, per_stderr=per_se, success_prob=p_s,
+                success_prob_stderr=ps_se, throughput=eta, throughput_stderr=eta_se)
 
 
 def simulate_coordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimResult:
     """Coordinated cluster: all users hold their optimized ratio throughout.
 
-    per_fn overrides the stage failure-probability model (testing hook);
-    the default is the Chase-combining finite-blocklength formula.
+    per_fn overrides the stage failure-probability model (testing hook):
+    it maps the array of stage SINRs to failure probabilities, or to a
+    scalar broadcast over them.  The default is the Chase-combining
+    finite-blocklength formula.
     """
     if cfg.scenario != "coordinated":
         raise ValueError("scenario must be 'coordinated'")
@@ -261,33 +289,18 @@ def simulate_coordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimR
     n = sys_cfg.n_users
     _check_user_count(n)
     code = sys_cfg.code
-    if per_fn is None:
-        per_fn = lambda g: per_cc(g, code)
 
     dyn_ss, place_ss, fade_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     dyn_rng = np.random.default_rng(dyn_ss)
     place_rng = np.random.default_rng(place_ss)
     fade_rng = np.random.default_rng(fade_ss)
 
-    eps_tab, succ_tab = _decode_tables(sys_cfg, per_fn)
-    m = 3**n
-    pairs = np.zeros((m, m), dtype=np.int64)
-    visits_thin = np.zeros(m, dtype=np.int64)
-    _run_chain(
-        dyn_rng,
-        lambda rot, s: eps_tab[s],
-        lambda rot, s: succ_tab[s],
-        n,
-        cfg.slots,
-        cfg.warmup,
-        pairs,
-        visits_thin=visits_thin,
-    )
-
-    per, p_s, total = _metrics_from_pairs(pairs, n, code)
-    per_se = _binomial_se(per, total)
-    ps_se = _binomial_se(p_s, total)
-    eta, eta_se = _throughput_with_se(per, per_se, p_s, ps_se, code)
+    tables = [_decode_tables(sys_cfg.powers, code, per_fn)]
+    visits_thin = np.zeros(3**n, dtype=np.int64)
+    counts = _run_chain(dyn_rng, tables, n, cfg.slots, cfg.warmup,
+                        visits_thin=visits_thin)
+    total = int(counts.sum())
+    f_hits, s_hits = _transition_tallies(counts, tables)
 
     distances, _ = disk_positions(place_rng, n, cfg.r_outer)
     inv_sum, cap_cnt = _fading_ledger(fade_rng, n, cfg.slots, cfg.power_cap_factor)
@@ -299,15 +312,10 @@ def simulate_coordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimR
         n_hat=cfg.n_hat,
         seed=cfg.seed,
         slots_counted=total,
-        per=per,
-        per_stderr=per_se,
-        success_prob=p_s,
-        success_prob_stderr=ps_se,
-        throughput=eta,
-        throughput_stderr=eta_se,
+        **_empirical_metrics(f_hits, s_hits, total, code),
         mean_tx_power=mean_tx,
         cap_fraction=cap_cnt / cfg.slots,
-        state_visits=pairs.sum(axis=1),
+        state_visits=counts.sum(axis=(0, 2)),
         state_visits_thinned=visits_thin,
     )
 
@@ -328,15 +336,14 @@ def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> Si
     _check_user_count(n)
     n_hat = cfg.n_hat
     code = sys_cfg.code
-    if per_fn is None:
-        per_fn = lambda g: per_cc(g, code)
 
     plan = build_plan(n_hat, cfg.r_outer, sys_cfg.alphas)
     plans = [plan.rotated(r) for r in range(n_hat)]
 
     ep_slots = cfg.slots // cfg.episodes
-    m = 3**n
-    pairs = np.zeros((m, m), dtype=np.int64)
+    f_hits = np.zeros(n, dtype=np.int64)
+    s_hits = np.zeros(n, dtype=np.int64)
+    total = 0
     tx_weighted = np.zeros(n)
     cap_total = np.zeros(n, dtype=np.int64)
     fading_slots = 0
@@ -361,31 +368,13 @@ def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> Si
              for rot in range(n_hat)]
         )
 
-        # reuse the coordinated machinery per rotation: identical received
-        # powers are obtained from the normalized multiset at scaled P0
-        table_cache: dict = {}
-
-        def tables(rot: int):
-            if rot not in table_cache:
-                w = ratio_matrix[rot]
-                scaled = SystemConfig(
-                    alphas=tuple(w / w.sum()),
-                    p0=float(w.sum()) * sys_cfg.p0,
-                    code=code,
-                )
-                table_cache[rot] = _decode_tables(scaled, per_fn)
-            return table_cache[rot]
-
-        _run_chain(
-            dyn_rng,
-            lambda rot, s: tables(rot)[0][s],
-            lambda rot, s: tables(rot)[1][s],
-            n,
-            ep_slots,
-            cfg.warmup,
-            pairs,
-            rotation_period=n_hat,
-        )
+        tables = [_decode_tables(ratio_matrix[rot] * sys_cfg.p0, code, per_fn)
+                  for rot in range(n_hat)]
+        counts = _run_chain(dyn_rng, tables, n, ep_slots, cfg.warmup)
+        ep_f, ep_s = _transition_tallies(counts, tables)
+        f_hits += ep_f
+        s_hits += ep_s
+        total += int(counts.sum())
 
         rot_seq = lambda start, take: ratio_matrix[
             (np.arange(start, start + take) % n_hat)
@@ -397,23 +386,13 @@ def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> Si
         cap_total += cap_cnt
         fading_slots += ep_slots
 
-    per, p_s, total = _metrics_from_pairs(pairs, n, code)
-    per_se = _binomial_se(per, total)
-    ps_se = _binomial_se(p_s, total)
-    eta, eta_se = _throughput_with_se(per, per_se, p_s, ps_se, code)
-
     return SimResult(
         scenario="uncoordinated",
         n_users=n,
         n_hat=n_hat,
         seed=cfg.seed,
         slots_counted=total,
-        per=per,
-        per_stderr=per_se,
-        success_prob=p_s,
-        success_prob_stderr=ps_se,
-        throughput=eta,
-        throughput_stderr=eta_se,
+        **_empirical_metrics(f_hits, s_hits, total, code),
         mean_tx_power=tx_weighted / fading_slots,
         cap_fraction=cap_total / fading_slots,
     )

@@ -135,7 +135,9 @@ def stage_sinr(
         raise ValueError(f"user {j} already decoded")
     p = cfg.powers
     undecoded = [w for w in range(cfg.n_users) if w not in decoded]
-    interference_new = sum(p[w] for w in undecoded if w != j)
+    # fsum is exactly rounded, so users with equal powers see bit-equal
+    # interference whatever the summation order, and ties stay exact
+    interference_new = math.fsum(p[w] for w in undecoded if w != j)
     gamma = p[j] / (interference_new + 1.0)
     if state.phases[j] is Phase.R:
         stored_interferers = [
@@ -147,7 +149,7 @@ def stage_sinr(
                 or (state.phases[w] is Phase.R and w not in decoded)
             )
         ]
-        gamma += p[j] / (sum(p[w] for w in stored_interferers) + 1.0)
+        gamma += p[j] / (math.fsum(p[w] for w in stored_interferers) + 1.0)
     return float(gamma)
 
 

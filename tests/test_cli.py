@@ -245,6 +245,30 @@ class TestErrorsAndRoundTrip:
                      "--blocklength", "100"]) == 2
         assert "--alphas" in capsys.readouterr().err
 
+    NINE = ",".join([repr(1 / 9)] * 9)
+    CODE = ["--rate", "0.25", "--blocklength", "100"]
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--alphas", NINE, "--snr-db", "0"] + CODE,
+        ["sweep", "--alphas", NINE, "--snr-db", "0,1"] + CODE,
+        ["sweep", "--alphas", "0.29,0.35,0.36", "--snr-db", "0",
+         "--scenario", "uncoordinated", "--users", "9"] + CODE,
+        ["min-blocklength", "--users", "9", "--bits", "50", "--snr-db", "0",
+         "--target-per", "0.01"],
+    ], ids=["analyze", "sweep", "sweep-uncoordinated", "min-blocklength"])
+    def test_user_cap_usage_error(self, args, capsys):
+        assert main(args) == 2
+        assert "9 users exceeds the 8-user cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--alphas", "0.5,0.6"], "sum to 1"),
+        (["--alphas", "0.29,0.35,0.36", "--scenario", "uncoordinated",
+          "--slots", "1000", "--episodes", "2", "--warmup", "500"], "warmup"),
+    ], ids=["ratios", "warmup"])
+    def test_sweep_bad_point_usage_error(self, args, message, capsys):
+        assert main(["sweep", "--snr-db", "0"] + args + self.CODE) == 2
+        assert message in capsys.readouterr().err
+
     def test_config_round_trip(self, tmp_path):
         first = run_json(tmp_path, ["analyze"] + ANCHOR_ARGS, "first.json")
         second = run_json(tmp_path, [

@@ -2,23 +2,32 @@
 chain analysis, and the energy ledger."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from noma_harq.fbl import CodeParams
-from noma_harq.markov import analyze, build_transition_matrix, stationary_distribution
+from noma_harq.fbl import CodeParams, per_cc
+from noma_harq.markov import (
+    _stage_tables,
+    _state_digits,
+    analyze,
+    build_transition_matrix,
+    stationary_distribution,
+)
 from noma_harq.montecarlo import (
     SimConfig,
     SimResult,
+    _decode_tables,
     chi_square_state_fit,
     disk_positions,
     simulate_coordinated,
     simulate_oma_baseline,
     simulate_uncoordinated,
 )
-from noma_harq.sic import Phase, SystemConfig, SystemState
+from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order, stage_sinr
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -49,6 +58,64 @@ class TestSimConfig:
     def test_coordinated_single_episode(self):
         with pytest.raises(ValueError):
             SimConfig(system=ANCHOR_CFG, episodes=3)
+
+
+@st.composite
+def clusters(draw):
+    """1..5 users whose ratios are drawn from a smaller pool, so exact
+    duplicates are common, at a random total power.  Two-digit ratios, as
+    in the cell plans, normalize to values whose sums round."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.integers(5, 100).map(lambda c: c / 100),
+                         min_size=1, max_size=n))
+    ratios = np.array([draw(st.sampled_from(pool)) for _ in range(n)])
+    p0 = 10 ** (draw(st.floats(-10.0, 10.0)) / 10)
+    return SystemConfig(alphas=tuple(ratios / ratios.sum()), p0=p0,
+                        code=CodeParams(k=50, n=100))
+
+
+def greedy_order_is_decided(state, cfg):
+    """False when some stage has a near-tie (within 1e-12 relative) that
+    is not an exact duplicate, two users of equal power that both send a
+    fresh packet or both retransmit: there either engine's rounding may
+    pick the other user."""
+    retx = [ph is Phase.R for ph in state.phases]
+    decoded = set()
+    for _ in range(cfg.n_users):
+        g = {j: stage_sinr(state, decoded, j, cfg)
+             for j in range(cfg.n_users) if j not in decoded}
+        best = max(g, key=lambda j: (g[j], -j))
+        for j, gj in g.items():
+            if j != best and gj >= g[best] * (1 - 1e-12) and (
+                    cfg.alphas[j] != cfg.alphas[best] or retx[j] != retx[best]):
+                return False
+        decoded.add(best)
+    return True
+
+
+class TestDecodeTables:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(clusters())
+    def test_matches_scalar_oracle(self, cfg):
+        n = cfg.n_users
+        eps_tab, succ_tab = _decode_tables(cfg.powers, cfg.code)
+        orders, _ = _stage_tables(_state_digits(n), cfg.powers)
+        for s in range(3**n):
+            state = SystemState.from_index(s, n)
+            if not greedy_order_is_decided(state, cfg):
+                continue
+            dec = decoding_order(state, cfg)
+            assert tuple(orders[s]) == dec.order
+            np.testing.assert_allclose(
+                eps_tab[s], [per_cc(g, cfg.code) for g in dec.stage_sinrs],
+                rtol=1e-12, atol=0)
+            fall = [int(Phase.F) if ph is Phase.R else int(Phase.R)
+                    for ph in state.phases]
+            tails = [0] * (n + 1)
+            for w in range(n - 1, -1, -1):
+                u = dec.order[w]
+                tails[w] = tails[w + 1] + fall[u] * 3**u
+            assert succ_tab[s] == tails
 
 
 class TestCoordinated:
@@ -101,6 +168,22 @@ class TestCoordinated:
     def test_slots_counted(self):
         cfg = SimConfig(system=ANCHOR_CFG, slots=30_000, seed=5, warmup=700)
         assert simulate_coordinated(cfg).slots_counted == 29_300
+
+    def test_memory_linear_in_states(self):
+        # counts by (state, first-failure stage) replace a 3^N x 3^N pair
+        # matrix, which took 344 MB at N = 8
+        ratios = np.arange(1.0, 9.0)
+        cfg = SimConfig(system=SystemConfig(alphas=tuple(ratios / ratios.sum()),
+                                            p0=10.0, code=CODE),
+                        slots=3000, seed=7, warmup=100)
+        tracemalloc.start()
+        try:
+            res = simulate_coordinated(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        assert res.state_visits.sum() == res.slots_counted == 2900
 
     def test_state_frequencies_normalized(self):
         cfg = SimConfig(system=ANCHOR_CFG, slots=30_000, seed=5, warmup=700)

@@ -164,6 +164,17 @@ class TestDecodingOrder:
         dec = decoding_order(SystemState((Phase.S,) * 3), cfg)
         assert dec.order == (0, 1, 2)
 
+    def test_equal_ratios_tie_independent_of_summation_order(self):
+        # users 1 and 4 share a ratio; summed in index order their
+        # interference differed by one ulp and user 4 won the tie
+        w = np.array([0.15, 0.24, 0.2, 0.11, 0.24])
+        cfg = SystemConfig(alphas=tuple(w / w.sum()),
+                           p0=float(w.sum()) * 10 ** 0.35, code=CODE)
+        dec = decoding_order(SystemState.from_index(9, 5), cfg)
+        assert dec.order == (2, 1, 4, 0, 3)
+        assert dec.stage_sinrs[1] == stage_sinr(
+            SystemState.from_index(9, 5), {2}, 4, cfg)
+
     def test_deterministic(self):
         cfg = cfg_for(ANCHOR_ALPHAS)
         st = SystemState((Phase.R, Phase.S, Phase.F))
