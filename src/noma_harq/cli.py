@@ -25,8 +25,8 @@ from .errors import NomaHarqError
 from .fbl import CodeParams
 from .markov import MAX_USERS, analyze, build_transition_matrix, oma_metrics, \
     stationary_distribution
-from .montecarlo import SimConfig, simulate_coordinated, simulate_oma_baseline, \
-    simulate_uncoordinated
+from .montecarlo import SimConfig, SimResult, simulate_coordinated, \
+    simulate_oma_baseline, simulate_uncoordinated
 from .optimizer import GaParams, min_blocklength, pareto_front
 from .sic import SystemConfig, SystemState
 
@@ -71,6 +71,9 @@ def _parse_grid(value) -> List[float]:
             if count < 1:
                 raise ValueError
             if count == 1:
+                if float(stop) != float(start):
+                    raise UsageError(f"SNR grid {value!r} has one point but "
+                                     "stop differs from start")
                 return [float(start)]
             step = (float(stop) - float(start)) / (count - 1)
             return [float(start) + step * i for i in range(count)]
@@ -126,6 +129,9 @@ def _code_params(res: Resolver) -> CodeParams:
     rate = res.get("rate", required=True, cast=float)
     n = res.get("blocklength", required=True, cast=int)
     k = round(rate * n)
+    if abs(rate * n - k) > 1e-9 * abs(rate * n):
+        raise UsageError(f"rate {rate} at blocklength {n} gives {rate * n!r} "
+                         "information bits, not an integer")
     if k < 1:
         raise UsageError(f"rate {rate} at blocklength {n} leaves no information bits")
     return CodeParams(k=k, n=n)
@@ -167,9 +173,12 @@ def _ga_params(res: Resolver) -> GaParams:
 def _max_workers() -> int:
     raw = os.environ.get("NOMA_HARQ_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"NOMA_HARQ_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +219,37 @@ def emit(records: List[dict], fields: List[str], meta: dict,
         text = buf.getvalue().rstrip("\n")
     else:
         raise UsageError(f"unknown format {fmt!r}")
+    _write(text, out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    """Print text, or write it to the file out when one is given."""
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _sim_rows(sim: SimResult, snr_db: float, code: CodeParams) -> List[dict]:
+    """SIM_FIELDS rows of a simulation, one per user."""
+    return [dict(zip(SIM_FIELDS, (
+        sim.scenario, sim.n_users, sim.n_hat, snr_db, code.rate, code.n, u + 1,
+        float(sim.per[u]), float(sim.per_stderr[u]), float(sim.success_prob[u]),
+        float(sim.throughput[u]), float(sim.mean_tx_power[u]),
+        float(sim.cap_fraction[u]), sim.seed,
+    ))) for u in range(sim.n_users)]
+
+
+def _analysis_rows(scenario: str, metrics, snr_db: float, code: CodeParams,
+                   seed: int) -> List[dict]:
+    """SIM_FIELDS rows of analytic metrics: no standard error, no transmit
+    power."""
+    n = len(metrics)
+    return [dict(zip(SIM_FIELDS, (
+        scenario, n, n, snr_db, code.rate, code.n, m.user + 1, m.per, 0.0,
+        m.success_prob, m.throughput, math.nan, 0.0, seed,
+    ))) for m in metrics]
 
 
 # ---------------------------------------------------------------------------
@@ -293,37 +328,16 @@ def _point_configs(payload: dict):
 def _sweep_point(payload: dict) -> List[dict]:
     """One SNR grid point of a sweep; module-level so pools can pickle it."""
     system, sim_cfg = _point_configs(payload)
-    code = system.code
-    snr_db = payload["snr_db"]
-    rows: List[dict] = []
+    snr_db, seed = payload["snr_db"], payload["seed"]
     metrics = None
-
-    def base(scenario, user, per, per_se, p_s, eta, tx, cap, n_users, n_hat):
-        return {
-            "scenario": scenario, "N": n_users, "n_hat": n_hat,
-            "snr_db": snr_db, "R": code.rate, "n": code.n, "user": user,
-            "per": per, "per_stderr": per_se, "p_s": p_s, "eta": eta,
-            "mean_tx_power": tx, "cap_fraction": cap, "seed": payload["seed"],
-        }
-
     if sim_cfg is None:
         metrics = analyze(system)
-        for m in metrics:
-            rows.append(base("coordinated", m.user + 1, m.per, 0.0,
-                             m.success_prob, m.throughput, math.nan, 0.0,
-                             system.n_users, system.n_users))
+        rows = _analysis_rows("coordinated", metrics, snr_db, system.code, seed)
     else:
-        sim = simulate_uncoordinated(sim_cfg)
-        for u in range(sim.n_users):
-            rows.append(base("uncoordinated", u + 1, float(sim.per[u]),
-                             float(sim.per_stderr[u]), float(sim.success_prob[u]),
-                             float(sim.throughput[u]), float(sim.mean_tx_power[u]),
-                             float(sim.cap_fraction[u]), sim.n_users, sim.n_hat))
+        rows = _sim_rows(simulate_uncoordinated(sim_cfg), snr_db, system.code)
     if payload["oma"]:
-        for m in oma_metrics(system, metrics):
-            rows.append(base("oma", m.user + 1, m.per, 0.0, m.success_prob,
-                             m.throughput, math.nan, 0.0,
-                             system.n_users, system.n_users))
+        rows += _analysis_rows("oma", oma_metrics(system, metrics), snr_db,
+                               system.code, seed)
     return rows
 
 
@@ -339,8 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     users = res.get("users", len(alphas), cast=int)
     if scenario == "uncoordinated":
         _check_users(users)
-    if scenario == "coordinated" or oma:
-        _check_users(len(alphas))
+    _check_users(len(alphas))
     seed = res.get("seed", 1, cast=int)
     payloads = [
         {
@@ -446,23 +459,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    results = [sim]
+    rows = _sim_rows(sim, snr_db, system.code)
     if res.get("oma", False):
-        results.append(simulate_oma_baseline(SimConfig(
+        rows += _sim_rows(simulate_oma_baseline(SimConfig(
             system=system, slots=slots, seed=seed, warmup=warmup,
-        )))
-    rows = []
-    for r in results:
-        for u in range(r.n_users):
-            rows.append({
-                "scenario": r.scenario, "N": r.n_users, "n_hat": r.n_hat,
-                "snr_db": snr_db, "R": system.code.rate, "n": system.code.n,
-                "user": u + 1, "per": float(r.per[u]),
-                "per_stderr": float(r.per_stderr[u]),
-                "p_s": float(r.success_prob[u]), "eta": float(r.throughput[u]),
-                "mean_tx_power": float(r.mean_tx_power[u]),
-                "cap_fraction": float(r.cap_fraction[u]), "seed": r.seed,
-            })
+        )), snr_db, system.code)
     emit(rows, SIM_FIELDS, _meta("simulate", res), res.get("out"),
          res.get("format", "csv"))
     return 0
@@ -478,14 +479,10 @@ def cmd_cellplan(args: argparse.Namespace) -> int:
         plan = build_plan(n_hat, r_outer, alphas, rotation=rotation)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    payload = {"meta": _meta("cellplan", res), "plan": plan.to_dict()}
-    text = json.dumps(payload, indent=2)
-    out = res.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # dumped before --out is resolved: the header's config leaves it out
+    text = json.dumps({"meta": _meta("cellplan", res), "plan": plan.to_dict()},
+                      indent=2)
+    _write(text, res.get("out"))
     return 0
 
 
@@ -503,6 +500,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_code(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rate", type=float, help="code rate R = k/n")
     sub.add_argument("--blocklength", type=int, help="codeword length n")
+
+
+def _add_ga(sub: argparse.ArgumentParser) -> None:
+    for flag, typ in [("--population", int), ("--generations", int),
+                      ("--crossover-rate", float), ("--mutation-rate", float),
+                      ("--mutation-sigma", float), ("--elitism", int)]:
+        sub.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
+    sub.add_argument("--verbose", action="store_const", const=True,
+                     help="log the best value per generation to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,12 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int)
     p.add_argument("--snr-db", dest="snr_db", help="P0 grid in dB")
     _add_code(p)
-    for flag, typ in [("--population", int), ("--generations", int),
-                      ("--crossover-rate", float), ("--mutation-rate", float),
-                      ("--mutation-sigma", float), ("--elitism", int)]:
-        p.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
-    p.add_argument("--verbose", action="store_const", const=True,
-                   help="log the best value per generation to stderr")
+    _add_ga(p)
     _add_common(p)
     p.set_defaults(func=cmd_optimize_pareto)
 
@@ -562,12 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-per", dest="target_per", type=float)
     p.add_argument("--max-n", dest="max_n", type=int, help="search cap (default 4096)")
     p.add_argument("--stride", type=int, help="coarse scan stride (default 8)")
-    for flag, typ in [("--population", int), ("--generations", int),
-                      ("--crossover-rate", float), ("--mutation-rate", float),
-                      ("--mutation-sigma", float), ("--elitism", int)]:
-        p.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
-    p.add_argument("--verbose", action="store_const", const=True,
-                   help="log the best value per generation to stderr")
+    _add_ga(p)
     _add_common(p)
     p.set_defaults(func=cmd_min_blocklength)
 

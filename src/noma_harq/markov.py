@@ -21,10 +21,11 @@ slot with probability p_s, else two.
 
 Production path.  One successor table (the N+1 moves of every state, with
 first-failure and success-prefix probabilities) feeds everything; no
-3^N x 3^N array is formed.  The stationary vector comes from the
-regenerative solve at state 0, the only state with a self-loop: the
-expected visits x per excursion solve (I - Q)^T x = P[0, 1:] over the
-other states and pi = [1, x] / (1 + sum x).  Systems up to 81 states
+3^N x 3^N array is formed.  The stationary vector comes from one
+censored solve; its common case, state 0 (the only state with a
+self-loop) kept alone, is the regenerative solve: the expected visits x
+per excursion solve (I - Q)^T x = P[0, 1:] over the other states and
+pi = [1, x] / (1 + sum x).  Systems up to 81 states
 (N <= 4) are factored dense with LAPACK, larger ones with SuperLU on the
 N+1 entries per row.  The LU pivots are the only place a subtraction
 enters; states whose pivot falls below PIVOT_FLOOR (chains that rarely
@@ -259,10 +260,7 @@ def _stationary(src, dst, prob, m: int) -> np.ndarray:
     """
     root = _regeneration_state(src, dst, prob, m)
     kept = np.array([root])
-    if root:
-        p, sticky = _censored_solve(src, dst, prob, m, kept)
-    else:
-        p, sticky = _regenerative_solve(src, dst, prob, m)
+    p, sticky = _censored_solve(src, dst, prob, m, kept)
     if p is None:
         p, sticky = _censored_solve(src, dst, prob, m, np.append(kept, sticky))
     if p is None:
@@ -278,36 +276,6 @@ def _stationary(src, dst, prob, m: int) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
-def _regenerative_solve(src, dst, prob, m: int):
-    """_censored_solve with state 0 alone kept, the common case, assembled
-    with slices instead of a renumbering (a third of the time at N = 3)."""
-    if m <= DENSE_SOLVE_STATES:
-        qt = np.bincount(dst * m + src, weights=prob, minlength=m * m).reshape(m, m)
-        lu, piv, _ = dgetrf(np.eye(m - 1) - qt[1:, 1:])
-        sticky = np.abs(np.diagonal(lu)) < PIVOT_FLOOR
-        if sticky.any():
-            return None, np.flatnonzero(sticky) + 1
-        x = dgetrs(lu, piv, qt[1:, 0])[0]
-    else:
-        inner = (src > 0) & (dst > 0)
-        diag = np.arange(m - 1)
-        a = csc_matrix((np.concatenate([np.ones(m - 1), -prob[inner]]),
-                        (np.concatenate([diag, dst[inner] - 1]),
-                         np.concatenate([diag, src[inner] - 1]))),
-                       shape=(m - 1, m - 1))
-        try:
-            lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:  # a pivot cancelled to exactly 0
-            return None, diag + 1
-        sticky = np.abs(lu.U.diagonal()) < PIVOT_FLOOR
-        if sticky.any():
-            return None, np.sort(lu.perm_c[sticky]) + 1
-        out = (src == 0) & (dst > 0)
-        x = lu.solve(np.bincount(dst[out] - 1, weights=prob[out], minlength=m - 1))
-    p = np.concatenate([[1.0], x])
-    return p / p.sum(), None
-
-
 def _censored_solve(src, dst, prob, m: int, kept: np.ndarray):
     """Stationary vector through the chain censored onto the states kept
     (the regeneration state first), or None and the other states whose LU
@@ -317,59 +285,73 @@ def _censored_solve(src, dst, prob, m: int, kept: np.ndarray):
     P_KK + P_KG (I - P_GG)^{-1} P_GK, all terms of one sign; GTH gives its
     stationary vector pi_K, and pi_G solves (I - P_GG)^T pi_G =
     P_KG^T pi_K.  With K the regeneration state alone this is the
-    regenerative solve: pi_G are the expected visits per excursion.  The
-    diagonal of I - P_GG is exactly 1 wherever a state has no self-loop
-    (every state but 0 in a NOMA chain), so no near-1 entry enters as in
-    a replaced-row solve; its transpose is column diagonally dominant, so
-    the LU pivots are its diagonal.
+    regenerative solve: pi_K = [1] with no elimination, and pi_G are the
+    expected visits per excursion, (I - Q)^T x = P[0, 1:] at state 0,
+    whose positions need no renumbering.  The diagonal of I - P_GG is
+    exactly 1 wherever a state has no self-loop (every state but 0 in a
+    NOMA chain), so no near-1 entry enters as in a replaced-row solve; its
+    transpose is column diagonally dominant, so the LU pivots are its
+    diagonal.
     """
     k, n_g = len(kept), m - len(kept)
-    # position of each state: the kept ones first, the others after
-    others = np.ones(m, dtype=bool)
-    others[kept] = False
-    g = np.flatnonzero(others)
-    pos = np.empty(m, dtype=np.int64)
-    pos[kept] = np.arange(k)
-    pos[g] = np.arange(k, m)
-    s, d = pos[src], pos[dst]
-    from_k, into_k = s < k, d < k
-    p_k = np.bincount(s[from_k] * m + d[from_k], weights=prob[from_k],
-                      minlength=k * m).reshape(k, m)
-    sel = ~from_k & into_k
-    p_gk = np.bincount((s[sel] - k) * k + d[sel], weights=prob[sel],
-                       minlength=n_g * k).reshape(n_g, k)
-    inner = ~from_k & ~into_k
-    # (I - P_GG)^T: row = destination, column = source
-    rows = np.concatenate([np.arange(n_g), d[inner] - k])
-    cols = np.concatenate([np.arange(n_g), s[inner] - k])
-    vals = np.concatenate([np.ones(n_g), -prob[inner]])
+    if k == 1 and kept[0] == 0:
+        pos, g, s, d = None, np.arange(1, m), src, dst
+    else:
+        # position of each state: the kept ones first, the others after
+        others = np.ones(m, dtype=bool)
+        others[kept] = False
+        g = np.flatnonzero(others)
+        pos = np.empty(m, dtype=np.int64)
+        pos[kept] = np.arange(k)
+        pos[g] = np.arange(k, m)
+        s, d = pos[src], pos[dst]
+    if m <= DENSE_SOLVE_STATES:
+        # the chain with its states at their positions
+        pm = np.bincount(s * m + d, weights=prob, minlength=m * m).reshape(m, m)
+        p_k, p_gk = pm[:k], pm[k:, :k]
+        if n_g:
+            # (I - P_GG)^T, handed to LAPACK in Fortran order with no copy
+            lu, piv, _ = dgetrf((np.eye(n_g) - pm[k:, k:]).T, overwrite_a=True)
+            sticky = np.abs(np.diagonal(lu)) < PIVOT_FLOOR
+            if sticky.any():
+                return None, g[sticky]
+            solve = lambda rhs, trans=0: dgetrs(lu, piv, rhs, trans=trans)[0]
+    else:
+        from_k, into_k = s < k, d < k
+        p_k = np.bincount(s[from_k] * m + d[from_k], weights=prob[from_k],
+                          minlength=k * m).reshape(k, m)
+        if k > 1:
+            sel = ~from_k & into_k
+            p_gk = np.bincount((s[sel] - k) * k + d[sel], weights=prob[sel],
+                               minlength=n_g * k).reshape(n_g, k)
+        inner = ~from_k & ~into_k
+        # (I - P_GG)^T: row = destination, column = source
+        diag = np.arange(n_g)
+        a = csc_matrix((np.concatenate([np.ones(n_g), -prob[inner]]),
+                        (np.concatenate([diag, d[inner] - k]),
+                         np.concatenate([diag, s[inner] - k]))), shape=(n_g, n_g))
+        if n_g:
+            try:
+                # minimum degree on A^T + A: 3-8x less fill than the default
+                # COLAMD on these chains, and the fastest at N = 5..7
+                lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError:  # a pivot cancelled to exactly 0
+                return None, g
+            sticky = np.abs(lu.U.diagonal()) < PIVOT_FLOOR
+            if sticky.any():
+                return None, np.sort(g[lu.perm_c[sticky]])
+            solve = lambda rhs, trans=0: lu.solve(rhs, trans="NT"[trans])
     p_kk, p_kg = p_k[:, :k], p_k[:, k:]
-    if n_g and m <= DENSE_SOLVE_STATES:
-        a = np.bincount(rows * n_g + cols, weights=vals,
-                        minlength=n_g * n_g).reshape(n_g, n_g)
-        lu, piv, _ = dgetrf(a)
-        sticky = np.abs(np.diagonal(lu)) < PIVOT_FLOOR
-        if sticky.any():
-            return None, g[sticky]
-        p_kk = p_kk + p_kg @ dgetrs(lu, piv, p_gk, trans=1)[0]
-        visits = lambda rhs: dgetrs(lu, piv, rhs)[0]
-    elif n_g:
-        try:
-            # minimum degree on A^T + A: 3-8x less fill than the default
-            # COLAMD on these chains, and the fastest factorization at N = 5..7
-            lu = splu(csc_matrix((vals, (rows, cols)), shape=(n_g, n_g)),
-                      permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError:  # a pivot cancelled to exactly 0
-            return None, g
-        sticky = np.abs(lu.U.diagonal()) < PIVOT_FLOOR
-        if sticky.any():
-            return None, np.sort(g[lu.perm_c[sticky]])
-        p_kk = p_kk + p_kg @ lu.solve(p_gk, trans="T")
-        visits = lu.solve
-    pi_k = _gth(p_kk)
+    if k == 1:
+        pi_k, rhs = np.array([1.0]), p_kg[0]
+    else:
+        if n_g:
+            p_kk = p_kk + p_kg @ solve(p_gk, 1)
+        pi_k = _gth(p_kk)
+        rhs = p_kg.T @ pi_k
     if n_g:
-        pi_k = np.concatenate([pi_k, visits(p_kg.T @ pi_k)])
-    p = pi_k[pos]
+        pi_k = np.concatenate([pi_k, solve(rhs)])
+    p = pi_k if pos is None else pi_k[pos]
     return p / p.sum(), None
 
 

@@ -12,6 +12,14 @@ control their received level); it is drawn only to account transmit
 power, with channel inversion capped at power_cap_factor times the mean
 and the capped fraction reported.
 
+One episode engine serves both scenarios.  An episode places the users,
+reads their (rotations x users) ratio matrix, builds one decode table per
+rotation, runs the chain and then the fading ledger; a run sums its
+episodes into one SimResult.  The coordinated run is one episode with one
+rotation, the matrix [alphas]; uncoordinated runs sum many episodes whose
+rotations follow the cell plan.  Both the placed users and the n_hat
+planned ratios are capped at markov.MAX_USERS.
+
 Decode tables come from the analysis's vectorized engine
 (markov._stage_tables and the same fall-back successors as the chain's
 table), all 3^N states at once; the scalar sic path is a test oracle
@@ -22,12 +30,14 @@ stage, and the per-user statistics and state visits follow from those
 counts and the successor tables, so memory is O(n_hat * 3^N * N) with no
 3^N x 3^N array.
 
-Seeding: np.random.SeedSequence(seed).spawn(...) derives independent
-child streams (dynamics, placement, fading) so every run is reproducible
-bit for bit and the streams never alias.  Uncoordinated episodes each
-get their own child triple.
+Seeding: each episode splits its np.random.SeedSequence with spawn(3)
+into independent child streams (dynamics, placement, fading), so every
+run is reproducible bit for bit and the streams never alias.  The
+coordinated episode's sequence is SeedSequence(seed); uncoordinated
+episodes take SeedSequence(seed).spawn(episodes).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -194,34 +204,20 @@ def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
 
 
-def _throughput_with_se(per, per_se, p_s, ps_se, code):
-    eta = np.array([throughput(e, p, code) for e, p in zip(per, p_s)])
-    denom = 2.0 - p_s
-    d_de = -code.rate / denom
-    d_dp = code.rate * (1.0 - per) / denom**2
-    eta_se = np.hypot(d_de * per_se, d_dp * ps_se)
-    return eta, eta_se
-
-
-def _fading_ledger(fade_rng, n_cols: int, slots: int, cap_factor: float,
-                   weights_fn=None):
-    """Accumulate sum of weight * min(1/h, cap) and the capped-slot count.
-
-    weights_fn(start, take) supplies per-slot multipliers (rotation-varying
-    ratios); None means unit weights.
-    """
-    inv_sum = np.zeros(n_cols)
-    cap_cnt = np.zeros(n_cols, dtype=np.int64)
+def _fading_ledger(fade_rng, ratios: np.ndarray, slots: int, cap_factor: float):
+    """Per-user sum of ratio * min(1/h, cap) over the slots, and the count
+    of capped slots.  ratios is the (rotations x users) ratio matrix; slot
+    t weighs by its row t % rotations."""
+    inv_sum = np.zeros(ratios.shape[1])
+    cap_cnt = np.zeros(ratios.shape[1], dtype=np.int64)
     done = 0
     threshold = 1.0 / cap_factor
     while done < slots:
         take = min(_CHUNK, slots - done)
-        h = fade_rng.exponential(1.0, size=(take, n_cols))
+        h = fade_rng.exponential(1.0, size=(take, ratios.shape[1]))
         with np.errstate(divide="ignore"):
             inv = np.minimum(1.0 / h, cap_factor)
-        if weights_fn is not None:
-            inv = inv * weights_fn(done, take)
-        inv_sum += inv.sum(axis=0)
+        inv_sum += (inv * ratios[np.arange(done, done + take) % len(ratios)]).sum(axis=0)
         cap_cnt += (h < threshold).sum(axis=0)
         done += take
     return inv_sum, cap_cnt
@@ -262,62 +258,79 @@ def _run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
     return np.array(counts, dtype=np.int64)
 
 
-def _empirical_metrics(f_hits: np.ndarray, s_hits: np.ndarray, total: int,
-                       code: CodeParams):
-    """PER, p_s and throughput, each with its standard error, from the
-    per-user tallies over total counted slots."""
-    per = f_hits / total
-    p_s = s_hits / total
-    per_se = _binomial_se(per, total)
-    ps_se = _binomial_se(p_s, total)
-    eta, eta_se = _throughput_with_se(per, per_se, p_s, ps_se, code)
-    return dict(per=per, per_stderr=per_se, success_prob=p_s,
-                success_prob_stderr=ps_se, throughput=eta, throughput_stderr=eta_se)
+def _episode(seq, cfg: SimConfig, n: int, ratios, per_fn: Optional[PerFn],
+             visits_thin=None):
+    """One episode from the seed sequence seq: place n users, read their
+    (rotations x users) ratio matrix ratios(distances, angles), build one
+    decode table per rotation, run the chain and the fading ledger.
+
+    Returns (state visits, e_i numerators, p_s numerators, per-user sum of
+    received power times the capped channel inversion, capped slots).
+    """
+    dyn_rng, place_rng, fade_rng = map(np.random.default_rng, seq.spawn(3))
+    distances, angles = disk_positions(place_rng, n, cfg.r_outer)
+    matrix = np.asarray(ratios(distances, angles), dtype=float)
+    p0 = cfg.system.p0
+    tables = [_decode_tables(row * p0, cfg.system.code, per_fn) for row in matrix]
+    slots = cfg.slots // cfg.episodes
+    counts = _run_chain(dyn_rng, tables, n, slots, cfg.warmup, visits_thin=visits_thin)
+    f_hits, s_hits = _transition_tallies(counts, tables)
+    inv_sum, cap_cnt = _fading_ledger(fade_rng, matrix, slots, cfg.power_cap_factor)
+    return (counts.sum(axis=(0, 2)), f_hits, s_hits,
+            p0 * distances**cfg.path_loss_exp * inv_sum, cap_cnt)
+
+
+def _simulate(cfg: SimConfig, ratios, per_fn: Optional[PerFn], seqs,
+              visits_thin=None) -> SimResult:
+    """The episodes of the seed sequences seqs, summed into one result
+    with binomial standard errors (delta method for the throughput);
+    state visits are reported when visits_thin collects thinned ones."""
+    visits, f_hits, s_hits, tx, cap = functools.reduce(
+        lambda acc, ep: [a + b for a, b in zip(acc, ep)],
+        (_episode(seq, cfg, cfg.n_actual, ratios, per_fn, visits_thin) for seq in seqs))
+    total = int(visits.sum())
+    fading_slots = cfg.slots // cfg.episodes * len(seqs)
+    code = cfg.system.code
+    per, p_s = f_hits / total, s_hits / total
+    per_se, ps_se = _binomial_se(per, total), _binomial_se(p_s, total)
+    denom = 2.0 - p_s
+    return SimResult(
+        scenario=cfg.scenario,
+        n_users=cfg.n_actual,
+        n_hat=cfg.n_hat,
+        seed=cfg.seed,
+        slots_counted=total,
+        per=per,
+        per_stderr=per_se,
+        success_prob=p_s,
+        success_prob_stderr=ps_se,
+        throughput=np.array([throughput(e, p, code) for e, p in zip(per, p_s)]),
+        throughput_stderr=np.hypot(-code.rate / denom * per_se,
+                                   code.rate * (1.0 - per) / denom**2 * ps_se),
+        mean_tx_power=tx / fading_slots,
+        cap_fraction=cap / fading_slots,
+        state_visits=None if visits_thin is None else visits,
+        state_visits_thinned=visits_thin,
+    )
 
 
 def simulate_coordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimResult:
     """Coordinated cluster: all users hold their optimized ratio throughout.
 
-    per_fn overrides the stage failure-probability model (testing hook):
-    it maps the array of stage SINRs to failure probabilities, or to a
-    scalar broadcast over them.  The default is the Chase-combining
-    finite-blocklength formula.
+    One episode from SeedSequence(seed) with the one-row ratio matrix
+    [alphas].  per_fn overrides the stage failure-probability model
+    (testing hook): it maps the array of stage SINRs to failure
+    probabilities, or to a scalar broadcast over them.  The default is the
+    Chase-combining finite-blocklength formula.
     """
     if cfg.scenario != "coordinated":
         raise ValueError("scenario must be 'coordinated'")
-    sys_cfg = cfg.system
-    n = sys_cfg.n_users
+    n = cfg.system.n_users
     _check_user_count(n)
-    code = sys_cfg.code
-
-    dyn_ss, place_ss, fade_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    dyn_rng = np.random.default_rng(dyn_ss)
-    place_rng = np.random.default_rng(place_ss)
-    fade_rng = np.random.default_rng(fade_ss)
-
-    tables = [_decode_tables(sys_cfg.powers, code, per_fn)]
-    visits_thin = np.zeros(3**n, dtype=np.int64)
-    counts = _run_chain(dyn_rng, tables, n, cfg.slots, cfg.warmup,
-                        visits_thin=visits_thin)
-    total = int(counts.sum())
-    f_hits, s_hits = _transition_tallies(counts, tables)
-
-    distances, _ = disk_positions(place_rng, n, cfg.r_outer)
-    inv_sum, cap_cnt = _fading_ledger(fade_rng, n, cfg.slots, cfg.power_cap_factor)
-    mean_tx = sys_cfg.powers * distances**cfg.path_loss_exp * inv_sum / cfg.slots
-
-    return SimResult(
-        scenario="coordinated",
-        n_users=n,
-        n_hat=cfg.n_hat,
-        seed=cfg.seed,
-        slots_counted=total,
-        **_empirical_metrics(f_hits, s_hits, total, code),
-        mean_tx_power=mean_tx,
-        cap_fraction=cap_cnt / cfg.slots,
-        state_visits=counts.sum(axis=(0, 2)),
-        state_visits_thinned=visits_thin,
-    )
+    alphas = [cfg.system.alphas]
+    return _simulate(cfg, lambda *_: alphas, per_fn,
+                     [np.random.SeedSequence(cfg.seed)],
+                     visits_thin=np.zeros(3**n, dtype=np.int64))
 
 
 def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimResult:
@@ -328,74 +341,23 @@ def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> Si
     same ratio.  The ratio assignment rotates every slot.  Received
     powers follow the realized ratio multiset (power control), so a
     cluster's total received power may deviate from the planned P0.
+    Both n_actual and n_hat are capped at MAX_USERS.
     """
     if cfg.scenario != "uncoordinated":
         raise ValueError("scenario must be 'uncoordinated'")
-    sys_cfg = cfg.system
-    n = cfg.n_actual
-    _check_user_count(n)
-    n_hat = cfg.n_hat
-    code = sys_cfg.code
+    _check_user_count(cfg.n_actual)
+    _check_user_count(cfg.n_hat)
+    plan = build_plan(cfg.n_hat, cfg.r_outer, cfg.system.alphas)
+    plans = [plan.rotated(r) for r in range(cfg.n_hat)]
 
-    plan = build_plan(n_hat, cfg.r_outer, sys_cfg.alphas)
-    plans = [plan.rotated(r) for r in range(n_hat)]
-
-    ep_slots = cfg.slots // cfg.episodes
-    f_hits = np.zeros(n, dtype=np.int64)
-    s_hits = np.zeros(n, dtype=np.int64)
-    total = 0
-    tx_weighted = np.zeros(n)
-    cap_total = np.zeros(n, dtype=np.int64)
-    fading_slots = 0
-
-    for ep_ss in np.random.SeedSequence(cfg.seed).spawn(cfg.episodes):
-        dyn_ss, place_ss, fade_ss = ep_ss.spawn(3)
-        dyn_rng = np.random.default_rng(dyn_ss)
-        place_rng = np.random.default_rng(place_ss)
-        fade_rng = np.random.default_rng(fade_ss)
-
-        distances, angles = disk_positions(place_rng, n, cfg.r_outer)
-        rings = np.empty(n, dtype=int)
-        sectors = np.empty(n, dtype=int)
-        for u in range(n):
-            rings[u], sectors[u], _ = locate_segment(
-                UserPosition(distance=float(distances[u]), angle=float(angles[u])),
-                plan,
-            )
+    def ratios(distances, angles):
         # ratio of each user under each rotation offset
-        ratio_matrix = np.array(
-            [[plans[rot].ratio(rings[u], sectors[u]) for u in range(n)]
-             for rot in range(n_hat)]
-        )
+        segments = [locate_segment(UserPosition(distance=float(d), angle=float(a)),
+                                   plan)[:2] for d, a in zip(distances, angles)]
+        return [[p.ratio(ring, sector) for ring, sector in segments] for p in plans]
 
-        tables = [_decode_tables(ratio_matrix[rot] * sys_cfg.p0, code, per_fn)
-                  for rot in range(n_hat)]
-        counts = _run_chain(dyn_rng, tables, n, ep_slots, cfg.warmup)
-        ep_f, ep_s = _transition_tallies(counts, tables)
-        f_hits += ep_f
-        s_hits += ep_s
-        total += int(counts.sum())
-
-        rot_seq = lambda start, take: ratio_matrix[
-            (np.arange(start, start + take) % n_hat)
-        ]
-        inv_sum, cap_cnt = _fading_ledger(
-            fade_rng, n, ep_slots, cfg.power_cap_factor, weights_fn=rot_seq
-        )
-        tx_weighted += sys_cfg.p0 * distances**cfg.path_loss_exp * inv_sum
-        cap_total += cap_cnt
-        fading_slots += ep_slots
-
-    return SimResult(
-        scenario="uncoordinated",
-        n_users=n,
-        n_hat=n_hat,
-        seed=cfg.seed,
-        slots_counted=total,
-        **_empirical_metrics(f_hits, s_hits, total, code),
-        mean_tx_power=tx_weighted / fading_slots,
-        cap_fraction=cap_total / fading_slots,
-    )
+    return _simulate(cfg, ratios, per_fn,
+                     np.random.SeedSequence(cfg.seed).spawn(cfg.episodes))
 
 
 def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
@@ -416,16 +378,11 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     eps1 = per_cc(p_oma, code)
     eps2 = per_cc(2.0 * p_oma, code)
 
-    dyn_ss, place_ss, fade_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    dyn_rng = np.random.default_rng(dyn_ss)
-    place_rng = np.random.default_rng(place_ss)
-    fade_rng = np.random.default_rng(fade_ss)
-
+    dyn_rng, place_rng, fade_rng = map(np.random.default_rng,
+                                       np.random.SeedSequence(cfg.seed).spawn(3))
     rounds = max(2, cfg.slots // n)
     per = np.empty(n)
     p_s = np.empty(n)
-    per_se = np.empty(n)
-    ps_se = np.empty(n)
     own_slots = np.empty(n, dtype=np.int64)
     for i in range(n):
         first_fail = dyn_rng.random(rounds) < eps1
@@ -439,9 +396,9 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
         fresh = int((~first_fail)[1:].sum())
         per[i] = hits / pairs_i
         p_s[i] = fresh / pairs_i
-        per_se[i] = math.sqrt(max(per[i] * (1 - per[i]), 0.0) / pairs_i)
-        ps_se[i] = math.sqrt(max(p_s[i] * (1 - p_s[i]), 0.0) / pairs_i)
         own_slots[i] = slots_i
+    per_se = _binomial_se(per, own_slots - 1)
+    ps_se = _binomial_se(p_s, own_slots - 1)
 
     schedule = float(np.sum(2.0 - p_s))
     eta = code.rate * (1.0 - per) / schedule
@@ -457,7 +414,7 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     cap_frac = np.empty(n)
     for i in range(n):
         inv_sum, cap_cnt = _fading_ledger(
-            fade_rng, 1, int(own_slots[i]), cfg.power_cap_factor
+            fade_rng, np.ones((1, 1)), int(own_slots[i]), cfg.power_cap_factor
         )
         mean_tx[i] = p_oma * distances[i] ** cfg.path_loss_exp * inv_sum[0] / own_slots[i]
         cap_frac[i] = cap_cnt[0] / own_slots[i]

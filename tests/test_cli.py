@@ -293,3 +293,34 @@ class TestErrorsAndRoundTrip:
             "simulate", "--config", str(tmp_path / "sim1.json"),
         ], "sim2.json")
         assert first["results"] == second["results"]
+
+
+class TestInputChecks:
+    NINE = ",".join([repr(1 / 9)] * 9)
+    CODE = ["--rate", "0.25", "--blocklength", "100"]
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_nine_planned_ratios_usage_error(self, command, capsys):
+        # three placed users, but nine ratios plan nine decode tables
+        assert main([command, "--alphas", self.NINE, "--snr-db", "0",
+                     "--scenario", "uncoordinated", "--users", "3",
+                     "--slots", "2000", "--episodes", "1", "--warmup", "100"]
+                    + self.CODE) == 2
+        assert "9 users exceeds the 8-user cap" in capsys.readouterr().err
+
+    def test_single_point_grid_must_not_drop_stop(self, capsys):
+        assert main(["sweep"] + ANCHOR_ARGS[:2] + ["--snr-db", "0:4:1"]
+                    + self.CODE) == 2
+        assert "stop differs from start" in capsys.readouterr().err
+        assert cli._parse_grid("2:2:1") == [2.0]
+
+    def test_rate_must_give_integer_bits(self, capsys):
+        assert main(["analyze", "--alphas", "0.29,0.35,0.36", "--snr-db", "0",
+                     "--rate", "0.333", "--blocklength", "100"]) == 2
+        assert "not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["two", "2.5", "0", "-1", ""])
+    def test_bad_thread_count_usage_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("NOMA_HARQ_THREADS", value)
+        assert main(["sweep"] + ANCHOR_ARGS) == 2
+        assert "NOMA_HARQ_THREADS" in capsys.readouterr().err

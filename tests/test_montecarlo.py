@@ -222,6 +222,22 @@ class TestUncoordinated:
         assert np.all(res.per == 1.0)
 
 
+class TestPlanCap:
+    def test_nine_planned_ratios_rejected_before_allocating(self):
+        # n_hat bounds the decode tables of an episode, one per rotation
+        nine = SystemConfig(alphas=tuple(np.full(9, 1 / 9)), p0=1.0, code=CODE)
+        cfg = SimConfig(system=nine, slots=2000, warmup=100,
+                        scenario="uncoordinated", n_actual=2, n_hat=9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="8-user cap"):
+                simulate_uncoordinated(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 class TestOmaBaseline:
     def test_single_user_matches_noma(self):
         # with one user the matched power equals P0 and the chains coincide
