@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .cellplan import CellPlan, UserPosition, build_plan, locate_segment, ring_radii
 from .errors import ConsistencyError, InfeasibleError, NomaHarqError, NumericalError
-from .fbl import CodeParams, channel_dispersion, per_cc, per_ir, q_function
+from .fbl import CodeParams, channel_dispersion, per_cc, q_function
 from .markov import (
     StationaryDistribution,
     TransitionMatrix,
@@ -17,11 +17,8 @@ from .markov import (
     max_user_per,
     oma_metrics,
     oma_received_power,
-    per_user,
     stationary_distribution,
-    success_prob,
     throughput,
-    transition_prob,
 )
 from .montecarlo import (
     SimConfig,
@@ -39,7 +36,6 @@ from .sic import (
     SystemConfig,
     SystemState,
     decoding_order,
-    initial_sinr,
     stage_sinr,
 )
 
@@ -47,15 +43,14 @@ __all__ = [
     "__version__",
     "CellPlan", "UserPosition", "build_plan", "locate_segment", "ring_radii",
     "ConsistencyError", "InfeasibleError", "NomaHarqError", "NumericalError",
-    "CodeParams", "channel_dispersion", "per_cc", "per_ir", "q_function",
+    "CodeParams", "channel_dispersion", "per_cc", "q_function",
     "StationaryDistribution", "TransitionMatrix", "UserMetrics", "analyze",
     "build_transition_matrix", "delay_pmf", "max_user_per", "oma_metrics",
-    "oma_received_power", "per_user", "stationary_distribution", "success_prob",
-    "throughput", "transition_prob",
+    "oma_received_power", "stationary_distribution", "throughput",
     "SimConfig", "SimResult", "chi_square_state_fit", "simulate_coordinated",
     "simulate_oma_baseline", "simulate_uncoordinated",
     "GaParams", "ParetoPoint", "ga_minimize", "min_blocklength",
     "optimize_power_split", "pareto_front",
     "DecodingOrder", "Phase", "SystemConfig", "SystemState", "decoding_order",
-    "initial_sinr", "stage_sinr",
+    "stage_sinr",
 ]

@@ -305,37 +305,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _point_configs(payload: dict):
-    """The cluster of one sweep grid point, and its simulation setup when
-    the scenario is uncoordinated (else None)."""
-    code = CodeParams(k=payload["k"], n=payload["n"])
-    system = SystemConfig(alphas=tuple(payload["alphas"]),
-                          p0=db_to_linear(payload["snr_db"]), code=code)
-    if payload["scenario"] != "uncoordinated":
-        return system, None
-    return system, SimConfig(
-        system=system,
-        slots=payload["slots"],
-        seed=payload["seed"],
-        scenario="uncoordinated",
-        n_actual=payload["users"],
-        n_hat=payload["n_hat"],
-        warmup=payload["warmup"],
-        episodes=payload["episodes"],
-    )
-
-
-def _sweep_point(payload: dict) -> List[dict]:
-    """One SNR grid point of a sweep; module-level so pools can pickle it."""
-    system, sim_cfg = _point_configs(payload)
-    snr_db, seed = payload["snr_db"], payload["seed"]
+def _sweep_point(point) -> List[dict]:
+    """One SNR grid point of a sweep: the cluster, its uncoordinated
+    simulation setup (None for the analysis), the grid SNR, the seed and
+    whether to add the orthogonal baseline.  Module-level so pools can
+    pickle it."""
+    system, sim_cfg, snr_db, seed, oma = point
     metrics = None
     if sim_cfg is None:
         metrics = analyze(system)
         rows = _analysis_rows("coordinated", metrics, snr_db, system.code, seed)
     else:
         rows = _sim_rows(simulate_uncoordinated(sim_cfg), snr_db, system.code)
-    if payload["oma"]:
+    if oma:
         rows += _analysis_rows("oma", oma_metrics(system, metrics), snr_db,
                                system.code, seed)
     return rows
@@ -355,33 +337,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _check_users(users)
     _check_users(len(alphas))
     seed = res.get("seed", 1, cast=int)
-    payloads = [
-        {
-            "alphas": list(alphas), "k": code.k, "n": code.n,
-            "snr_db": snr, "scenario": scenario, "oma": oma,
-            "slots": res.get("slots", 200_000, cast=int),
-            "seed": seed + idx,
-            "users": users,
-            "n_hat": res.get("n_hat", len(alphas), cast=int),
-            "warmup": res.get("warmup", 1000, cast=int),
-            "episodes": res.get("episodes", 50, cast=int),
-        }
-        for idx, snr in enumerate(grid)
-    ]
+    slots = res.get("slots", 200_000, cast=int)
+    n_hat = res.get("n_hat", len(alphas), cast=int)
+    warmup = res.get("warmup", 1000, cast=int)
+    episodes = res.get("episodes", 50, cast=int)
+    points = []
     try:
-        for payload in payloads:
-            _point_configs(payload)
+        for idx, snr in enumerate(grid):
+            system = SystemConfig(alphas=alphas, p0=db_to_linear(snr), code=code)
+            sim_cfg = None if scenario != "uncoordinated" else SimConfig(
+                system=system, slots=slots, seed=seed + idx,
+                scenario="uncoordinated", n_actual=users, n_hat=n_hat,
+                warmup=warmup, episodes=episodes)
+            points.append((system, sim_cfg, snr, seed + idx, oma))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     workers = _max_workers()
     rows: List[dict] = []
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(points) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_sweep_point, payloads):
+            for chunk in pool.map(_sweep_point, points):
                 rows.extend(chunk)
     else:
-        for payload in payloads:
-            rows.extend(_sweep_point(payload))
+        for point in points:
+            rows.extend(_sweep_point(point))
     emit(rows, SIM_FIELDS, _meta("sweep", res), res.get("out"),
          res.get("format", "csv"))
     return 0

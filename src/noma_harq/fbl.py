@@ -6,14 +6,13 @@ the decoder fails with probability
     eps = Q( (n*log2(1+gamma) - k + log2(n)) / sqrt(n*V(gamma)) )
 
 where V is the channel dispersion.  Chase combining adds the per-copy
-SINRs (MRC) before applying the formula; incremental redundancy
-accumulates mutual information and dispersion across copies instead.
-All SINRs are linear-scale; dB conversion belongs to the caller.
+SINRs (MRC) before applying the formula.  All SINRs are linear-scale;
+dB conversion belongs to the caller.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import erfc
@@ -82,35 +81,6 @@ def per_cc(gamma_cc: float, code: CodeParams) -> float:
         # dispersion underflow at tiny SINR: outcome decided by the mean term
         return 1.0 if num < 0.0 else 0.0
     eps = q_function(num / math.sqrt(code.n * v))
-    return min(1.0, max(0.0, eps))
-
-
-def per_ir(gammas: Sequence[float], code: CodeParams) -> float:
-    """Packet error rate under incremental redundancy across m copies.
-
-    Mutual information and dispersion accumulate over the copies:
-
-        eps = Q( (n*sum(log2(1+g_i)) - k + log2(m*n)) / sqrt(n*sum(V(g_i))) )
-
-    Reduces exactly to per_cc for a single copy.  Kept for completeness;
-    the Chase-combining analysis path does not use it.
-    """
-    gam = [float(g) for g in gammas]
-    if len(gam) == 0:
-        raise ValueError("per_ir requires at least one SINR")
-    for g in gam:
-        if math.isnan(g) or g < 0:
-            raise ValueError(f"SINR must be >= 0, got {g!r}")
-    if any(math.isinf(g) for g in gam):
-        return 0.0
-    if all(g == 0.0 for g in gam):
-        return 1.0
-    m = len(gam)
-    v_sum = sum(channel_dispersion(g) for g in gam)
-    num = code.n * sum(math.log2(1.0 + g) for g in gam) - code.k + math.log2(m * code.n)
-    if v_sum <= 0.0:
-        return 1.0 if num < 0.0 else 0.0
-    eps = q_function(num / math.sqrt(code.n * v_sum))
     return min(1.0, max(0.0, eps))
 
 

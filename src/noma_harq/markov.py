@@ -58,7 +58,7 @@ from scipy.stats import binom
 
 from .errors import ConsistencyError, NumericalError, ReducibleChainError
 from .fbl import CodeParams, per_cc, per_cc_batch
-from .sic import Phase, SystemConfig, SystemState, decoding_order
+from .sic import Phase, SystemConfig
 
 _R, _F = int(Phase.R), int(Phase.F)
 # row-sum drift beyond this signals a transition-enumeration bug
@@ -268,7 +268,9 @@ def _stationary(src, dst, prob, m: int) -> np.ndarray:
         p, _ = _censored_solve(src, dst, prob, m, everyone)
     residual = float(np.abs(
         np.bincount(dst, weights=prob * p[src], minlength=m) - p).max())
-    if residual > STATIONARY_TOL or p.min() < -STATIONARY_TOL:
+    # a NaN vector (from a divisor that underflowed to 0) fails every
+    # comparison, so the residual test is written to catch it
+    if not residual <= STATIONARY_TOL or p.min() < -STATIONARY_TOL:
         raise NumericalError(
             f"stationary solve residual {residual:.3e}, most negative mass "
             f"{min(float(p.min()), 0.0):.3e}", residual=residual,
@@ -410,79 +412,23 @@ def _table_analysis(powers: np.ndarray, code: CodeParams):
     return _table_metrics(orders, p_fail, q_succ, p)
 
 
-def _check_user_count(n_users: int, cap: int = MAX_USERS) -> None:
-    if n_users > cap:
-        raise ValueError(f"{n_users} users exceeds the {cap}-user cap")
-
-
-def _per_all_users(digits: np.ndarray, pi: np.ndarray, p: np.ndarray) -> np.ndarray:
-    n = digits.shape[1]
-    out = np.empty(n)
-    for i in range(n):
-        in_f = digits[:, i] == Phase.F
-        in_r = digits[:, i] == Phase.R
-        to_f = pi[:, in_f].sum(axis=1)
-        out[i] = p[in_f].sum() + float(p[in_r] @ to_f[in_r])
-    return out
-
-
-def _success_all_users(digits: np.ndarray, pi: np.ndarray, p: np.ndarray) -> np.ndarray:
-    n = digits.shape[1]
-    out = np.empty(n)
-    for i in range(n):
-        fresh = digits[:, i] != Phase.R
-        in_s = digits[:, i] == Phase.S
-        to_s = pi[:, in_s].sum(axis=1)
-        out[i] = float(p[fresh] @ to_s[fresh])
-    return out
+def _check_user_count(n_users: int) -> None:
+    if n_users > MAX_USERS:
+        raise ValueError(f"{n_users} users exceeds the {MAX_USERS}-user cap")
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def transition_prob(state: SystemState, next_state: SystemState,
-                    cfg: SystemConfig) -> float:
-    """One-slot transition probability between two joint states.
-
-    Structural zeros: any user moving {S,F}->F or R->R, or a user decoded
-    after the first SIC failure ending in S.  Otherwise the probability is
-    the product of per-stage decode outcomes up to and including the first
-    failing stage (all N stages when every user succeeds).
-    """
-    n = cfg.n_users
-    if state.n_users != n or next_state.n_users != n:
-        raise ValueError("state size does not match the configuration")
-    for cur, nxt in zip(state.phases, next_state.phases):
-        if cur is not Phase.R and nxt is Phase.F:
-            return 0.0
-        if cur is Phase.R and nxt is Phase.R:
-            return 0.0
-    dec = decoding_order(state, cfg)
-    outcome = [next_state.phases[u] for u in dec.order]
-    fail_positions = [w for w, ph in enumerate(outcome) if ph is not Phase.S]
-    if fail_positions:
-        first = fail_positions[0]
-        if any(outcome[w] is Phase.S for w in range(first + 1, n)):
-            return 0.0
-        stages = first + 1
-    else:
-        stages = n
-    prob = 1.0
-    for w in range(stages):
-        eps = per_cc(dec.stage_sinrs[w], cfg.code)
-        prob *= (1.0 - eps) if outcome[w] is Phase.S else eps
-    return prob
-
-
-def build_transition_matrix(cfg: SystemConfig, max_users: int = MAX_USERS) -> TransitionMatrix:
+def build_transition_matrix(cfg: SystemConfig) -> TransitionMatrix:
     """Dense 3^N x 3^N transition matrix for the configured cluster: the
     successor table scattered into rows.
 
     Rows are renormalized when the enumeration drift is within 1e-6;
     anything larger raises ConsistencyError.
     """
-    _check_user_count(cfg.n_users, max_users)
+    _check_user_count(cfg.n_users)
     _, succ_fail, p_fail, q_succ = _chain_table(cfg.powers, cfg.code)
     m = len(succ_fail)
     pi = np.zeros((m, m))
@@ -499,23 +445,6 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     src, dst = np.divmod(idx, tm.dim)
     return StationaryDistribution(
         probs=_stationary(src, dst, tm.matrix.ravel()[idx], tm.dim))
-
-
-def per_user(i: int, p: StationaryDistribution, tm: TransitionMatrix) -> float:
-    """Packet error rate of user i: mass already in F plus mass in R that
-    moves to F next slot."""
-    digits = _state_digits(tm.n_users)
-    if not 0 <= i < tm.n_users:
-        raise ValueError(f"user index {i} out of range")
-    return float(_per_all_users(digits, tm.matrix, p.probs)[i])
-
-
-def success_prob(i: int, p: StationaryDistribution, tm: TransitionMatrix) -> float:
-    """Probability that user i sends a fresh packet and it decodes first try."""
-    digits = _state_digits(tm.n_users)
-    if not 0 <= i < tm.n_users:
-        raise ValueError(f"user index {i} out of range")
-    return float(_success_all_users(digits, tm.matrix, p.probs)[i])
 
 
 def delay_pmf(p_s: float, n_packets: int) -> np.ndarray:
@@ -567,11 +496,17 @@ def max_user_per(alphas, p0: float, code: CodeParams) -> float:
     R->F deterministically and their relative parity is conserved, so no
     stationary vector is unique.  Every closed class pins a dead user's
     PER at 1, so the objective value is 1 regardless; return it directly.
+
+    A chain whose stationary solve fails (NumericalError: a residual above
+    STATIONARY_TOL, or a NaN vector when every solve underflows at low
+    SNR) returns NaN, which the GA ranks worst.
     """
     try:
         pers, _ = _table_analysis(np.asarray(alphas, dtype=float) * p0, code)
     except ReducibleChainError:
         return 1.0
+    except NumericalError:
+        return np.nan
     return float(pers.max())
 
 

@@ -23,9 +23,7 @@ planned ratios are capped at markov.MAX_USERS.
 Decode tables come from the analysis's vectorized engine
 (markov._stage_tables and the same fall-back successors as the chain's
 table), all 3^N states at once; the scalar sic path is a test oracle
-only.  The stage failure model per_fn is an array hook: it maps the
-(3^N, N) stage SINRs to failure probabilities, a scalar result being
-broadcast.  The chain tallies slots by rotation, state and first-failure
+only.  The chain tallies slots by rotation, state and first-failure
 stage, and the per-user statistics and state visits follow from those
 counts and the successor tables, so memory is O(n_hat * 3^N * N) with no
 3^N x 3^N array.
@@ -40,7 +38,7 @@ episodes take SeedSequence(seed).spawn(episodes).
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.stats import chi2
@@ -147,33 +145,25 @@ class SimResult:
         return self.state_visits / self.state_visits.sum()
 
 
-PerFn = Callable[[np.ndarray], np.ndarray]
-
-
 def disk_positions(rng: np.random.Generator, n: int, r_outer: float):
     """Uniform placement over the cell disk: radius r_outer*sqrt(U),
     angle uniform.  Returns (distances, angles)."""
     return r_outer * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
 
 
-def _decode_tables(powers: np.ndarray, code: CodeParams,
-                   per_fn: Optional[PerFn] = None):
+def _decode_tables(powers: np.ndarray, code: CodeParams):
     """Per-state stage failure probabilities and successors, for all 3^N
     states at once from the vectorized SIC engine of the analysis.
 
     Returns (eps_tab, succ_tab) as nested lists, so the slot loop reads
     Python floats and ints.  eps_tab[s][w] is the failure probability of
-    stage w in state s, per_fn of the stage SINRs broadcast to the table
-    shape (default: the Chase-combining finite-blocklength formula).
+    stage w in state s, from the Chase-combining finite-blocklength formula.
     succ_tab[s][w] for w < N is the next state when the first SIC failure
     hits stage w; succ_tab[s][N] = 0 is the all-success successor.
     """
     digits = _state_digits(len(powers))
     orders, gammas = _stage_tables(digits, np.asarray(powers, dtype=float))
-    if per_fn is None:
-        eps = per_cc_batch(gammas, code)[0]
-    else:
-        eps = np.broadcast_to(per_fn(gammas), gammas.shape)
+    eps = per_cc_batch(gammas, code)[0]
     succ = np.zeros((len(digits), digits.shape[1] + 1), dtype=np.int64)
     succ[:, :-1] = _fallback_successors(digits, orders)
     return eps.tolist(), succ.tolist()
@@ -258,8 +248,7 @@ def _run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
     return np.array(counts, dtype=np.int64)
 
 
-def _episode(seq, cfg: SimConfig, n: int, ratios, per_fn: Optional[PerFn],
-             visits_thin=None):
+def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     """One episode from the seed sequence seq: place n users, read their
     (rotations x users) ratio matrix ratios(distances, angles), build one
     decode table per rotation, run the chain and the fading ledger.
@@ -271,7 +260,7 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, per_fn: Optional[PerFn],
     distances, angles = disk_positions(place_rng, n, cfg.r_outer)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
-    tables = [_decode_tables(row * p0, cfg.system.code, per_fn) for row in matrix]
+    tables = [_decode_tables(row * p0, cfg.system.code) for row in matrix]
     slots = cfg.slots // cfg.episodes
     counts = _run_chain(dyn_rng, tables, n, slots, cfg.warmup, visits_thin=visits_thin)
     f_hits, s_hits = _transition_tallies(counts, tables)
@@ -280,14 +269,13 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, per_fn: Optional[PerFn],
             p0 * distances**cfg.path_loss_exp * inv_sum, cap_cnt)
 
 
-def _simulate(cfg: SimConfig, ratios, per_fn: Optional[PerFn], seqs,
-              visits_thin=None) -> SimResult:
+def _simulate(cfg: SimConfig, ratios, seqs, visits_thin=None) -> SimResult:
     """The episodes of the seed sequences seqs, summed into one result
     with binomial standard errors (delta method for the throughput);
     state visits are reported when visits_thin collects thinned ones."""
     visits, f_hits, s_hits, tx, cap = functools.reduce(
         lambda acc, ep: [a + b for a, b in zip(acc, ep)],
-        (_episode(seq, cfg, cfg.n_actual, ratios, per_fn, visits_thin) for seq in seqs))
+        (_episode(seq, cfg, cfg.n_actual, ratios, visits_thin) for seq in seqs))
     total = int(visits.sum())
     fading_slots = cfg.slots // cfg.episodes * len(seqs)
     code = cfg.system.code
@@ -314,26 +302,22 @@ def _simulate(cfg: SimConfig, ratios, per_fn: Optional[PerFn], seqs,
     )
 
 
-def simulate_coordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimResult:
+def simulate_coordinated(cfg: SimConfig) -> SimResult:
     """Coordinated cluster: all users hold their optimized ratio throughout.
 
     One episode from SeedSequence(seed) with the one-row ratio matrix
-    [alphas].  per_fn overrides the stage failure-probability model
-    (testing hook): it maps the array of stage SINRs to failure
-    probabilities, or to a scalar broadcast over them.  The default is the
-    Chase-combining finite-blocklength formula.
+    [alphas].
     """
     if cfg.scenario != "coordinated":
         raise ValueError("scenario must be 'coordinated'")
     n = cfg.system.n_users
     _check_user_count(n)
     alphas = [cfg.system.alphas]
-    return _simulate(cfg, lambda *_: alphas, per_fn,
-                     [np.random.SeedSequence(cfg.seed)],
+    return _simulate(cfg, lambda *_: alphas, [np.random.SeedSequence(cfg.seed)],
                      visits_thin=np.zeros(3**n, dtype=np.int64))
 
 
-def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> SimResult:
+def simulate_uncoordinated(cfg: SimConfig) -> SimResult:
     """Grant-free operation: users adopt the ratio of their cell segment.
 
     Each episode places n_actual users uniformly over the disk and maps
@@ -356,8 +340,7 @@ def simulate_uncoordinated(cfg: SimConfig, per_fn: Optional[PerFn] = None) -> Si
                                    plan)[:2] for d, a in zip(distances, angles)]
         return [[p.ratio(ring, sector) for ring, sector in segments] for p in plans]
 
-    return _simulate(cfg, ratios, per_fn,
-                     np.random.SeedSequence(cfg.seed).spawn(cfg.episodes))
+    return _simulate(cfg, ratios, np.random.SeedSequence(cfg.seed).spawn(cfg.episodes))
 
 
 def simulate_oma_baseline(cfg: SimConfig) -> SimResult:

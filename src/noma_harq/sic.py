@@ -18,6 +18,11 @@ SIC decodes greedily: at each stage the undecoded user with the highest
 SINR (recomputed after the cancellations so far) goes next.  Ties break
 toward the lowest user index so the decoding order, and with it the whole
 Markov analysis, stays deterministic when users share a power ratio.
+
+The scalar functions here (stage_sinr, decoding_order) are the reference
+oracle that the tests and the benchmark compare against; the analysis and
+the simulators never call them, but build the SIC stage tables of all
+states at once in markov._stage_tables.
 """
 
 import math
@@ -53,7 +58,6 @@ class SystemConfig:
     alphas: Tuple[float, ...]
     p0: float
     code: CodeParams
-    max_transmissions: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -66,8 +70,6 @@ class SystemConfig:
             raise ValueError(f"power ratios must sum to 1, got {total!r}")
         if not (self.p0 > 0.0 and math.isfinite(self.p0)):
             raise ValueError(f"total received power must be positive, got {self.p0!r}")
-        if self.max_transmissions != 2:
-            raise ValueError("only a single retransmission (L=2) is supported")
 
     @property
     def n_users(self) -> int:
@@ -112,13 +114,6 @@ class DecodingOrder:
 
     order: Tuple[int, ...]
     stage_sinrs: Tuple[float, ...]
-
-
-def initial_sinr(state: SystemState, cfg: SystemConfig) -> np.ndarray:
-    """SINR of every user before any SIC stage has run."""
-    return np.array(
-        [stage_sinr(state, frozenset(), j, cfg) for j in range(cfg.n_users)]
-    )
 
 
 def stage_sinr(

@@ -269,6 +269,13 @@ class TestErrorsAndRoundTrip:
         assert main(["sweep", "--snr-db", "0"] + args + self.CODE) == 2
         assert message in capsys.readouterr().err
 
+    def test_failed_solve_exit_code(self, capsys):
+        # every stationary solve underflows to NaN at this point
+        with np.errstate(all="ignore"):
+            assert main(["analyze", "--alphas", "0.0888,0.072,0.0312,0.634,0.174",
+                         "--snr-db=-10", "--rate", "0.5", "--blocklength", "100"]) == 3
+        assert capsys.readouterr().err.startswith("error: stationary solve")
+
     def test_config_round_trip(self, tmp_path):
         first = run_json(tmp_path, ["analyze"] + ANCHOR_ARGS, "first.json")
         second = run_json(tmp_path, [

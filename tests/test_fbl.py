@@ -14,7 +14,6 @@ from noma_harq.fbl import (
     channel_dispersion,
     per_cc,
     per_cc_batch,
-    per_ir,
     q_function,
 )
 
@@ -176,39 +175,3 @@ class TestPerCC:
                      + mpmath.log(code.n, 2)) / mpmath.sqrt(code.n * v)
                 exact = mpmath.erfc(-z / mpmath.sqrt(2)) / 2
                 assert abs(q - exact) <= 1e-12 * exact
-
-
-class TestPerIR:
-    CODE = CodeParams(k=50, n=100)
-
-    def test_single_copy_equals_cc(self):
-        rng = np.random.default_rng(6)
-        for g in rng.uniform(0.01, 50, size=50):
-            assert per_ir([g], self.CODE) == per_cc(g, self.CODE)
-
-    def test_saturated(self):
-        assert per_ir([1e6, 1e6], self.CODE) < 1e-12
-
-    def test_second_copy_helps_with_direct_formula(self):
-        code = self.CODE
-        one = per_ir([1.0], code)
-        two = per_ir([1.0, 1.0], code)
-        assert 0.0 < two < one < 1.0
-        # direct arithmetic oracle for the two-copy case
-        num = code.n * 2 * math.log2(2.0) - code.k + math.log2(2 * code.n)
-        den = math.sqrt(code.n * 2 * (1 - 0.25) * LOG2E_SQ)
-        assert two == pytest.approx(q_function(num / den), rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            per_ir([], self.CODE)
-
-    def test_all_zero_guarded(self):
-        assert per_ir([0.0, 0.0], self.CODE) == 1.0
-
-    def test_clamped_to_unit_interval(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            m = int(rng.integers(1, 5))
-            gam = rng.uniform(0, 30, size=m)
-            assert 0.0 <= per_ir(gam, self.CODE) <= 1.0

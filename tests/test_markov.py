@@ -15,14 +15,12 @@ from noma_harq.markov import (
     build_transition_matrix,
     delay_pmf,
     max_user_per,
-    per_user,
     stationary_distribution,
-    success_prob,
     throughput,
-    transition_prob,
 )
 from noma_harq.montecarlo import SimConfig, simulate_coordinated, simulate_uncoordinated
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
+from oracle import per_user, success_prob, transition_prob
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -372,6 +370,20 @@ class TestUserMetrics:
         # user 0 fails every decode, so its R/F parity never changes and
         # the chain has two closed classes
         assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
+
+    @pytest.mark.parametrize("raw,k", [
+        ((0.0888, 0.0720, 0.0312, 0.6340, 0.1740), 50),
+        ((0.452, 0.116, 0.248, 0.185), 75),
+    ], ids=["N5", "N4"])
+    def test_nan_stationary_vector_is_a_numerical_error(self, raw, k):
+        # at -10 dB the all-success move underflows to 0 in most states and
+        # every solve of the cascade returns NaN
+        alphas = tuple(np.array(raw) / sum(raw))
+        cfg = SystemConfig(alphas=alphas, p0=0.1, code=CodeParams(k=k, n=100))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError, match="residual nan"):
+                analyze(cfg)
+            assert np.isnan(max_user_per(cfg.alphas, cfg.p0, cfg.code))
 
     def test_max_user_per_matches_analyze(self):
         rng = np.random.default_rng(25)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import noma_harq.montecarlo as montecarlo
 from noma_harq.fbl import CodeParams, per_cc
 from noma_harq.markov import (
     _stage_tables,
@@ -31,6 +32,16 @@ from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order, stag
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
+
+
+def never_fails(gammas, code):
+    """Stand-in for fbl.per_cc_batch: every stage decodes."""
+    return np.zeros_like(gammas), np.ones_like(gammas)
+
+
+def always_fails(gammas, code):
+    """Stand-in for fbl.per_cc_batch: every stage fails."""
+    return np.ones_like(gammas), np.zeros_like(gammas)
 
 
 def sim_result_equal(a: SimResult, b: SimResult) -> bool:
@@ -128,17 +139,19 @@ class TestCoordinated:
         b = simulate_coordinated(SimConfig(system=ANCHOR_CFG, slots=50_000, seed=2))
         assert not sim_result_equal(a, b)
 
-    def test_forced_success_hook(self):
+    def test_forced_success_hook(self, monkeypatch):
         cfg = SimConfig(system=ANCHOR_CFG, slots=20_000, seed=3, warmup=100)
-        res = simulate_coordinated(cfg, per_fn=lambda g: 0.0)
+        monkeypatch.setattr(montecarlo, "per_cc_batch", never_fails)
+        res = simulate_coordinated(cfg)
         assert np.all(res.per == 0.0)
         assert np.all(res.success_prob == 1.0)
         # every slot sits in the all-success state
         assert res.state_visits[0] == res.slots_counted
 
-    def test_forced_failure_hook(self):
+    def test_forced_failure_hook(self, monkeypatch):
         cfg = SimConfig(system=ANCHOR_CFG, slots=20_000, seed=3, warmup=100)
-        res = simulate_coordinated(cfg, per_fn=lambda g: 1.0)
+        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        res = simulate_coordinated(cfg)
         assert np.all(res.per == 1.0)
         assert np.all(res.success_prob == 0.0)
         # phases cycle R -> F -> R: only the all-R and all-F states appear
@@ -217,8 +230,9 @@ class TestUncoordinated:
         coord_avg = np.mean([m.per for m in analyze(ANCHOR_CFG)])
         assert res.avg_per >= coord_avg
 
-    def test_forced_failure_hook(self):
-        res = simulate_uncoordinated(self.UNCOORD, per_fn=lambda g: 1.0)
+    def test_forced_failure_hook(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        res = simulate_uncoordinated(self.UNCOORD)
         assert np.all(res.per == 1.0)
 
 

@@ -9,7 +9,6 @@ from noma_harq.sic import (
     SystemConfig,
     SystemState,
     decoding_order,
-    initial_sinr,
     stage_sinr,
 )
 
@@ -39,7 +38,7 @@ class TestSystemConfig:
             SystemConfig(alphas=(1.0,), p0=-1.0, code=CODE)
 
     def test_only_one_retransmission(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SystemConfig(alphas=(1.0,), p0=1.0, code=CODE, max_transmissions=3)
 
     def test_powers(self):
@@ -71,20 +70,23 @@ class TestSystemState:
 class TestInitialSinr:
     def test_single_user_fresh(self):
         cfg = cfg_for((1.0,), p0=4.0)
-        assert initial_sinr(SystemState((Phase.S,)), cfg)[0] == pytest.approx(4.0)
+        st = SystemState((Phase.S,))
+        assert stage_sinr(st, frozenset(), 0, cfg) == pytest.approx(4.0)
 
     def test_single_user_retransmitting_mrc(self):
         # two interference-free copies: both denominators are the unit noise
         cfg = cfg_for((1.0,), p0=4.0)
-        assert initial_sinr(SystemState((Phase.R,)), cfg)[0] == pytest.approx(8.0)
+        st = SystemState((Phase.R,))
+        assert stage_sinr(st, frozenset(), 0, cfg) == pytest.approx(8.0)
 
     def test_all_fresh_three_users(self):
         cfg = cfg_for(ANCHOR_ALPHAS)
-        g = initial_sinr(SystemState((Phase.S,) * 3), cfg)
+        st = SystemState((Phase.S,) * 3)
         p = cfg.powers
         expect = 0.36 * ANCHOR_P0 / (0.64 * ANCHOR_P0 + 1.0)
-        assert g[2] == pytest.approx(expect, rel=1e-12)
-        assert g[0] == pytest.approx(p[0] / (p[1] + p[2] + 1.0), rel=1e-12)
+        assert stage_sinr(st, frozenset(), 2, cfg) == pytest.approx(expect, rel=1e-12)
+        assert stage_sinr(st, frozenset(), 0, cfg) == pytest.approx(
+            p[0] / (p[1] + p[2] + 1.0), rel=1e-12)
 
     def test_retransmission_never_worse_than_fresh(self):
         rng = np.random.default_rng(10)
@@ -98,8 +100,8 @@ class TestInitialSinr:
                         continue
                     fresh = list(st.phases)
                     fresh[i] = Phase.S
-                    g_r = initial_sinr(st, cfg)[i]
-                    g_s = initial_sinr(SystemState(tuple(fresh)), cfg)[i]
+                    g_r = stage_sinr(st, frozenset(), i, cfg)
+                    g_s = stage_sinr(SystemState(tuple(fresh)), frozenset(), i, cfg)
                     assert g_r >= g_s - 1e-15
 
     def test_all_states_nonnegative_finite(self):
@@ -107,8 +109,10 @@ class TestInitialSinr:
         for _ in range(30):
             cfg = random_config(rng)
             for idx in range(3**cfg.n_users):
-                g = initial_sinr(SystemState.from_index(idx, cfg.n_users), cfg)
-                assert np.all(g >= 0.0) and np.all(np.isfinite(g))
+                st = SystemState.from_index(idx, cfg.n_users)
+                for j in range(cfg.n_users):
+                    g = stage_sinr(st, frozenset(), j, cfg)
+                    assert g >= 0.0 and np.isfinite(g)
 
 
 class TestStageSinr:
@@ -117,19 +121,6 @@ class TestStageSinr:
         st = SystemState((Phase.S, Phase.S, Phase.S))
         g = stage_sinr(st, {0, 1}, 2, cfg)
         assert g == pytest.approx(cfg.powers[2], rel=1e-12)
-
-    def test_empty_decoded_matches_initial_exhaustive(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            cfg = random_config(rng)
-            n = cfg.n_users
-            for idx in range(3**n):
-                st = SystemState.from_index(idx, n)
-                base = initial_sinr(st, cfg)
-                for j in range(n):
-                    assert stage_sinr(st, set(), j, cfg) == pytest.approx(
-                        base[j], rel=1e-12
-                    )
 
     def test_retransmitter_after_one_cancellation(self):
         # J=[R,S,S], user 1 (0-based: 1) decoded; for user 0 the fresh copy
