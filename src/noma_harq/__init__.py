@@ -4,7 +4,7 @@ and slot-level simulation."""
 
 __version__ = "0.1.0"
 
-from .cellplan import CellPlan, UserPosition, build_plan, locate_segment, ring_radii
+from .cellplan import CellPlan, build_plan, locate_segment, ring_radii
 from .errors import ConsistencyError, InfeasibleError, NomaHarqError, NumericalError
 from .fbl import CodeParams, channel_dispersion, per_cc, q_function
 from .markov import (
@@ -41,7 +41,7 @@ from .sic import (
 
 __all__ = [
     "__version__",
-    "CellPlan", "UserPosition", "build_plan", "locate_segment", "ring_radii",
+    "CellPlan", "build_plan", "locate_segment", "ring_radii",
     "ConsistencyError", "InfeasibleError", "NomaHarqError", "NumericalError",
     "CodeParams", "channel_dispersion", "per_cc", "q_function",
     "StationaryDistribution", "TransitionMatrix", "UserMetrics", "analyze",

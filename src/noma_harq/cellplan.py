@@ -8,33 +8,22 @@ Rotating the assignment one step per slot cycles every segment through
 all ratios, equalizing average transmit power across the cell.
 
 Ring i covers distances (r_{i-1}, r_i] (outer boundary inclusive);
-sector s covers angles [2*pi*s/n_hat, 2*pi*(s+1)/n_hat).
+sector s covers angles [2*pi*s/n_hat, 2*pi*(s+1)/n_hat).  Positions are
+polar, relative to the base station at the origin; locate_segment maps
+arrays of them to (ring, sector) index arrays, so a plan's assignment
+grid gives every user's ratio index in one lookup.  The simulators use a
+cell of radius CELL_RADIUS, also the default of `cellplan --r-outer`.
 """
 
-import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class UserPosition:
-    """Polar position relative to the base station at the origin."""
-
-    distance: float
-    angle: float
-
-    def __post_init__(self):
-        if not (self.distance > 0.0 and math.isfinite(self.distance)):
-            raise ValueError(f"distance must be positive, got {self.distance!r}")
-        if not math.isfinite(self.angle):
-            raise ValueError(f"angle must be finite, got {self.angle!r}")
-        object.__setattr__(self, "angle", self.angle % TWO_PI)
+# cell radius in metres
+CELL_RADIUS = 1500.0
 
 
 def ring_radii(n_hat: int, r_outer: float) -> Tuple[float, ...]:
@@ -76,14 +65,6 @@ class CellPlan:
     def ring_boundaries(self) -> Tuple[float, ...]:
         return ring_radii(self.n_hat, self.r_outer)
 
-    def ratio_index(self, ring: int, sector: int) -> int:
-        if not (0 <= ring < self.n_hat and 0 <= sector < self.n_hat):
-            raise ValueError(f"segment ({ring}, {sector}) out of range")
-        return (ring + sector + self.rotation) % self.n_hat
-
-    def ratio(self, ring: int, sector: int) -> float:
-        return self.alphas[self.ratio_index(ring, sector)]
-
     @property
     def assignment(self) -> np.ndarray:
         """n_hat x n_hat grid of ratio indices, rows = rings."""
@@ -103,9 +84,6 @@ class CellPlan:
             "rotation": self.rotation,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def build_plan(
     n_hat: int, r_outer: float, alphas: Sequence[float], rotation: int = 0
@@ -119,12 +97,22 @@ def build_plan(
     return CellPlan(n_hat=n_hat, r_outer=r_outer, alphas=ratios, rotation=rotation)
 
 
-def locate_segment(pos: UserPosition, plan: CellPlan) -> Tuple[int, int, float]:
-    """Map a position to (ring, sector, current ratio of that segment)."""
-    if pos.distance > plan.r_outer:
-        raise ValueError(
-            f"position at {pos.distance} m lies outside the {plan.r_outer} m cell"
-        )
-    ring = bisect_left(plan.ring_boundaries, pos.distance)
-    sector = min(int(pos.angle * plan.n_hat / TWO_PI), plan.n_hat - 1)
-    return ring, sector, plan.ratio(ring, sector)
+def locate_segment(distances, angles, plan: CellPlan) -> Tuple[np.ndarray, np.ndarray]:
+    """Map polar positions to the (rings, sectors) index arrays of their
+    segments; plan.assignment[rings, sectors] are their ratio indices.
+
+    Distances must be positive and at most plan.r_outer, angles finite;
+    angles are reduced mod 2*pi.  Anything else raises ValueError.
+    """
+    distances = np.asarray(distances, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    if not np.all(distances > 0.0):
+        raise ValueError(f"distances must be positive, got {float(distances.min())}")
+    if not np.all(distances <= plan.r_outer):
+        raise ValueError(f"a position at {float(distances.max())} m lies outside the "
+                         f"{plan.r_outer} m cell")
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    rings = np.searchsorted(plan.ring_boundaries, distances, side="left")
+    sectors = (np.mod(angles, TWO_PI) * plan.n_hat / TWO_PI).astype(np.int64)
+    return rings, np.minimum(sectors, plan.n_hat - 1)

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
 from . import __version__
-from .cellplan import build_plan
+from .cellplan import CELL_RADIUS, build_plan
 from .errors import NomaHarqError
 from .fbl import CodeParams
 from .markov import MAX_USERS, analyze, build_transition_matrix, oma_metrics, \
@@ -452,7 +452,7 @@ def cmd_cellplan(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
     n_hat = res.get("n_hat", required=True, cast=int)
     alphas = _parse_alphas(res.get("alphas", required=True))
-    r_outer = res.get("r_outer", 1500.0, cast=float)
+    r_outer = res.get("r_outer", CELL_RADIUS, cast=float)
     rotation = res.get("rotation", 0, cast=int)
     try:
         plan = build_plan(n_hat, r_outer, alphas, rotation=rotation)
@@ -479,6 +479,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_code(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rate", type=float, help="code rate R = k/n")
     sub.add_argument("--blocklength", type=int, help="codeword length n")
+
+
+def _add_sim(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--scenario", choices=["coordinated", "uncoordinated"])
+    sub.add_argument("--oma", action="store_const", const=True,
+                     help="add the matched-power orthogonal baseline")
+    sub.add_argument("--users", type=int, help="active users (uncoordinated)")
+    sub.add_argument("--n-hat", dest="n_hat", type=int, help="planned user count")
+    for flag in ("--slots", "--episodes", "--warmup"):
+        sub.add_argument(flag, type=int)
 
 
 def _add_ga(sub: argparse.ArgumentParser) -> None:
@@ -515,14 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", dest="snr_db",
                    help="grid: 'a,b,c' or 'start:stop:count'")
     _add_code(p)
-    p.add_argument("--scenario", choices=["coordinated", "uncoordinated"])
-    p.add_argument("--oma", action="store_const", const=True,
-                   help="add the matched-power orthogonal baseline")
-    p.add_argument("--users", type=int, help="active users (uncoordinated)")
-    p.add_argument("--n-hat", dest="n_hat", type=int, help="planned user count")
-    p.add_argument("--slots", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--warmup", type=int)
+    _add_sim(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -550,13 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas")
     p.add_argument("--snr-db", dest="snr_db")
     _add_code(p)
-    p.add_argument("--scenario", choices=["coordinated", "uncoordinated"])
-    p.add_argument("--oma", action="store_const", const=True)
-    p.add_argument("--users", type=int)
-    p.add_argument("--n-hat", dest="n_hat", type=int)
-    p.add_argument("--slots", type=int)
-    p.add_argument("--episodes", type=int)
-    p.add_argument("--warmup", type=int)
+    _add_sim(p)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

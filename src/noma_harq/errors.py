@@ -12,10 +12,6 @@ class ConsistencyError(NomaHarqError):
 class NumericalError(NomaHarqError):
     """A numerical solve failed to reach the required residual."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class ReducibleChainError(NumericalError):
     """The chain has several closed classes, so no unique stationary vector."""

@@ -73,6 +73,8 @@ DENSE_SOLVE_STATES = 81
 # smallest regenerative LU pivot trusted: over 3742 chains from GA runs the
 # metrics were within 5e-14 relative above this floor and up to 1e-7 below
 PIVOT_FLOOR = 1e-2
+# fixed-point iterations of the matched orthogonal-baseline power
+OMA_ITERATIONS = 30
 
 
 @dataclass(frozen=True)
@@ -256,24 +258,27 @@ def _stationary(src, dst, prob, m: int) -> np.ndarray:
     elimination runs; keeping states out of the LU can only raise the
     other pivots.  If pivots still fall short, sticky states are everywhere
     (at low SNR every user cycles R, F, R, ... almost surely) and GTH runs
-    on the whole chain.
+    on the whole chain, as it does after an attempt whose vector is not
+    finite (a divisor underflowed to 0).  The numpy warnings of such a
+    solve are silenced: the residual test turns its vector into
+    NumericalError.
     """
     root = _regeneration_state(src, dst, prob, m)
     kept = np.array([root])
-    p, sticky = _censored_solve(src, dst, prob, m, kept)
-    if p is None:
-        p, sticky = _censored_solve(src, dst, prob, m, np.append(kept, sticky))
-    if p is None:
-        everyone = np.concatenate([kept, np.delete(np.arange(m), root)])
-        p, _ = _censored_solve(src, dst, prob, m, everyone)
-    residual = float(np.abs(
-        np.bincount(dst, weights=prob * p[src], minlength=m) - p).max())
-    # a NaN vector (from a divisor that underflowed to 0) fails every
-    # comparison, so the residual test is written to catch it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, sticky = _censored_solve(src, dst, prob, m, kept)
+        if p is None:
+            p, _ = _censored_solve(src, dst, prob, m, np.append(kept, sticky))
+        if p is None or not np.isfinite(p).all():
+            everyone = np.concatenate([kept, np.delete(np.arange(m), root)])
+            p, _ = _censored_solve(src, dst, prob, m, everyone)
+        residual = float(np.abs(
+            np.bincount(dst, weights=prob * p[src], minlength=m) - p).max())
+    # NaN fails every comparison, so the test is written to catch it
     if not residual <= STATIONARY_TOL or p.min() < -STATIONARY_TOL:
         raise NumericalError(
             f"stationary solve residual {residual:.3e}, most negative mass "
-            f"{min(float(p.min()), 0.0):.3e}", residual=residual,
+            f"{min(float(p.min()), 0.0):.3e}"
         )
     return np.maximum(p, 0.0)
 
@@ -510,7 +515,7 @@ def max_user_per(alphas, p0: float, code: CodeParams) -> float:
     return float(pers.max())
 
 
-def oma_received_power(cfg: SystemConfig, iterations: int = 30,
+def oma_received_power(cfg: SystemConfig,
                        metrics: Optional[List[UserMetrics]] = None) -> float:
     """Per-slot received power of the orthogonal baseline.
 
@@ -518,15 +523,15 @@ def oma_received_power(cfg: SystemConfig, iterations: int = 30,
     equals the NOMA cluster's: P_oma = P0 * t_noma / t_oma, where t_x is
     the scheme's average number of transmissions per information packet,
     p_s + 2*(1 - p_s).  t_oma depends on P_oma; the fixed point is found
-    by iterating upward from P0, which selects the branch that coincides
-    with the NOMA chain when there is a single user.  metrics, when
-    given, is analyze(cfg), which is otherwise computed here.
+    by at most OMA_ITERATIONS steps upward from P0, which selects the
+    branch that coincides with the NOMA chain when there is a single user.
+    metrics, when given, is analyze(cfg), which is otherwise computed here.
     """
     if metrics is None:
         metrics = analyze(cfg)
     t_noma = float(np.mean([2.0 - m.success_prob for m in metrics]))
     p = cfg.p0
-    for _ in range(iterations):
+    for _ in range(OMA_ITERATIONS):
         eps1 = per_cc(p, cfg.code)
         p_s = (1.0 - eps1) / (1.0 + eps1)
         p_new = cfg.p0 * t_noma / (2.0 - p_s)

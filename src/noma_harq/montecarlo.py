@@ -9,16 +9,20 @@ Decode outcomes are independent Bernoulli draws at the analytically
 computed stage SINRs: exactly the abstraction the chain assumes, so the
 comparison is sharp.  Fading never touches reliability (users power
 control their received level); it is drawn only to account transmit
-power, with channel inversion capped at power_cap_factor times the mean
-and the capped fraction reported.
+power, with channel inversion capped at POWER_CAP_FACTOR times the mean
+and the capped fraction reported.  Transmit power scales with distance
+to the power PATH_LOSS_EXP; users are placed uniformly over a cell of
+radius cellplan.CELL_RADIUS.
 
 One episode engine serves both scenarios.  An episode places the users,
 reads their (rotations x users) ratio matrix, builds one decode table per
 rotation, runs the chain and then the fading ledger; a run sums its
 episodes into one SimResult.  The coordinated run is one episode with one
 rotation, the matrix [alphas]; uncoordinated runs sum many episodes whose
-rotations follow the cell plan.  Both the placed users and the n_hat
-planned ratios are capped at markov.MAX_USERS.
+rotations follow the cell plan: one locate_segment call maps the
+placed users to their segments, and the stacked assignment grids of the
+n_hat rotations give the whole matrix in one array lookup.  Both the
+placed users and the n_hat planned ratios are capped at markov.MAX_USERS.
 
 Decode tables come from the analysis's vectorized engine
 (markov._stage_tables and the same fall-back successors as the chain's
@@ -43,7 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.stats import chi2
 
-from .cellplan import UserPosition, build_plan, locate_segment
+from .cellplan import CELL_RADIUS, build_plan, locate_segment
 from .fbl import CodeParams, per_cc, per_cc_batch
 from .markov import (
     _check_user_count,
@@ -58,6 +62,12 @@ from .sic import Phase, SystemConfig
 # decimation stride for the goodness-of-fit visit counts; the chain
 # decorrelates within a few slots, so stride-10 samples are near-iid
 THIN_STRIDE = 10
+# path-loss exponent of the transmit-power ledger
+PATH_LOSS_EXP = 3.5
+# channel inversion is capped at this multiple of the mean fading gain
+POWER_CAP_FACTOR = 1e3
+# chi-square cells expected to hold fewer visits than this are pooled
+MIN_EXPECTED = 5.0
 
 _CHUNK = 1 << 16
 
@@ -79,11 +89,8 @@ class SimConfig:
     scenario: str = "coordinated"
     n_actual: Optional[int] = None
     n_hat: Optional[int] = None
-    path_loss_exp: float = 3.5
-    r_outer: float = 1500.0
     warmup: int = 1000
     episodes: int = 1
-    power_cap_factor: float = 1e3
 
     def __post_init__(self):
         if self.scenario not in ("coordinated", "uncoordinated"):
@@ -96,10 +103,6 @@ class SimConfig:
             raise ValueError("slots and episodes must be positive, warmup >= 0")
         if self.slots // self.episodes <= self.warmup:
             raise ValueError("each episode needs more slots than the warmup")
-        if self.path_loss_exp <= 0 or self.r_outer <= 0:
-            raise ValueError("path_loss_exp and r_outer must be positive")
-        if self.power_cap_factor < 1.0:
-            raise ValueError("power_cap_factor must be >= 1")
         if self.scenario == "coordinated":
             if self.n_actual != self.system.n_users:
                 raise ValueError("coordinated runs use exactly the configured users")
@@ -145,10 +148,10 @@ class SimResult:
         return self.state_visits / self.state_visits.sum()
 
 
-def disk_positions(rng: np.random.Generator, n: int, r_outer: float):
-    """Uniform placement over the cell disk: radius r_outer*sqrt(U),
+def disk_positions(rng: np.random.Generator, n: int):
+    """Uniform placement over the cell disk: radius CELL_RADIUS*sqrt(U),
     angle uniform.  Returns (distances, angles)."""
-    return r_outer * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+    return CELL_RADIUS * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
 
 
 def _decode_tables(powers: np.ndarray, code: CodeParams):
@@ -194,19 +197,19 @@ def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
 
 
-def _fading_ledger(fade_rng, ratios: np.ndarray, slots: int, cap_factor: float):
-    """Per-user sum of ratio * min(1/h, cap) over the slots, and the count
-    of capped slots.  ratios is the (rotations x users) ratio matrix; slot
-    t weighs by its row t % rotations."""
+def _fading_ledger(fade_rng, ratios: np.ndarray, slots: int):
+    """Per-user sum of ratio * min(1/h, POWER_CAP_FACTOR) over the slots,
+    and the count of capped slots.  ratios is the (rotations x users)
+    ratio matrix; slot t weighs by its row t % rotations."""
     inv_sum = np.zeros(ratios.shape[1])
     cap_cnt = np.zeros(ratios.shape[1], dtype=np.int64)
     done = 0
-    threshold = 1.0 / cap_factor
+    threshold = 1.0 / POWER_CAP_FACTOR
     while done < slots:
         take = min(_CHUNK, slots - done)
         h = fade_rng.exponential(1.0, size=(take, ratios.shape[1]))
         with np.errstate(divide="ignore"):
-            inv = np.minimum(1.0 / h, cap_factor)
+            inv = np.minimum(1.0 / h, POWER_CAP_FACTOR)
         inv_sum += (inv * ratios[np.arange(done, done + take) % len(ratios)]).sum(axis=0)
         cap_cnt += (h < threshold).sum(axis=0)
         done += take
@@ -257,16 +260,16 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     received power times the capped channel inversion, capped slots).
     """
     dyn_rng, place_rng, fade_rng = map(np.random.default_rng, seq.spawn(3))
-    distances, angles = disk_positions(place_rng, n, cfg.r_outer)
+    distances, angles = disk_positions(place_rng, n)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
     tables = [_decode_tables(row * p0, cfg.system.code) for row in matrix]
     slots = cfg.slots // cfg.episodes
     counts = _run_chain(dyn_rng, tables, n, slots, cfg.warmup, visits_thin=visits_thin)
     f_hits, s_hits = _transition_tallies(counts, tables)
-    inv_sum, cap_cnt = _fading_ledger(fade_rng, matrix, slots, cfg.power_cap_factor)
+    inv_sum, cap_cnt = _fading_ledger(fade_rng, matrix, slots)
     return (counts.sum(axis=(0, 2)), f_hits, s_hits,
-            p0 * distances**cfg.path_loss_exp * inv_sum, cap_cnt)
+            p0 * distances**PATH_LOSS_EXP * inv_sum, cap_cnt)
 
 
 def _simulate(cfg: SimConfig, ratios, seqs, visits_thin=None) -> SimResult:
@@ -331,14 +334,14 @@ def simulate_uncoordinated(cfg: SimConfig) -> SimResult:
         raise ValueError("scenario must be 'uncoordinated'")
     _check_user_count(cfg.n_actual)
     _check_user_count(cfg.n_hat)
-    plan = build_plan(cfg.n_hat, cfg.r_outer, cfg.system.alphas)
-    plans = [plan.rotated(r) for r in range(cfg.n_hat)]
+    plan = build_plan(cfg.n_hat, CELL_RADIUS, cfg.system.alphas)
+    # ratio index of every segment under every rotation offset
+    grids = np.stack([plan.rotated(r).assignment for r in range(cfg.n_hat)])
+    alphas = np.asarray(plan.alphas)
 
     def ratios(distances, angles):
-        # ratio of each user under each rotation offset
-        segments = [locate_segment(UserPosition(distance=float(d), angle=float(a)),
-                                   plan)[:2] for d, a in zip(distances, angles)]
-        return [[p.ratio(ring, sector) for ring, sector in segments] for p in plans]
+        rings, sectors = locate_segment(distances, angles, plan)
+        return alphas[grids[:, rings, sectors]]
 
     return _simulate(cfg, ratios, np.random.SeedSequence(cfg.seed).spawn(cfg.episodes))
 
@@ -392,14 +395,12 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
         + (code.rate * (1.0 - per) / schedule**2) ** 2 * sched_var
     )
 
-    distances, _ = disk_positions(place_rng, n, cfg.r_outer)
+    distances, _ = disk_positions(place_rng, n)
     mean_tx = np.empty(n)
     cap_frac = np.empty(n)
     for i in range(n):
-        inv_sum, cap_cnt = _fading_ledger(
-            fade_rng, np.ones((1, 1)), int(own_slots[i]), cfg.power_cap_factor
-        )
-        mean_tx[i] = p_oma * distances[i] ** cfg.path_loss_exp * inv_sum[0] / own_slots[i]
+        inv_sum, cap_cnt = _fading_ledger(fade_rng, np.ones((1, 1)), int(own_slots[i]))
+        mean_tx[i] = p_oma * distances[i] ** PATH_LOSS_EXP * inv_sum[0] / own_slots[i]
         cap_frac[i] = cap_cnt[0] / own_slots[i]
 
     return SimResult(
@@ -419,11 +420,11 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     )
 
 
-def chi_square_state_fit(observed: np.ndarray, expected_probs: np.ndarray,
-                         min_expected: float = 5.0) -> Tuple[float, int, float]:
+def chi_square_state_fit(observed: np.ndarray,
+                         expected_probs: np.ndarray) -> Tuple[float, int, float]:
     """Pearson goodness-of-fit of visit counts against a distribution.
 
-    Cells with expected count below min_expected are pooled (merging into
+    Cells with expected count below MIN_EXPECTED are pooled (merging into
     the smallest kept cell if the pool itself stays too small).  Returns
     (statistic, degrees of freedom, p-value).
     """
@@ -433,7 +434,7 @@ def chi_square_state_fit(observed: np.ndarray, expected_probs: np.ndarray,
     if total <= 0:
         raise ValueError("no observations")
     exp = probs * total
-    keep = exp >= min_expected
+    keep = exp >= MIN_EXPECTED
     if not keep.any():
         raise ValueError("every cell falls below the pooling threshold")
     obs_cells = list(obs[keep])
@@ -441,7 +442,7 @@ def chi_square_state_fit(observed: np.ndarray, expected_probs: np.ndarray,
     if (~keep).any():
         pool_o = obs[~keep].sum()
         pool_e = exp[~keep].sum()
-        if pool_e >= min_expected:
+        if pool_e >= MIN_EXPECTED:
             obs_cells.append(pool_o)
             exp_cells.append(pool_e)
         else:

@@ -78,6 +78,8 @@ def ga_minimize(
     The objective receives a normalized ratio vector (positive, summing
     to 1).  Non-finite objective values rank as worst.  Optional initial
     vectors are injected into the starting population (warm start).
+    The elites carried into the next generation keep their fitness, so
+    each generation evaluates population_size - elitism_count children.
     trace, when given, receives (generation, best value so far) after
     every generation.
 
@@ -106,9 +108,9 @@ def ga_minimize(
     best_val = fitness[best_idx]
 
     pop_size = params.population_size
+    n_elite = params.elitism_count
     for gen in range(params.generations):
-        order = np.argsort(fitness, kind="stable")
-        elite = pop[order[: params.elitism_count]].copy()
+        elite = np.argsort(fitness, kind="stable")[:n_elite]
 
         # binary tournament selection
         draws = rng.integers(0, pop_size, size=(pop_size, 2))
@@ -132,9 +134,10 @@ def ga_minimize(
         children = np.where(mask, children + noise, children)
         children = np.maximum(children, GENE_FLOOR)
 
-        children[: params.elitism_count] = elite
+        children[:n_elite] = pop[elite]
+        fitness = np.concatenate(
+            [fitness[elite], [evaluate(ind) for ind in children[n_elite:]]])
         pop = children
-        fitness = np.array([evaluate(ind) for ind in pop])
         gen_best = int(fitness.argmin())
         if fitness[gen_best] < best_val:
             best_val = fitness[gen_best]

@@ -2,12 +2,13 @@
 
 import json
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from noma_harq.cellplan import (
-    UserPosition,
+    CELL_RADIUS,
     build_plan,
     locate_segment,
     ring_radii,
@@ -51,8 +52,8 @@ class TestBuildPlan:
 
     def test_single_segment(self):
         plan = build_plan(1, 1500.0, (1.0,))
-        assert plan.ratio_index(0, 0) == 0
-        assert plan.ratio(0, 0) == 1.0
+        assert plan.assignment.tolist() == [[0]]
+        assert plan.alphas == (1.0,)
 
     def test_ratios_sorted_ascending(self):
         plan = build_plan(3, 1500.0, (0.36, 0.29, 0.35))
@@ -95,7 +96,7 @@ class TestRotation:
         plan = build_plan(n_hat, 1000.0, (0.1, 0.2, 0.3, 0.4))
         for ring in range(n_hat):
             for sector in range(n_hat):
-                seen = {plan.rotated(t).ratio_index(ring, sector)
+                seen = {plan.rotated(t).assignment[ring, sector]
                         for t in range(n_hat)}
                 assert seen == set(range(n_hat))
 
@@ -105,7 +106,7 @@ class TestRotation:
         mean_ratio = sum(ALPHAS3) / n_hat
         for ring in range(n_hat):
             for sector in range(n_hat):
-                avg = np.mean([plan.rotated(t).ratio(ring, sector)
+                avg = np.mean([plan.alphas[plan.rotated(t).assignment[ring, sector]]
                                for t in range(n_hat)])
                 assert avg == pytest.approx(mean_ratio, rel=1e-12)
 
@@ -115,58 +116,69 @@ class TestRotation:
         assert plan.rotation == 0
 
 
+def locate_one(distance, angle, plan):
+    """(ring, sector) of one position."""
+    rings, sectors = locate_segment([distance], [angle], plan)
+    return int(rings[0]), int(sectors[0])
+
+
 class TestLocateSegment:
-    PLAN4 = build_plan(4, 1500.0, (0.1, 0.2, 0.3, 0.4))
+    PLAN4 = build_plan(4, CELL_RADIUS, (0.1, 0.2, 0.3, 0.4))
 
     def test_boundary_outer_radius_inclusive(self):
-        ring, _, _ = locate_segment(UserPosition(1500.0, 1.0), self.PLAN4)
+        ring, _ = locate_one(CELL_RADIUS, 1.0, self.PLAN4)
         assert ring == 3
 
     def test_near_center(self):
-        ring, sector, _ = locate_segment(UserPosition(1e-9, 0.0), self.PLAN4)
-        assert (ring, sector) == (0, 0)
+        assert locate_one(1e-9, 0.0, self.PLAN4) == (0, 0)
 
     def test_derived_position(self):
         # 750 < 1000 <= 1060.66 -> ring 1; angle pi -> sector 2
-        ring, sector, ratio = locate_segment(UserPosition(1000.0, math.pi), self.PLAN4)
-        assert (ring, sector) == (1, 2)
-        assert ratio == self.PLAN4.ratio(1, 2)
+        assert locate_one(1000.0, math.pi, self.PLAN4) == (1, 2)
+        assert self.PLAN4.assignment[1, 2] == (1 + 2) % 4
 
     def test_out_of_cell(self):
         with pytest.raises(ValueError):
-            locate_segment(UserPosition(1500.1, 0.0), self.PLAN4)
+            locate_segment([1000.0, 1500.1], [0.0, 0.0], self.PLAN4)
+
+    def test_position_validation(self):
+        for distance, angle in [(0.0, 0.0), (-5.0, 0.0), (math.nan, 0.0),
+                                (math.inf, 0.0), (10.0, math.nan),
+                                (10.0, math.inf)]:
+            with pytest.raises(ValueError):
+                locate_segment([distance], [angle], self.PLAN4)
 
     def test_ring_boundaries_half_open(self):
         radii = self.PLAN4.ring_boundaries
         eps = 1e-9
         for i, r in enumerate(radii[:-1]):
-            inside, _, _ = locate_segment(UserPosition(r - eps, 0.0), self.PLAN4)
-            at, _, _ = locate_segment(UserPosition(r, 0.0), self.PLAN4)
-            outside, _, _ = locate_segment(UserPosition(r + eps, 0.0), self.PLAN4)
-            assert inside == i and at == i and outside == i + 1
+            rings, _ = locate_segment([r - eps, r, r + eps], [0.0] * 3, self.PLAN4)
+            assert rings.tolist() == [i, i, i + 1]
 
     def test_every_position_maps_to_exactly_one_segment(self):
+        # the array lookup agrees with the scalar rule: bisect_left over the
+        # ring radii, and the truncated angle fraction capped at n_hat - 1
         rng = np.random.default_rng(31)
-        plan = build_plan(5, 1500.0, (0.1, 0.15, 0.2, 0.25, 0.3))
-        for _ in range(2000):
-            pos = UserPosition(
-                distance=float(1500.0 * math.sqrt(rng.random())) or 1e-12,
-                angle=float(2 * math.pi * rng.random()),
-            )
-            ring, sector, ratio = locate_segment(pos, plan)
-            assert 0 <= ring < 5 and 0 <= sector < 5
-            assert ratio == plan.ratio(ring, sector)
+        plan = build_plan(5, CELL_RADIUS, (0.1, 0.15, 0.2, 0.25, 0.3))
+        distances = np.maximum(CELL_RADIUS * np.sqrt(rng.random(2000)), 1e-12)
+        angles = 2 * math.pi * rng.random(2000)
+        rings, sectors = locate_segment(distances, angles, plan)
+        for d, a, ring, sector in zip(distances, angles, rings, sectors):
+            assert ring == bisect_left(plan.ring_boundaries, float(d))
+            assert sector == min(int(float(a) * 5 / (2 * math.pi)), 4)
+        assert rings.min() >= 0 and rings.max() < 5
+        assert sectors.min() >= 0 and sectors.max() < 5
 
     def test_angle_normalized(self):
-        a = locate_segment(UserPosition(1000.0, math.pi), self.PLAN4)
-        b = locate_segment(UserPosition(1000.0, math.pi + 2 * math.pi), self.PLAN4)
-        assert a == b
+        angles = [math.pi, 3 * math.pi, -math.pi, 1.0 - 4 * math.pi]
+        _, sectors = locate_segment([1000.0] * 4, angles, self.PLAN4)
+        assert sectors.tolist() == [2, 2, 2, locate_one(1000.0, 1.0, self.PLAN4)[1]]
 
 
 class TestExport:
     def test_json_schema(self):
         plan = build_plan(3, 1500.0, ALPHAS3, rotation=2)
-        payload = json.loads(plan.to_json())
+        payload = json.loads(json.dumps(plan.to_dict()))
         assert set(payload) == {"n_hat", "r_outer", "ring_radii", "assignment",
                                 "rotation"}
         assert payload["n_hat"] == 3
@@ -175,13 +187,3 @@ class TestExport:
         grid = np.array(payload["assignment"])
         assert grid.shape == (3, 3)
         assert np.array_equal(grid, plan.assignment)
-
-
-class TestUserPosition:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UserPosition(0.0, 0.0)
-        with pytest.raises(ValueError):
-            UserPosition(-5.0, 0.0)
-        with pytest.raises(ValueError):
-            UserPosition(10.0, math.nan)

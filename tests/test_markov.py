@@ -1,11 +1,13 @@
 """Transition-matrix structure, stationary solve, and per-user metrics."""
 
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
+import noma_harq.markov as markov
 from noma_harq.errors import NumericalError
 from noma_harq.fbl import CodeParams
 from noma_harq.markov import (
@@ -375,14 +377,25 @@ class TestUserMetrics:
         ((0.0888, 0.0720, 0.0312, 0.6340, 0.1740), 50),
         ((0.452, 0.116, 0.248, 0.185), 75),
     ], ids=["N5", "N4"])
-    def test_nan_stationary_vector_is_a_numerical_error(self, raw, k):
-        # at -10 dB the all-success move underflows to 0 in most states and
-        # every solve of the cascade returns NaN
+    def test_nan_stationary_vector_is_a_numerical_error(self, raw, k, monkeypatch):
+        # at -10 dB the all-success move underflows to 0 in most states; a
+        # NaN attempt falls through to whole-chain GTH, which returns NaN
+        # too, and the solve's numpy warnings stay silent
         alphas = tuple(np.array(raw) / sum(raw))
         cfg = SystemConfig(alphas=alphas, p0=0.1, code=CodeParams(k=k, n=100))
-        with np.errstate(all="ignore"):
+        kept_sizes = []
+        solve = markov._censored_solve
+
+        def spy(src, dst, prob, m, kept):
+            kept_sizes.append(len(kept))
+            return solve(src, dst, prob, m, kept)
+
+        monkeypatch.setattr(markov, "_censored_solve", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="residual nan"):
                 analyze(cfg)
+            assert kept_sizes[-1] == 3 ** len(raw)
             assert np.isnan(max_user_per(cfg.alphas, cfg.p0, cfg.code))
 
     def test_max_user_per_matches_analyze(self):

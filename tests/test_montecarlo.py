@@ -18,7 +18,10 @@ from noma_harq.markov import (
     build_transition_matrix,
     stationary_distribution,
 )
+from noma_harq.cellplan import CELL_RADIUS
 from noma_harq.montecarlo import (
+    PATH_LOSS_EXP,
+    POWER_CAP_FACTOR,
     SimConfig,
     SimResult,
     _decode_tables,
@@ -282,16 +285,14 @@ class TestOmaBaseline:
 class TestEnergyLedger:
     def test_disk_sampling_mean_squared_radius(self):
         rng = np.random.default_rng(37)
-        r_outer = 1500.0
-        d, ang = disk_positions(rng, 200_000, r_outer)
-        assert d.max() <= r_outer
-        assert float(np.mean(d**2)) == pytest.approx(r_outer**2 / 2, rel=5e-3)
+        d, ang = disk_positions(rng, 200_000)
+        assert d.max() <= CELL_RADIUS
+        assert float(np.mean(d**2)) == pytest.approx(CELL_RADIUS**2 / 2, rel=5e-3)
         assert float(np.mean(ang)) == pytest.approx(math.pi, rel=5e-3)
 
     def test_cap_fraction_and_mean_inversion(self):
-        cap = 1e3
-        cfg = SimConfig(system=ANCHOR_CFG, slots=400_000, seed=31,
-                        power_cap_factor=cap)
+        cap = POWER_CAP_FACTOR
+        cfg = SimConfig(system=ANCHOR_CFG, slots=400_000, seed=31)
         res = simulate_coordinated(cfg)
         # capped slots happen when the fading draw falls below 1/cap
         p_cap = 1.0 - math.exp(-1.0 / cap)
@@ -304,8 +305,8 @@ class TestEnergyLedger:
         expect_inv = head + tail
         # reproduce the documented seed-splitting rule to recover distances
         place = np.random.default_rng(np.random.SeedSequence(31).spawn(3)[1])
-        dist, _ = disk_positions(place, 3, cfg.r_outer)
-        scale = ANCHOR_CFG.powers * dist**cfg.path_loss_exp
+        dist, _ = disk_positions(place, 3)
+        scale = ANCHOR_CFG.powers * dist**PATH_LOSS_EXP
         ratio = res.mean_tx_power / scale
         for r in ratio:
             assert r == pytest.approx(expect_inv, rel=0.15)

@@ -67,6 +67,19 @@ class TestGaMinimize:
             assert abs(a.sum() - 1.0) <= 1e-9
             assert np.all(a > 0.0)
 
+    def test_elites_are_not_reevaluated(self):
+        calls = []
+
+        def objective(a):
+            calls.append(a)
+            return float(((a - np.array([0.2, 0.3, 0.5])) ** 2).sum())
+
+        params = GaParams(population_size=10, generations=7, elitism_count=3, seed=5)
+        alphas, val = ga_minimize(objective, 3, params)
+        assert len(calls) == 10 + 7 * (10 - 3)
+        # the carried fitness is the value at the returned vector
+        assert objective(alphas) == val
+
     def test_non_finite_objective_ranked_worst(self):
         def objective(a):
             if a[0] > 0.4:

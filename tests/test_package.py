@@ -1,13 +1,23 @@
 """The package's public names."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import noma_harq
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-REMOVED = ["per_ir", "initial_sinr", "transition_prob", "per_user", "success_prob"]
+REMOVED = ["per_ir", "initial_sinr", "transition_prob", "per_user", "success_prob",
+           "UserPosition"]
+# attributes and parameters removed from names that remain
+REMOVED_MEMBERS = {
+    "cellplan.CellPlan": ["ratio_index", "ratio", "to_json"],
+    "montecarlo.SimConfig": ["path_loss_exp", "r_outer", "power_cap_factor"],
+    "montecarlo.disk_positions": ["r_outer"],
+    "montecarlo.chi_square_state_fit": ["min_expected"],
+    "markov.oma_received_power": ["iterations"],
+}
 
 
 def test_every_exported_name_resolves():
@@ -24,10 +34,19 @@ def test_star_import():
 
 def test_removed_names_are_gone_and_listed_in_readme():
     modules = [importlib.import_module(f"noma_harq.{m}")
-               for m in ("fbl", "sic", "markov", "montecarlo")]
+               for m in ("fbl", "sic", "markov", "montecarlo", "cellplan")]
     for name in REMOVED:
         assert name not in noma_harq.__all__
         assert not any(hasattr(m, name) for m in modules), name
+    assert not hasattr(noma_harq.NumericalError("x"), "residual")
+    members = ["residual"]
+    for path, names in REMOVED_MEMBERS.items():
+        module, attr = path.split(".")
+        obj = getattr(importlib.import_module(f"noma_harq.{module}"), attr)
+        for name in names:
+            assert name not in inspect.signature(obj).parameters, (path, name)
+            assert not hasattr(obj, name), (path, name)
+        members += names
     changes = README.read_text().split("## API changes", 1)[1]
-    for name in REMOVED + ["per_fn", "max_transmissions"]:
+    for name in REMOVED + members + ["per_fn", "max_transmissions"]:
         assert re.search(rf"`[\w.]*\b{name}`", changes), name
