@@ -36,6 +36,15 @@ when that LU falls short too (low SNR, where every user cycles R, F, R,
 closed-form sums over the table: P(next F | R) is a sum of first-failure
 probabilities, never 1 - q.
 
+Stacks.  The engine has a leading batch axis: the tables, the stationary
+solve and the metrics take a (B, N) stack of received-power vectors, so
+max_user_per evaluates a whole GA generation in one call (in chunks of
+at most STACK_STATES chain states); analyze runs it on a stack of one.  The dense chains
+that move to state 0 from every state are assembled by one bincount and
+factored one by one; the others, and every chain above 81 states, run the
+cascade one by one.  Every floating-point operation is the one a chain
+sees alone, so a row's result does not depend on the stack around it.
+
 Accuracy.  Against an exact 400-digit chain (N <= 3, -10..+14 dB, rates
 1/4 and 1/2) every PER and p_s above 1e-300 agrees to 2.3e-13 relative or
 better.  The solve and the metrics add ~1e-13; the rest is the float64
@@ -44,6 +53,7 @@ z^2 * 1e-16: at rate 3/4 success probabilities near 1e-230 (|z| = 29)
 are off by 3.7e-12, all of it from that tail.
 """
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
@@ -60,6 +70,7 @@ from .errors import ConsistencyError, NumericalError, ReducibleChainError
 from .fbl import CodeParams, per_cc, per_cc_batch
 from .sic import Phase, SystemConfig
 
+_log = logging.getLogger(__name__)
 _R, _F = int(Phase.R), int(Phase.F)
 # row-sum drift beyond this signals a transition-enumeration bug
 ROW_SUM_TOL = 1e-6
@@ -75,6 +86,10 @@ DENSE_SOLVE_STATES = 81
 PIVOT_FLOOR = 1e-2
 # fixed-point iterations of the matched orthogonal-baseline power
 OMA_ITERATIONS = 30
+# max_user_per solves its stack in chunks of at most this many chain states
+# (at least one chain), so the engine's (B, 3^N, N) temporaries stay near
+# 1 MB each whatever the GA population
+STACK_STATES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,16 +155,22 @@ def _state_digits(n_users: int) -> np.ndarray:
 def _stage_tables(digits: np.ndarray, powers: np.ndarray):
     """Greedy SIC order and per-stage SINR for every state at once.
 
-    Returns (orders, gammas), both (3^N, N): column ell holds the user
-    decoded at stage ell and the SINR it is decoded at.
+    powers is a (B, N) stack of received-power vectors, or one (N,)
+    vector.  Returns (orders, gammas), both (B, 3^N, N), or (3^N, N) for
+    one vector: column ell holds the user decoded at stage ell and the
+    SINR it is decoded at.
     """
     m, n = digits.shape
-    is_r = digits == _R
-    is_f = digits == _F
-    undecoded = np.ones((m, n), dtype=bool)
-    orders = np.empty((m, n), dtype=np.int64)
-    gammas = np.empty((m, n), dtype=np.float64)
-    rows = np.arange(m)
+    powers = np.asarray(powers, dtype=float)
+    lead = powers.shape[:-1]
+    # one row per (configuration, state) pair
+    powers = np.repeat(powers.reshape(-1, n), m, axis=0)
+    is_r = np.tile(digits == _R, (len(powers) // m, 1))
+    is_f = np.tile(digits == _F, (len(powers) // m, 1))
+    undecoded = np.ones(powers.shape, dtype=bool)
+    orders = np.empty(powers.shape, dtype=np.int64)
+    gammas = np.empty(powers.shape, dtype=np.float64)
+    rows = np.arange(len(powers))
     for stage in range(n):
         undec_p = undecoded * powers
         denom_new = undec_p.sum(axis=1, keepdims=True) - undec_p + 1.0
@@ -164,59 +185,64 @@ def _stage_tables(digits: np.ndarray, powers: np.ndarray):
         orders[:, stage] = pick
         gammas[:, stage] = g[rows, pick]
         undecoded[rows, pick] = False
-    return orders, gammas
+    return orders.reshape(lead + (m, n)), gammas.reshape(lead + (m, n))
 
 
 def _fallback_successors(digits: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """(3^N, N) successors: column w is the next state when the first SIC
-    failure is at stage position w.  Users decoded before w go to S (digit
-    0); everyone from w onward falls back: fresh packets to R,
-    retransmissions to F."""
+    """Successors, shaped like orders ((B, 3^N, N) or (3^N, N)): column w
+    is the next state when the first SIC failure is at stage position w.
+    Users decoded before w go to S (digit 0); everyone from w onward falls
+    back: fresh packets to R, retransmissions to F."""
     m, n = digits.shape
     pow3 = 3 ** np.arange(n, dtype=np.int64)
     fail_digit = np.where(digits == _R, _F, _R).astype(np.int64)
     fd = fail_digit[np.arange(m)[:, None], orders] * pow3[orders]
-    return np.cumsum(fd[:, ::-1], axis=1)[:, ::-1]
+    return np.cumsum(fd[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _chain_table(powers: np.ndarray, code: CodeParams):
-    """Successor table of the chain: every state's N+1 moves at once.
+    """Successor tables of a stack of chains: every state's N+1 moves at
+    once, for every row of the (B, N) received-power stack powers (or for
+    one (N,) vector).
 
-    Returns (orders, succ_fail, p_fail, q_succ), all (3^N, N).  Column w
-    of succ_fail is the successor when the first SIC failure is at stage
-    position w (decoded users go to S, everyone from w onward falls back:
-    fresh packets to R, retransmissions to F) and p_fail the probability
-    of that move.  q_succ[:, w] is the probability that stages 0..w all
-    succeed, so q_succ[:, -1] is the all-success move to state 0.  Rows
-    are renormalized when their drift is within ROW_SUM_TOL; anything
-    larger raises ConsistencyError.
+    Returns (orders, succ_fail, p_fail, q_succ), all (B, 3^N, N) (or
+    (3^N, N)).  Column w of succ_fail is the successor when the first SIC
+    failure is at stage position w (decoded users go to S, everyone from
+    w onward falls back: fresh packets to R, retransmissions to F) and
+    p_fail the probability of that move.  q_succ[..., w] is the
+    probability that stages 0..w all succeed, so q_succ[..., -1] is the
+    all-success move to state 0.  Rows are renormalized when their drift
+    is within ROW_SUM_TOL; anything larger raises ConsistencyError.
     """
-    digits = _state_digits(len(powers))
-    orders, gammas = _stage_tables(digits, np.asarray(powers, dtype=float))
+    powers = np.asarray(powers, dtype=float)
+    digits = _state_digits(powers.shape[-1])
+    orders, gammas = _stage_tables(digits, powers)
     eps, ok = per_cc_batch(gammas, code)
     succ_fail = _fallback_successors(digits, orders)
-    q_succ = np.cumprod(ok, axis=1)
+    q_succ = np.cumprod(ok, axis=-1)
     p_fail = eps.copy()
-    p_fail[:, 1:] *= q_succ[:, :-1]
-    sums = p_fail.sum(axis=1) + q_succ[:, -1]
+    p_fail[..., 1:] *= q_succ[..., :-1]
+    sums = p_fail.sum(axis=-1) + q_succ[..., -1]
     drift = np.abs(sums - 1.0).max()
     if drift > ROW_SUM_TOL:
         raise ConsistencyError(
             f"transition rows deviate from stochasticity by {drift:.3e}"
         )
-    return orders, succ_fail, p_fail / sums[:, None], q_succ / sums[:, None]
+    return orders, succ_fail, p_fail / sums[..., None], q_succ / sums[..., None]
 
 
 def _table_moves(succ_fail: np.ndarray, p_fail: np.ndarray, q_succ: np.ndarray):
-    """The table's moves as (source, destination, probability) triplets."""
-    m, n = succ_fail.shape
+    """The moves of a stack of B tables as (source, destination,
+    probability) triplets: src (M,) is shared by every chain, dst and
+    prob are (B, M)."""
+    n_chains, m, n = succ_fail.shape
     src = np.repeat(np.arange(m), n + 1)
-    dst = np.zeros((m, n + 1), dtype=np.int64)
-    dst[:, :n] = succ_fail
-    prob = np.empty((m, n + 1))
-    prob[:, :n] = p_fail
-    prob[:, n] = q_succ[:, -1]
-    return src, dst.ravel(), prob.ravel()
+    dst = np.zeros((n_chains, m, n + 1), dtype=np.int64)
+    dst[..., :n] = succ_fail
+    prob = np.empty((n_chains, m, n + 1))
+    prob[..., :n] = p_fail
+    prob[..., n] = q_succ[..., -1]
+    return src, dst.reshape(n_chains, -1), prob.reshape(n_chains, -1)
 
 
 def _regeneration_state(src, dst, prob, m: int) -> int:
@@ -244,43 +270,112 @@ def _regeneration_state(src, dst, prob, m: int) -> int:
     return int(np.flatnonzero(labels == closed[0])[0])
 
 
-def _stationary(src, dst, prob, m: int) -> np.ndarray:
-    """Stationary vector of the chain whose moves are src -> dst with
-    probability prob (repeated pairs add up).
+def _stationary(src, dst, prob, m: int):
+    """Stationary vectors of a stack of B chains: chain b moves src ->
+    dst[b] with probability prob[b] (repeated pairs add up).  src (M,) is
+    shared by every chain; dst and prob are (B, M).
+
+    Returns the (B, m) vectors and a list of B errors: None where the
+    solve holds, else the ReducibleChainError or NumericalError that chain
+    raises on its own.  Every chain is solved exactly as it would be alone.
 
     First the regenerative solve: the chain censored onto its regeneration
     state alone.  Its LU is right to a few ulps relative wherever the
-    pivots stay away from 0, as only the pivots involve a subtraction.  A
-    pivot below PIVOT_FLOOR marks a sticky state, one the chain returns to
-    many times before it reaches the regeneration state (short blocks, or
-    a nearly silenced user whose R/F parity is almost conserved).  Sticky
+    pivots stay away from 0, as only the pivots involve a subtraction.
+    Dense chains that move to state 0 from every state make this attempt
+    together (_regenerative_lu); the others run the whole cascade of
+    _cascade one by one.  A NumericalError is a residual ||P^T p - p||_inf
+    above STATIONARY_TOL (one bincount for the whole stack) or a negative
+    mass; NaN fails every comparison, so an all-NaN vector is one too.
+    The numpy warnings of a solve that underflows are silenced: the
+    residual test turns its vector into NumericalError.
+    """
+    n_chains = len(prob)
+    p = np.zeros((n_chains, m))
+    errors = [None] * n_chains
+    first = [None] * n_chains
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if m <= DENSE_SOLVE_STATES:
+            chains, moves = np.nonzero((prob > 0.0) & (dst == 0))
+            to_zero = np.zeros((n_chains, m), dtype=bool)
+            to_zero[chains, src[moves]] = True
+            regen = np.flatnonzero(to_zero.all(axis=1))
+            for b, attempt in zip(regen, _regenerative_lu(
+                    src, dst[regen], prob[regen], m)):
+                first[b] = attempt
+        for b in range(n_chains):
+            try:
+                p[b] = _cascade(src, dst[b], prob[b], m, first[b])
+            except ReducibleChainError as exc:
+                errors[b] = exc
+        flow = np.bincount((np.arange(n_chains)[:, None] * m + dst).ravel(),
+                           weights=(prob * p[:, src]).ravel(),
+                           minlength=n_chains * m).reshape(n_chains, m)
+        residual = np.abs(flow - p).max(axis=1)
+    # NaN fails every comparison, so the test is written to catch it
+    bad = ~(residual <= STATIONARY_TOL) | (p.min(axis=1) < -STATIONARY_TOL)
+    for b in np.flatnonzero(bad):
+        if errors[b] is None:
+            errors[b] = NumericalError(
+                f"stationary solve residual {residual[b]:.3e}, most negative "
+                f"mass {min(float(p[b].min()), 0.0):.3e}"
+            )
+    return np.maximum(p, 0.0), errors
+
+
+def _cascade(src, dst, prob, m: int, first=None) -> np.ndarray:
+    """Stationary vector of one chain, unchecked.
+
+    first is the (p, sticky) result of its regenerative attempt when the
+    stack already made it (the regeneration state is then 0); otherwise
+    the attempt runs here, censored onto _regeneration_state.  A pivot
+    below PIVOT_FLOOR marks a sticky state, one the chain returns to many
+    times before it reaches the regeneration state (short blocks, or a
+    nearly silenced user whose R/F parity is almost conserved).  Sticky
     states join the censored set, where the subtraction-free GTH
     elimination runs; keeping states out of the LU can only raise the
-    other pivots.  If pivots still fall short, sticky states are everywhere
-    (at low SNR every user cycles R, F, R, ... almost surely) and GTH runs
-    on the whole chain, as it does after an attempt whose vector is not
-    finite (a divisor underflowed to 0).  The numpy warnings of such a
-    solve are silenced: the residual test turns its vector into
-    NumericalError.
+    other pivots.  If pivots still fall short, sticky states are
+    everywhere (at low SNR every user cycles R, F, R, ... almost surely)
+    and GTH runs on the whole chain, as it does after an attempt whose
+    vector is not finite (a divisor underflowed to 0).
     """
-    root = _regeneration_state(src, dst, prob, m)
-    kept = np.array([root])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p, sticky = _censored_solve(src, dst, prob, m, kept)
-        if p is None:
-            p, _ = _censored_solve(src, dst, prob, m, np.append(kept, sticky))
-        if p is None or not np.isfinite(p).all():
-            everyone = np.concatenate([kept, np.delete(np.arange(m), root)])
-            p, _ = _censored_solve(src, dst, prob, m, everyone)
-        residual = float(np.abs(
-            np.bincount(dst, weights=prob * p[src], minlength=m) - p).max())
-    # NaN fails every comparison, so the test is written to catch it
-    if not residual <= STATIONARY_TOL or p.min() < -STATIONARY_TOL:
-        raise NumericalError(
-            f"stationary solve residual {residual:.3e}, most negative mass "
-            f"{min(float(p.min()), 0.0):.3e}"
-        )
-    return np.maximum(p, 0.0)
+    root = 0
+    if first is None:
+        root = _regeneration_state(src, dst, prob, m)
+        first = _censored_solve(src, dst, prob, m, np.array([root]))
+    p, sticky = first
+    if p is None:
+        p, _ = _censored_solve(src, dst, prob, m, np.append(root, sticky))
+    if p is None or not np.isfinite(p).all():
+        everyone = np.concatenate([[root], np.delete(np.arange(m), root)])
+        p, _ = _censored_solve(src, dst, prob, m, everyone)
+    return p
+
+
+def _regenerative_lu(src, dst, prob, m: int):
+    """The regenerative attempt of _censored_solve (state 0 kept alone,
+    dense LAPACK) for a stack of chains that all move to state 0 from
+    every state.  One bincount assembles every chain's matrix; each is
+    factored and checked on its own.  Returns one (p, sticky) pair per
+    chain, as _censored_solve does.
+    """
+    n_chains = len(prob)
+    at = (np.arange(n_chains)[:, None] * m + src) * m + dst
+    pm = np.bincount(at.ravel(), weights=prob.ravel(),
+                     minlength=n_chains * m * m).reshape(n_chains, m, m)
+    # (I - Q)^T of every chain, handed to LAPACK in Fortran order with no copy
+    a = np.eye(m - 1) - pm[:, 1:, 1:]
+    p = np.ones((n_chains, m))
+    sticky = [None] * n_chains
+    for b in range(n_chains):
+        lu, piv, _ = dgetrf(a[b].T, overwrite_a=True)
+        low = np.abs(lu.diagonal()) < PIVOT_FLOOR
+        if low.any():
+            sticky[b] = np.flatnonzero(low) + 1
+        else:
+            p[b, 1:] = dgetrs(lu, piv, pm[b, 0, 1:])[0]
+    p /= p.sum(axis=1, keepdims=True)
+    return [(row, None) if low is None else (None, low) for row, low in zip(p, sticky)]
 
 
 def _censored_solve(src, dst, prob, m: int, kept: np.ndarray):
@@ -387,34 +482,40 @@ def _gth(a: np.ndarray) -> np.ndarray:
 
 def _table_metrics(orders: np.ndarray, p_fail: np.ndarray, q_succ: np.ndarray,
                    p: np.ndarray):
-    """Per-user (PER, p_s) arrays from the table and the stationary vector.
+    """Per-user (PER, p_s) arrays, both (B, N), from a stack of B tables
+    and their (B, 3^N) stationary vectors.
 
     A user in R moves to F when the first failure is at or before its own
     stage position, a sum of first-failure probabilities (never 1 - q, so
     tiny error rates keep their relative precision); any user moves to S
     when every stage up to its own succeeds.
     """
-    digits = _state_digits(orders.shape[1])
+    n_chains, m, n = orders.shape
+    digits = _state_digits(n)
     # column u: the probability for the user decoded at stage u, moved to
     # that user's own column
-    rows = np.arange(len(orders))[:, None]
+    at =(np.arange(n_chains)[:, None, None], np.arange(m)[:, None], orders)
     to_f = np.empty(orders.shape)
-    to_f[rows, orders] = np.cumsum(p_fail, axis=1)
+    to_f[at] = np.cumsum(p_fail, axis=-1)
     to_s = np.empty(orders.shape)
-    to_s[rows, orders] = q_succ
+    to_s[at] = q_succ
     is_r = digits == _R
-    pers = p @ np.where(is_r, to_f, digits == _F)
-    succ = p @ np.where(is_r, 0.0, to_s)
+    p = p[:, None]
+    pers = (p @ np.where(is_r, to_f, digits == _F))[:, 0]
+    succ = (p @ np.where(is_r, 0.0, to_s))[:, 0]
     # a PER of 1 can round one ulp above it
     return np.minimum(pers, 1.0), np.minimum(succ, 1.0)
 
 
 def _table_analysis(powers: np.ndarray, code: CodeParams):
-    """(PER, p_s) arrays of every user of the chain."""
-    _check_user_count(len(powers))
+    """(PER, p_s) arrays, both (B, N), of the chains of a (B, N) stack of
+    received powers, and the B errors of their stationary solves (see
+    _stationary); a chain whose solve failed has meaningless metrics."""
+    _check_user_count(powers.shape[-1])
     orders, succ_fail, p_fail, q_succ = _chain_table(powers, code)
-    p = _stationary(*_table_moves(succ_fail, p_fail, q_succ), len(orders))
-    return _table_metrics(orders, p_fail, q_succ, p)
+    p, errors = _stationary(*_table_moves(succ_fail, p_fail, q_succ),
+                            orders.shape[1])
+    return (*_table_metrics(orders, p_fail, q_succ, p), errors)
 
 
 def _check_user_count(n_users: int) -> None:
@@ -448,8 +549,10 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     # a boolean mask scans a dense float matrix ~7x faster than np.nonzero
     idx = np.flatnonzero(tm.matrix != 0.0)
     src, dst = np.divmod(idx, tm.dim)
-    return StationaryDistribution(
-        probs=_stationary(src, dst, tm.matrix.ravel()[idx], tm.dim))
+    (p,), (error,) = _stationary(src, dst[None], tm.matrix.ravel()[idx][None], tm.dim)
+    if error is not None:
+        raise error
+    return StationaryDistribution(probs=p)
 
 
 def delay_pmf(p_s: float, n_packets: int) -> np.ndarray:
@@ -479,8 +582,10 @@ def throughput(per: float, success_prob: float, code: CodeParams) -> float:
 
 def analyze(cfg: SystemConfig) -> List[UserMetrics]:
     """Full analysis pipeline: successor table, stationary vector,
-    per-user metrics."""
-    pers, succ = _table_analysis(cfg.powers, cfg.code)
+    per-user metrics (the stacked engine on a stack of one)."""
+    (pers,), (succ,), (error,) = _table_analysis(cfg.powers[None], cfg.code)
+    if error is not None:
+        raise error
     return [
         UserMetrics(
             user=i,
@@ -492,27 +597,46 @@ def analyze(cfg: SystemConfig) -> List[UserMetrics]:
     ]
 
 
-def max_user_per(alphas, p0: float, code: CodeParams) -> float:
-    """Worst per-user packet error rate for a ratio vector; the power
-    optimization objective.  Skips the dataclass layers for speed.
+def max_user_per(alphas, p0: float, code: CodeParams):
+    """Worst per-user packet error rate; the power optimization objective.
+    Skips the dataclass layers for speed.
+
+    alphas is a (B, N) stack of ratio vectors, one chain per row, and the
+    result the B worst PERs; the rows are solved as stacks of at most
+    STACK_STATES chain states, each exactly as it would be alone.  A
+    single (N,) vector returns a float.
 
     Ratio vectors that silence users (stage failure probability exactly 1)
     can leave the chain with several closed classes: the dead users cycle
     R->F deterministically and their relative parity is conserved, so no
     stationary vector is unique.  Every closed class pins a dead user's
-    PER at 1, so the objective value is 1 regardless; return it directly.
+    PER at 1, so the row's value is 1 regardless.
 
-    A chain whose stationary solve fails (NumericalError: a residual above
+    A row whose stationary solve fails (NumericalError: a residual above
     STATIONARY_TOL, or a NaN vector when every solve underflows at low
-    SNR) returns NaN, which the GA ranks worst.
+    SNR) reads NaN, which the GA ranks worst; a call with such rows logs
+    their count as one INFO record.
     """
-    try:
-        pers, _ = _table_analysis(np.asarray(alphas, dtype=float) * p0, code)
-    except ReducibleChainError:
-        return 1.0
-    except NumericalError:
-        return np.nan
-    return float(pers.max())
+    alphas = np.asarray(alphas, dtype=float)
+    powers = np.atleast_2d(alphas) * p0
+    size = max(1, STACK_STATES // 3 ** powers.shape[1])
+    worst = np.empty(len(powers))
+    errors = []
+    for start in range(0, len(powers), size):
+        pers, _, chunk_errors = _table_analysis(powers[start:start + size], code)
+        worst[start:start + size] = pers.max(axis=1)
+        errors += chunk_errors
+    failed = 0
+    for b, error in enumerate(errors):
+        if isinstance(error, ReducibleChainError):
+            worst[b] = 1.0
+        elif error is not None:
+            worst[b] = np.nan
+            failed += 1
+    if failed:
+        _log.info("max_user_per: %d of %d stationary solves failed and read NaN",
+                  failed, len(worst))
+    return float(worst[0]) if alphas.ndim == 1 else worst
 
 
 def oma_received_power(cfg: SystemConfig,
@@ -535,10 +659,13 @@ def oma_received_power(cfg: SystemConfig,
         eps1 = per_cc(p, cfg.code)
         p_s = (1.0 - eps1) / (1.0 + eps1)
         p_new = cfg.p0 * t_noma / (2.0 - p_s)
-        if abs(p_new - p) <= 1e-12 * p:
-            p = p_new
-            break
+        step, prev = abs(p_new - p), p
         p = p_new
+        if step <= 1e-12 * prev:
+            break
+    else:
+        _log.warning("oma_received_power: no fixed point after %d iterations, "
+                     "last step %.3e relative", OMA_ITERATIONS, step / prev)
     return p
 
 

@@ -15,14 +15,15 @@ to the power PATH_LOSS_EXP; users are placed uniformly over a cell of
 radius cellplan.CELL_RADIUS.
 
 One episode engine serves both scenarios.  An episode places the users,
-reads their (rotations x users) ratio matrix, builds one decode table per
-rotation, runs the chain and then the fading ledger; a run sums its
-episodes into one SimResult.  The coordinated run is one episode with one
-rotation, the matrix [alphas]; uncoordinated runs sum many episodes whose
-rotations follow the cell plan: one locate_segment call maps the
-placed users to their segments, and the stacked assignment grids of the
-n_hat rotations give the whole matrix in one array lookup.  Both the
-placed users and the n_hat planned ratios are capped at markov.MAX_USERS.
+reads their (rotations x users) ratio matrix, builds the decode tables
+of every rotation in one call, runs the chain and then the fading
+ledger; a run sums its episodes into one SimResult.  The coordinated run
+is one episode with one rotation, the matrix [alphas]; uncoordinated
+runs sum many episodes whose rotations follow the cell plan: one
+locate_segment call maps the placed users to their segments, and the
+stacked assignment grids of the n_hat rotations give the whole matrix in
+one array lookup.  Both the placed users and the n_hat planned ratios
+are capped at markov.MAX_USERS.
 
 Decode tables come from the analysis's vectorized engine
 (markov._stage_tables and the same fall-back successors as the chain's
@@ -156,19 +157,22 @@ def disk_positions(rng: np.random.Generator, n: int):
 
 def _decode_tables(powers: np.ndarray, code: CodeParams):
     """Per-state stage failure probabilities and successors, for all 3^N
-    states at once from the vectorized SIC engine of the analysis.
+    states of every row of the (R, N) received-power stack powers at once,
+    from the vectorized SIC engine of the analysis (one (N,) vector gives
+    one table without the leading axis).
 
     Returns (eps_tab, succ_tab) as nested lists, so the slot loop reads
-    Python floats and ints.  eps_tab[s][w] is the failure probability of
-    stage w in state s, from the Chase-combining finite-blocklength formula.
-    succ_tab[s][w] for w < N is the next state when the first SIC failure
-    hits stage w; succ_tab[s][N] = 0 is the all-success successor.
+    Python floats and ints.  eps_tab[r][s][w] is the failure probability
+    of stage w in state s for row r, from the Chase-combining
+    finite-blocklength formula.  succ_tab[r][s][w] for w < N is the next
+    state when the first SIC failure hits stage w; succ_tab[r][s][N] = 0
+    is the all-success successor.
     """
-    digits = _state_digits(len(powers))
-    orders, gammas = _stage_tables(digits, np.asarray(powers, dtype=float))
+    digits = _state_digits(powers.shape[-1])
+    orders, gammas = _stage_tables(digits, powers)
     eps = per_cc_batch(gammas, code)[0]
-    succ = np.zeros((len(digits), digits.shape[1] + 1), dtype=np.int64)
-    succ[:, :-1] = _fallback_successors(digits, orders)
+    succ = np.zeros(orders.shape[:-1] + (orders.shape[-1] + 1,), dtype=np.int64)
+    succ[..., :-1] = _fallback_successors(digits, orders)
     return eps.tolist(), succ.tolist()
 
 
@@ -253,8 +257,9 @@ def _run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
 
 def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     """One episode from the seed sequence seq: place n users, read their
-    (rotations x users) ratio matrix ratios(distances, angles), build one
-    decode table per rotation, run the chain and the fading ledger.
+    (rotations x users) ratio matrix ratios(distances, angles), build the
+    decode tables of every rotation at once, run the chain and the fading
+    ledger.
 
     Returns (state visits, e_i numerators, p_s numerators, per-user sum of
     received power times the capped channel inversion, capped slots).
@@ -263,7 +268,7 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     distances, angles = disk_positions(place_rng, n)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
-    tables = [_decode_tables(row * p0, cfg.system.code) for row in matrix]
+    tables = list(zip(*_decode_tables(matrix * p0, cfg.system.code)))
     slots = cfg.slots // cfg.episodes
     counts = _run_chain(dyn_rng, tables, n, slots, cfg.warmup, visits_thin=visits_thin)
     f_hits, s_hits = _transition_tallies(counts, tables)

@@ -7,10 +7,14 @@ blocklength whose optimized worst PER meets a target.
 
 Chromosomes are unnormalized positive reals projected onto the simplex
 (x / sum(x)) at evaluation time, so crossover and mutation never leave
-the feasible set.  Everything is driven by one seeded generator, so a
-given seed reproduces the run bit for bit.
+the feasible set.  The objective is row-wise: it receives a whole
+generation as one (B, n_vars) stack and returns B values, so the power
+searches evaluate a generation in one stacked max_user_per call.
+Everything is driven by one seeded generator, so a given seed reproduces
+the run bit for bit.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -63,11 +67,11 @@ class ParetoPoint:
 
 def _project(genes: np.ndarray) -> np.ndarray:
     genes = np.maximum(genes, GENE_FLOOR)
-    return genes / genes.sum()
+    return genes / genes.sum(axis=-1, keepdims=True)
 
 
 def ga_minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     n_vars: int,
     params: GaParams,
     initial: Optional[Sequence[Sequence[float]]] = None,
@@ -75,13 +79,15 @@ def ga_minimize(
 ) -> Tuple[np.ndarray, float]:
     """Minimize objective(alphas) over the n_vars-simplex.
 
-    The objective receives a normalized ratio vector (positive, summing
-    to 1).  Non-finite objective values rank as worst.  Optional initial
-    vectors are injected into the starting population (warm start).
-    The elites carried into the next generation keep their fitness, so
-    each generation evaluates population_size - elitism_count children.
-    trace, when given, receives (generation, best value so far) after
-    every generation.
+    The objective is row-wise: it receives a (B, n_vars) stack of
+    normalized ratio vectors (positive, each row summing to 1) and returns
+    their B values.  It is called once for the initial population and
+    once per generation.  Non-finite objective values rank as worst.
+    Optional initial vectors are injected into the starting population
+    (warm start).  The elites carried into the next generation keep their
+    fitness, so each generation evaluates population_size - elitism_count
+    children.  trace, when given, receives (generation, best value so far)
+    after every generation.
 
     Returns (best ratio vector, best objective value).
     """
@@ -89,7 +95,7 @@ def ga_minimize(
         raise ValueError("n_vars must be at least 1")
     if n_vars == 1:
         alpha = np.array([1.0])
-        return alpha, float(objective(alpha))
+        return alpha, float(objective(alpha[None])[0])
 
     rng = np.random.default_rng(params.seed)
     pop = rng.uniform(0.1, 1.0, size=(params.population_size, n_vars))
@@ -98,11 +104,11 @@ def ga_minimize(
         take = min(len(seeds), params.population_size)
         pop[:take] = np.maximum(seeds[:take], GENE_FLOOR)
 
-    def evaluate(genes: np.ndarray) -> float:
-        val = objective(_project(genes))
-        return float(val) if math.isfinite(val) else math.inf
+    def evaluate(genes: np.ndarray) -> np.ndarray:
+        vals = np.asarray(objective(_project(genes)), dtype=float)
+        return np.where(np.isfinite(vals), vals, np.inf)
 
-    fitness = np.array([evaluate(ind) for ind in pop])
+    fitness = evaluate(pop)
     best_idx = int(fitness.argmin())
     best_genes = pop[best_idx].copy()
     best_val = fitness[best_idx]
@@ -135,8 +141,7 @@ def ga_minimize(
         children = np.maximum(children, GENE_FLOOR)
 
         children[:n_elite] = pop[elite]
-        fitness = np.concatenate(
-            [fitness[elite], [evaluate(ind) for ind in children[n_elite:]]])
+        fitness = np.concatenate([fitness[elite], evaluate(children[n_elite:])])
         pop = children
         gen_best = int(fitness.argmin())
         if fitness[gen_best] < best_val:
@@ -161,11 +166,7 @@ def optimize_power_split(
     trace: Optional[TraceFn] = None,
 ) -> Tuple[np.ndarray, float]:
     """Minimize the worst per-user PER over the ratio simplex at one power."""
-    p0 = 10.0 ** (p0_db / 10.0)
-
-    def objective(alphas: np.ndarray) -> float:
-        return max_user_per(alphas, p0, code)
-
+    objective = functools.partial(max_user_per, p0=10.0 ** (p0_db / 10.0), code=code)
     label = f"P0={p0_db:g}dB n={code.n}"
     hook = None if trace is None else (lambda g, v: trace(label, g, v))
     return ga_minimize(objective, n_users, params, initial=initial, trace=hook)

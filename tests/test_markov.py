@@ -1,11 +1,14 @@
 """Transition-matrix structure, stationary solve, and per-user metrics."""
 
+import itertools
+import logging
 import tracemalloc
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import noma_harq.markov as markov
 from noma_harq.errors import NumericalError
@@ -33,6 +36,11 @@ def random_config(rng, n_max=4):
     raw = rng.uniform(0.2, 1.0, size=n)
     return SystemConfig(alphas=tuple(raw / raw.sum()),
                         p0=float(rng.uniform(0.05, 30.0)), code=CODE)
+
+
+# at -10 dB every stationary solve of these chains underflows to NaN
+NAN_CASES = {"N5": ((0.0888, 0.0720, 0.0312, 0.6340, 0.1740), 50),
+             "N4": ((0.452, 0.116, 0.248, 0.185), 75)}
 
 
 def assert_relative(got: float, want: float, tol: float = 1e-12) -> None:
@@ -373,10 +381,7 @@ class TestUserMetrics:
         # the chain has two closed classes
         assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
 
-    @pytest.mark.parametrize("raw,k", [
-        ((0.0888, 0.0720, 0.0312, 0.6340, 0.1740), 50),
-        ((0.452, 0.116, 0.248, 0.185), 75),
-    ], ids=["N5", "N4"])
+    @pytest.mark.parametrize("raw,k", list(NAN_CASES.values()), ids=list(NAN_CASES))
     def test_nan_stationary_vector_is_a_numerical_error(self, raw, k, monkeypatch):
         # at -10 dB the all-success move underflows to 0 in most states; a
         # NaN attempt falls through to whole-chain GTH, which returns NaN
@@ -414,6 +419,135 @@ class TestUserMetrics:
             per_user(1, stat, tm)
         with pytest.raises(ValueError):
             success_prob(-1, stat, tm)
+
+
+def _normalized(rows):
+    rows = np.array(rows, dtype=float)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def _nan_stack(name):
+    """The all-NaN configuration of NAN_CASES, a silenced user and two
+    ordinary ratio vectors at its power and code."""
+    raw, k = NAN_CASES[name]
+    n = len(raw)
+    rows = [raw, [0.0] + [1.0] * (n - 1), np.linspace(1.0, 2.0, n), np.ones(n)]
+    return _normalized(rows), 0.1, CodeParams(k=k, n=100)
+
+
+# k = 50 bits in 74 channel uses at 0 dB: the short blocks of the minimum
+# blocklength search, where most rows take the censored retry
+SHORT_BLOCKS = (_normalized([[0.3, 0.33, 0.37], [0.1, 0.3, 0.6], [0.0, 1.0, 1.0],
+                             [1.0, 1.0, 1.0]]), 1.0, CodeParams(k=50, n=74))
+
+
+@st.composite
+def ratio_stacks(draw):
+    """(B, N) ratio stack, P0 and code: random rows, sometimes a silenced
+    user, and at N = 4 and 5 sometimes the all-NaN configuration."""
+    n = draw(st.integers(1, 5))
+    b = draw(st.integers(1, 6))
+    rows = np.array([[draw(st.integers(1, 100)) for _ in range(n)] for _ in range(b)],
+                    dtype=float)
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, b - 1)), 0] = 0.0
+    name = {4: "N4", 5: "N5"}.get(n)
+    if name is not None and draw(st.booleans()):
+        raw, k = NAN_CASES[name]
+        rows = np.vstack([rows, raw])[draw(st.permutations(range(b + 1)))]
+        return _normalized(rows), 0.1, CodeParams(k=k, n=100)
+    k = draw(st.sampled_from([25, 50, 75]))
+    # blocks just above k are short and take the censored retry
+    code = CodeParams(k=k, n=k + draw(st.integers(1, 150)))
+    return _normalized(rows), 10 ** (draw(st.floats(-10.0, 12.0)) / 10), code
+
+
+class TestStackedEngine:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ratio_stacks())
+    @example(_nan_stack("N4"))
+    @example(_nan_stack("N5"))
+    @example(SHORT_BLOCKS)
+    def test_max_user_per_stack_equals_rows(self, case):
+        alphas, p0, code = case
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            got = max_user_per(alphas, p0, code)
+            want = [max_user_per(row, p0, code) for row in alphas]
+            # chunks of 1 to 16 rows
+            mp.setattr(markov, "STACK_STATES", 50)
+            chunked = max_user_per(alphas, p0, code)
+        assert all(isinstance(v, float) for v in want)
+        assert got.shape == (len(alphas),)
+        # bit for bit, NaN rows included
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(chunked, want)
+
+    @pytest.mark.parametrize("case", [_nan_stack("N4"), _nan_stack("N5"), SHORT_BLOCKS],
+                             ids=["N4", "N5", "short-blocks"])
+    def test_examples_reach_every_row_kind(self, case, monkeypatch):
+        alphas, p0, code = case
+        kept_sizes = []
+        solve = markov._censored_solve
+
+        def spy(src, dst, prob, m, kept):
+            kept_sizes.append(len(kept))
+            return solve(src, dst, prob, m, kept)
+
+        monkeypatch.setattr(markov, "_censored_solve", spy)
+        got = max_user_per(alphas, p0, code)
+        silenced = alphas[:, 0] == 0.0
+        assert np.all(got[silenced] == 1.0)
+        if case is SHORT_BLOCKS:
+            # the censored retry ran, on fewer states than whole-chain GTH
+            assert any(1 < k < 27 for k in kept_sizes)
+            assert np.isfinite(got).all() and np.all(got[~silenced] < 1.0)
+        else:
+            assert np.isnan(got[0])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ratio_stacks())
+    def test_chain_table_stack_equals_rows(self, case):
+        alphas, p0, code = case
+        stacked = markov._chain_table(alphas * p0, code)
+        for b, row in enumerate(alphas):
+            for got, want in zip(stacked, markov._chain_table(row * p0, code)):
+                np.testing.assert_array_equal(got[b], want)
+
+    def test_large_stack_memory_is_bounded(self):
+        # 200 chains of 729 states: 72 MB in one stack, 8 MB in chunks of
+        # STACK_STATES states
+        raw = np.random.default_rng(3).uniform(0.2, 1.0, size=(200, 6))
+        tracemalloc.start()
+        try:
+            max_user_per(_normalized(raw), 3.0, CodeParams(k=50, n=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_failed_rows_logged_once(self, caplog):
+        alphas, p0, code = _nan_stack("N4")
+        with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
+            max_user_per(alphas, p0, code)
+            max_user_per(ANCHOR_CFG.alphas, ANCHOR_CFG.p0, ANCHOR_CFG.code)
+        records = [r for r in caplog.records if r.name == "noma_harq.markov"]
+        # one record for the stack with NaN rows, none for the clean call
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert "1 of 4 stationary solves failed" in records[0].getMessage()
+
+    def test_unconverged_oma_power_warns(self, monkeypatch, caplog):
+        with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
+            markov.oma_received_power(ANCHOR_CFG)
+        assert not caplog.records
+        # a first-copy error rate that flips every step never settles
+        flips = itertools.cycle([0.0, 0.5])
+        monkeypatch.setattr(markov, "per_cc", lambda gamma, code: next(flips))
+        with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
+            markov.oma_received_power(ANCHOR_CFG)
+        records = [r for r in caplog.records if r.name == "noma_harq.markov"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert f"after {markov.OMA_ITERATIONS} iterations" in records[0].getMessage()
 
 
 class TestDelayPmf:

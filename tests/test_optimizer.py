@@ -30,7 +30,7 @@ class TestGaParams:
 
 class TestGaMinimize:
     def test_one_variable_returns_unit(self):
-        alphas, val = ga_minimize(lambda a: float(a[0]), 1, FAST)
+        alphas, val = ga_minimize(lambda a: a[:, 0], 1, FAST)
         assert np.array_equal(alphas, [1.0])
         assert val == 1.0
 
@@ -39,7 +39,7 @@ class TestGaMinimize:
         target = np.full(n, 1.0 / n)
 
         def objective(a):
-            return float(((a - target) ** 2).sum())
+            return ((a - target) ** 2).sum(axis=1)
 
         alphas, val = ga_minimize(objective, n, GaParams(seed=7))
         assert np.abs(alphas - target).max() <= 1e-3
@@ -47,7 +47,7 @@ class TestGaMinimize:
 
     def test_deterministic_given_seed(self):
         def objective(a):
-            return float(((a - np.array([0.2, 0.3, 0.5])) ** 2).sum())
+            return ((a - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
 
         r1 = ga_minimize(objective, 3, FAST)
         r2 = ga_minimize(objective, 3, FAST)
@@ -58,8 +58,8 @@ class TestGaMinimize:
         seen = []
 
         def objective(a):
-            seen.append(np.array(a))
-            return float(a.max())
+            seen.extend(np.array(a))
+            return a.max(axis=1)
 
         ga_minimize(objective, 3, GaParams(population_size=16, generations=25, seed=3))
         assert seen
@@ -69,22 +69,24 @@ class TestGaMinimize:
 
     def test_elites_are_not_reevaluated(self):
         calls = []
+        batches = []
 
         def objective(a):
-            calls.append(a)
-            return float(((a - np.array([0.2, 0.3, 0.5])) ** 2).sum())
+            calls.extend(a)
+            batches.append(len(a))
+            return ((a - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
 
         params = GaParams(population_size=10, generations=7, elitism_count=3, seed=5)
         alphas, val = ga_minimize(objective, 3, params)
         assert len(calls) == 10 + 7 * (10 - 3)
+        # one call for the initial population, then one per generation
+        assert batches == [10] + [10 - 3] * 7
         # the carried fitness is the value at the returned vector
-        assert objective(alphas) == val
+        assert objective(alphas[None])[0] == val
 
     def test_non_finite_objective_ranked_worst(self):
         def objective(a):
-            if a[0] > 0.4:
-                return math.nan
-            return float(a[0])
+            return np.where(a[:, 0] > 0.4, math.nan, a[:, 0])
 
         alphas, val = ga_minimize(objective, 2, FAST)
         assert math.isfinite(val)
@@ -93,7 +95,7 @@ class TestGaMinimize:
     def test_trace_receives_every_generation(self):
         calls = []
         params = GaParams(population_size=8, generations=12, seed=2)
-        ga_minimize(lambda a: float(a[0]), 2, params,
+        ga_minimize(lambda a: a[:, 0], 2, params,
                     trace=lambda g, v: calls.append((g, v)))
         assert [g for g, _ in calls] == list(range(12))
         bests = [v for _, v in calls]
@@ -103,7 +105,7 @@ class TestGaMinimize:
         target = np.array([0.6, 0.3, 0.1])
 
         def objective(a):
-            return float(((a - target) ** 2).sum())
+            return ((a - target) ** 2).sum(axis=1)
 
         params = GaParams(population_size=8, generations=0, seed=1)
         _, cold = ga_minimize(objective, 3, params)
