@@ -394,11 +394,9 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
     snr_db = res.get("snr_db", required=True, cast=float)
     target = res.get("target_per", required=True, cast=float)
     cap = res.get("max_n", 4096, cast=int)
-    stride = res.get("stride", 8, cast=int)
     params = _ga_params(res)
     n_min, alphas = min_blocklength(
-        k, snr_db, n_users, target, params, n_cap=cap, coarse_stride=stride,
-        trace=_ga_trace(res),
+        k, snr_db, n_users, target, params, n_cap=cap, trace=_ga_trace(res),
     )
     fields = ["n_min", "k", "snr_db", "target_per", "users"] + [
         f"alpha_{i+1}" for i in range(n_users)
@@ -544,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", dest="snr_db")
     p.add_argument("--target-per", dest="target_per", type=float)
     p.add_argument("--max-n", dest="max_n", type=int, help="search cap (default 4096)")
-    p.add_argument("--stride", type=int, help="coarse scan stride (default 8)")
     _add_ga(p)
     _add_common(p)
     p.set_defaults(func=cmd_min_blocklength)

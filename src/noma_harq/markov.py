@@ -19,13 +19,14 @@ Per-user reliability metrics come from the stationary distribution:
 and the delivery delay for M packets is binomial: each packet needs one
 slot with probability p_s, else two.
 
-Production path.  One successor table (the N+1 moves of every state, with
-first-failure and success-prefix probabilities) feeds everything; no
-3^N x 3^N array is formed.  The stationary vector comes from one
-censored solve; its common case, state 0 (the only state with a
-self-loop) kept alone, is the regenerative solve: the expected visits x
-per excursion solve (I - Q)^T x = P[0, 1:] over the other states and
-pi = [1, x] / (1 + sum x).  Systems up to 81 states
+Production path.  One move table (the N+1 successors of every state and
+their probabilities, column w < N for the first SIC failure at stage w,
+column N for all-success) feeds the solve, the metrics, the dense
+matrix and the simulator; no 3^N x 3^N array is formed.  The stationary
+vector comes from one censored solve; its common case, state 0 (the
+only state with a self-loop) kept alone, is the regenerative solve: the
+expected visits x per excursion solve (I - Q)^T x = P[0, 1:] over the
+other states and pi = [1, x] / (1 + sum x).  Systems up to 81 states
 (N <= 4) are factored dense with LAPACK, larger ones with SuperLU on the
 N+1 entries per row.  The LU pivots are the only place a subtraction
 enters; states whose pivot falls below PIVOT_FLOOR (chains that rarely
@@ -33,8 +34,10 @@ return to state 0) are handled by subtraction-free Grassmann-Taksar-
 Heyman elimination on the chain censored onto them, or on the whole chain
 when that LU falls short too (low SNR, where every user cycles R, F, R,
 ... almost surely: 1.1 s and 0.45 GiB at N = 8).  Per-user metrics are
-closed-form sums over the table: P(next F | R) is a sum of first-failure
-probabilities, never 1 - q.
+closed-form sums over the table (_move_sums, which also turns the
+simulator's slot counts into its tallies): P(next F | R) is a forward
+cumulative sum of first-failure probabilities and P(next S | S or F) a
+reverse one, never 1 - q.
 
 Stacks.  The engine has a leading batch axis: the tables, the stationary
 solve and the metrics take a (B, N) stack of received-power vectors, so
@@ -189,74 +192,55 @@ def _stage_tables(digits: np.ndarray, powers: np.ndarray):
 
 
 def _fallback_successors(digits: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Successors, shaped like orders ((B, 3^N, N) or (3^N, N)): column w
-    is the next state when the first SIC failure is at stage position w.
-    Users decoded before w go to S (digit 0); everyone from w onward falls
-    back: fresh packets to R, retransmissions to F."""
+    """Successors of every state's N+1 moves, (B, 3^N, N+1) for (B, 3^N, N)
+    orders (or (3^N, N+1)): column w < N is the next state when the first
+    SIC failure is at stage position w, column N the all-success move to
+    state 0.  Users decoded before w go to S (digit 0); everyone from w
+    onward falls back: fresh packets to R, retransmissions to F."""
     m, n = digits.shape
     pow3 = 3 ** np.arange(n, dtype=np.int64)
     fail_digit = np.where(digits == _R, _F, _R).astype(np.int64)
-    fd = fail_digit[np.arange(m)[:, None], orders] * pow3[orders]
+    fd = np.zeros(orders.shape[:-1] + (n + 1,), dtype=np.int64)
+    fd[..., :n] = fail_digit[np.arange(m)[:, None], orders] * pow3[orders]
     return np.cumsum(fd[..., ::-1], axis=-1)[..., ::-1]
 
 
 def _chain_table(powers: np.ndarray, code: CodeParams):
-    """Successor tables of a stack of chains: every state's N+1 moves at
+    """The move table of a stack of chains: every state's N+1 moves at
     once, for every row of the (B, N) received-power stack powers (or for
     one (N,) vector).
 
-    Returns (orders, succ_fail, p_fail, q_succ), all (B, 3^N, N) (or
-    (3^N, N)).  Column w of succ_fail is the successor when the first SIC
+    Returns (orders, succ, prob).  orders, (B, 3^N, N) (or (3^N, N)),
+    holds the user decoded at each SIC stage.  succ and prob, (B, 3^N,
+    N+1), hold the moves: column w < N is the move when the first SIC
     failure is at stage position w (decoded users go to S, everyone from
-    w onward falls back: fresh packets to R, retransmissions to F) and
-    p_fail the probability of that move.  q_succ[..., w] is the
-    probability that stages 0..w all succeed, so q_succ[..., -1] is the
-    all-success move to state 0.  Rows are renormalized when their drift
-    is within ROW_SUM_TOL; anything larger raises ConsistencyError.
+    w onward falls back: fresh packets to R, retransmissions to F), column
+    N the all-success move to state 0.  Rows are renormalized when their
+    drift is within ROW_SUM_TOL; anything larger raises ConsistencyError.
     """
     powers = np.asarray(powers, dtype=float)
     digits = _state_digits(powers.shape[-1])
     orders, gammas = _stage_tables(digits, powers)
     eps, ok = per_cc_batch(gammas, code)
-    succ_fail = _fallback_successors(digits, orders)
     q_succ = np.cumprod(ok, axis=-1)
-    p_fail = eps.copy()
-    p_fail[..., 1:] *= q_succ[..., :-1]
-    sums = p_fail.sum(axis=-1) + q_succ[..., -1]
+    # first failure at stage w: stages before w succeed, w fails
+    prob = np.concatenate([eps, q_succ[..., -1:]], axis=-1)
+    prob[..., 1:-1] *= q_succ[..., :-1]
+    sums = prob[..., :-1].sum(axis=-1) + prob[..., -1]
     drift = np.abs(sums - 1.0).max()
     if drift > ROW_SUM_TOL:
         raise ConsistencyError(
             f"transition rows deviate from stochasticity by {drift:.3e}"
         )
-    return orders, succ_fail, p_fail / sums[..., None], q_succ / sums[..., None]
-
-
-def _table_moves(succ_fail: np.ndarray, p_fail: np.ndarray, q_succ: np.ndarray):
-    """The moves of a stack of B tables as (source, destination,
-    probability) triplets: src (M,) is shared by every chain, dst and
-    prob are (B, M)."""
-    n_chains, m, n = succ_fail.shape
-    src = np.repeat(np.arange(m), n + 1)
-    dst = np.zeros((n_chains, m, n + 1), dtype=np.int64)
-    dst[..., :n] = succ_fail
-    prob = np.empty((n_chains, m, n + 1))
-    prob[..., :n] = p_fail
-    prob[..., n] = q_succ[..., -1]
-    return src, dst.reshape(n_chains, -1), prob.reshape(n_chains, -1)
+    return orders, _fallback_successors(digits, orders), prob / sums[..., None]
 
 
 def _regeneration_state(src, dst, prob, m: int) -> int:
-    """A state the chain reaches from everywhere.
-
-    State 0 when every state moves to it with positive probability (the
-    common case); otherwise the lowest state of the only closed class.
-    Several closed classes raise ReducibleChainError.
+    """A state the chain reaches from everywhere, for a chain in which
+    some state cannot move to state 0: the lowest state of the only
+    closed class.  Several closed classes raise ReducibleChainError.
     """
     live = prob > 0.0
-    to_zero = np.zeros(m, dtype=bool)
-    to_zero[src[live & (dst == 0)]] = True
-    if to_zero.all():
-        return 0
     src, dst = src[live], dst[live]
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
     _, labels = connected_components(graph, directed=True, connection="strong")
@@ -280,13 +264,15 @@ def _stationary(src, dst, prob, m: int):
     raises on its own.  Every chain is solved exactly as it would be alone.
 
     First the regenerative solve: the chain censored onto its regeneration
-    state alone.  Its LU is right to a few ulps relative wherever the
-    pivots stay away from 0, as only the pivots involve a subtraction.
-    Dense chains that move to state 0 from every state make this attempt
-    together (_regenerative_lu); the others run the whole cascade of
-    _cascade one by one.  A NumericalError is a residual ||P^T p - p||_inf
-    above STATIONARY_TOL (one bincount for the whole stack) or a negative
-    mass; NaN fails every comparison, so an all-NaN vector is one too.
+    state alone, state 0 when every state moves to it (the common case,
+    tested here for the whole stack).  Its LU is right to a few ulps
+    relative wherever the pivots stay away from 0, as only the pivots
+    involve a subtraction.  Dense chains that move to state 0 from every
+    state make this attempt together (_regenerative_lu); the others run
+    the whole cascade of _cascade one by one.  A NumericalError is a
+    residual ||P^T p - p||_inf above STATIONARY_TOL (one bincount for the
+    whole stack) or a negative mass; NaN fails every comparison, so an
+    all-NaN vector is one too.
     The numpy warnings of a solve that underflows are silenced: the
     residual test turns its vector into NumericalError.
     """
@@ -294,18 +280,20 @@ def _stationary(src, dst, prob, m: int):
     p = np.zeros((n_chains, m))
     errors = [None] * n_chains
     first = [None] * n_chains
+    chains, moves = np.nonzero((prob > 0.0) & (dst == 0))
+    to_zero = np.zeros((n_chains, m), dtype=bool)
+    to_zero[chains, src[moves]] = True
+    regen = to_zero.all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m <= DENSE_SOLVE_STATES:
-            chains, moves = np.nonzero((prob > 0.0) & (dst == 0))
-            to_zero = np.zeros((n_chains, m), dtype=bool)
-            to_zero[chains, src[moves]] = True
-            regen = np.flatnonzero(to_zero.all(axis=1))
-            for b, attempt in zip(regen, _regenerative_lu(
-                    src, dst[regen], prob[regen], m)):
+            dense = np.flatnonzero(regen)
+            for b, attempt in zip(dense, _regenerative_lu(
+                    src, dst[dense], prob[dense], m)):
                 first[b] = attempt
         for b in range(n_chains):
             try:
-                p[b] = _cascade(src, dst[b], prob[b], m, first[b])
+                p[b] = _cascade(src, dst[b], prob[b], m,
+                                0 if regen[b] else None, first[b])
             except ReducibleChainError as exc:
                 errors[b] = exc
         flow = np.bincount((np.arange(n_chains)[:, None] * m + dst).ravel(),
@@ -323,12 +311,13 @@ def _stationary(src, dst, prob, m: int):
     return np.maximum(p, 0.0), errors
 
 
-def _cascade(src, dst, prob, m: int, first=None) -> np.ndarray:
+def _cascade(src, dst, prob, m: int, root=None, first=None) -> np.ndarray:
     """Stationary vector of one chain, unchecked.
 
-    first is the (p, sticky) result of its regenerative attempt when the
-    stack already made it (the regeneration state is then 0); otherwise
-    the attempt runs here, censored onto _regeneration_state.  A pivot
+    root is the regeneration state, 0 when every state moves to it, else
+    None and found by _regeneration_state.  first is the (p, sticky)
+    result of the regenerative attempt when the stack already made it;
+    otherwise the attempt runs here, censored onto root.  A pivot
     below PIVOT_FLOOR marks a sticky state, one the chain returns to many
     times before it reaches the regeneration state (short blocks, or a
     nearly silenced user whose R/F parity is almost conserved).  Sticky
@@ -339,9 +328,9 @@ def _cascade(src, dst, prob, m: int, first=None) -> np.ndarray:
     and GTH runs on the whole chain, as it does after an attempt whose
     vector is not finite (a divisor underflowed to 0).
     """
-    root = 0
-    if first is None:
+    if root is None:
         root = _regeneration_state(src, dst, prob, m)
+    if first is None:
         first = _censored_solve(src, dst, prob, m, np.array([root]))
     p, sticky = first
     if p is None:
@@ -441,7 +430,9 @@ def _censored_solve(src, dst, prob, m: int, kept: np.ndarray):
                 return None, g
             sticky = np.abs(lu.U.diagonal()) < PIVOT_FLOOR
             if sticky.any():
-                return None, np.sort(g[lu.perm_c[sticky]])
+                # Pr A Pc = L U with Pc[i, perm_c[i]] = 1, so U's column j
+                # is A's column argsort(perm_c)[j]
+                return None, np.sort(g[np.argsort(lu.perm_c)[sticky]])
             solve = lambda rhs, trans=0: lu.solve(rhs, trans="NT"[trans])
     p_kk, p_kg = p_k[:, :k], p_k[:, k:]
     if k == 1:
@@ -480,31 +471,36 @@ def _gth(a: np.ndarray) -> np.ndarray:
     return solve_triangular(a, e0, trans="T", unit_diagonal=True, check_finite=False)
 
 
-def _table_metrics(orders: np.ndarray, p_fail: np.ndarray, q_succ: np.ndarray,
-                   p: np.ndarray):
-    """Per-user (PER, p_s) arrays, both (B, N), from a stack of B tables
-    and their (B, 3^N) stationary vectors.
+def _move_sums(orders: np.ndarray, weights: np.ndarray):
+    """Per-state, per-user sums of move weights behind e_i and p_s.
 
-    A user in R moves to F when the first failure is at or before its own
-    stage position, a sum of first-failure probabilities (never 1 - q, so
-    tiny error rates keep their relative precision); any user moves to S
-    when every stage up to its own succeeds.
+    weights (B, 3^N, N+1) weighs every state's N+1 moves in the layout of
+    _chain_table's succ: the analysis passes their probabilities, the
+    simulator its slot counts.  Returns (to_f, to_s), both (B, 3^N, N),
+    column u for user u.  to_f sums the moves that lose u's packet: every
+    move from F, and from R those whose first failure is at or before u's
+    stage.  to_s sums the moves that deliver a fresh packet of u at the
+    first try: from S or F, those whose first failure comes after u's
+    stage.  Both are sums of nonnegative terms (never 1 - q), so tiny
+    error rates keep their relative precision.
     """
     n_chains, m, n = orders.shape
     digits = _state_digits(n)
-    # column u: the probability for the user decoded at stage u, moved to
-    # that user's own column
-    at =(np.arange(n_chains)[:, None, None], np.arange(m)[:, None], orders)
-    to_f = np.empty(orders.shape)
-    to_f[at] = np.cumsum(p_fail, axis=-1)
-    to_s = np.empty(orders.shape)
-    to_s[at] = q_succ
+    # column ell of lost: moves whose first failure is at or before stage
+    # ell; of fresh: moves whose first failure is at stage ell or after
+    lost, fresh = weights.copy(), weights.copy()
+    for w in range(1, n + 1):
+        lost[..., w] += lost[..., w - 1]
+        fresh[..., n - w] += fresh[..., n - w + 1]
+    # stage column ell moved to the column of the user decoded there
+    at = (np.arange(n_chains * m)[:, None] * n + orders.reshape(-1, n)).ravel()
+    to_f = np.empty(orders.size, dtype=weights.dtype)
+    to_f[at] = lost[..., :n].ravel()
+    to_s = np.empty(orders.size, dtype=weights.dtype)
+    to_s[at] = fresh[..., 1:].ravel()
     is_r = digits == _R
-    p = p[:, None]
-    pers = (p @ np.where(is_r, to_f, digits == _F))[:, 0]
-    succ = (p @ np.where(is_r, 0.0, to_s))[:, 0]
-    # a PER of 1 can round one ulp above it
-    return np.minimum(pers, 1.0), np.minimum(succ, 1.0)
+    to_f = np.where(is_r, to_f.reshape(orders.shape), (digits == _F) * lost[..., n:])
+    return to_f, np.where(is_r, 0, to_s.reshape(orders.shape))
 
 
 def _table_analysis(powers: np.ndarray, code: CodeParams):
@@ -512,10 +508,15 @@ def _table_analysis(powers: np.ndarray, code: CodeParams):
     received powers, and the B errors of their stationary solves (see
     _stationary); a chain whose solve failed has meaningless metrics."""
     _check_user_count(powers.shape[-1])
-    orders, succ_fail, p_fail, q_succ = _chain_table(powers, code)
-    p, errors = _stationary(*_table_moves(succ_fail, p_fail, q_succ),
-                            orders.shape[1])
-    return (*_table_metrics(orders, p_fail, q_succ, p), errors)
+    orders, succ, prob = _chain_table(powers, code)
+    n_chains, m, moves = succ.shape
+    p, errors = _stationary(np.repeat(np.arange(m), moves), succ.reshape(n_chains, -1),
+                            prob.reshape(n_chains, -1), m)
+    to_f, to_s = _move_sums(orders, prob)
+    p = p[:, None]
+    pers, succ_prob = (p @ to_f)[:, 0], (p @ to_s)[:, 0]
+    # a PER of 1 can round one ulp above it
+    return np.minimum(pers, 1.0), np.minimum(succ_prob, 1.0), errors
 
 
 def _check_user_count(n_users: int) -> None:
@@ -529,17 +530,16 @@ def _check_user_count(n_users: int) -> None:
 
 def build_transition_matrix(cfg: SystemConfig) -> TransitionMatrix:
     """Dense 3^N x 3^N transition matrix for the configured cluster: the
-    successor table scattered into rows.
+    move table scattered into rows.
 
     Rows are renormalized when the enumeration drift is within 1e-6;
     anything larger raises ConsistencyError.
     """
     _check_user_count(cfg.n_users)
-    _, succ_fail, p_fail, q_succ = _chain_table(cfg.powers, cfg.code)
-    m = len(succ_fail)
+    _, succ, prob = _chain_table(cfg.powers, cfg.code)
+    m = len(succ)
     pi = np.zeros((m, m))
-    pi[:, 0] = q_succ[:, -1]
-    pi[np.arange(m)[:, None], succ_fail] = p_fail
+    pi[np.arange(m)[:, None], succ] = prob
     return TransitionMatrix(matrix=pi, n_users=cfg.n_users)
 
 
@@ -581,7 +581,7 @@ def throughput(per: float, success_prob: float, code: CodeParams) -> float:
 
 
 def analyze(cfg: SystemConfig) -> List[UserMetrics]:
-    """Full analysis pipeline: successor table, stationary vector,
+    """Full analysis pipeline: move table, stationary vector,
     per-user metrics (the stacked engine on a stack of one)."""
     (pers,), (succ,), (error,) = _table_analysis(cfg.powers[None], cfg.code)
     if error is not None:

@@ -26,12 +26,13 @@ one array lookup.  Both the placed users and the n_hat planned ratios
 are capped at markov.MAX_USERS.
 
 Decode tables come from the analysis's vectorized engine
-(markov._stage_tables and the same fall-back successors as the chain's
-table), all 3^N states at once; the scalar sic path is a test oracle
-only.  The chain tallies slots by rotation, state and first-failure
-stage, and the per-user statistics and state visits follow from those
-counts and the successor tables, so memory is O(n_hat * 3^N * N) with no
-3^N x 3^N array.
+(markov._stage_tables and the successors of the chain's move table),
+all 3^N states at once; the scalar sic path is a test oracle only.  The
+chain tallies slots by rotation, state and first-failure stage, in the
+layout of the move table.  markov._move_sums turns those counts into the
+e_i and p_s tallies, the same sums the analysis takes over the move
+probabilities, and the state visits follow from the counts, so memory is
+O(n_hat * 3^N * N) with no 3^N x 3^N array.
 
 Seeding: each episode splits its np.random.SeedSequence with spawn(3)
 into independent child streams (dynamics, placement, fading), so every
@@ -53,12 +54,13 @@ from .fbl import CodeParams, per_cc, per_cc_batch
 from .markov import (
     _check_user_count,
     _fallback_successors,
+    _move_sums,
     _stage_tables,
     _state_digits,
     oma_received_power,
     throughput,
 )
-from .sic import Phase, SystemConfig
+from .sic import SystemConfig
 
 # decimation stride for the goodness-of-fit visit counts; the chain
 # decorrelates within a few slots, so stride-10 samples are near-iid
@@ -156,45 +158,24 @@ def disk_positions(rng: np.random.Generator, n: int):
 
 
 def _decode_tables(powers: np.ndarray, code: CodeParams):
-    """Per-state stage failure probabilities and successors, for all 3^N
-    states of every row of the (R, N) received-power stack powers at once,
-    from the vectorized SIC engine of the analysis (one (N,) vector gives
-    one table without the leading axis).
+    """Decode order, per-state stage failure probabilities and
+    successors, for all 3^N states of every row of the (R, N)
+    received-power stack powers at once, from the vectorized SIC engine of
+    the analysis (one (N,) vector gives one table without the leading
+    axis).
 
-    Returns (eps_tab, succ_tab) as nested lists, so the slot loop reads
-    Python floats and ints.  eps_tab[r][s][w] is the failure probability
-    of stage w in state s for row r, from the Chase-combining
-    finite-blocklength formula.  succ_tab[r][s][w] for w < N is the next
-    state when the first SIC failure hits stage w; succ_tab[r][s][N] = 0
-    is the all-success successor.
+    Returns (orders, eps_tab, succ_tab): orders is the array of
+    markov._stage_tables, the tables are nested lists, so the slot loop
+    reads Python floats and ints.  eps_tab[r][s][w] is the failure
+    probability of stage w in state s for row r, from the Chase-combining
+    finite-blocklength formula.  succ_tab[r][s] holds the N+1 successors
+    of the chain's move table: entry w < N is the next state when the
+    first SIC failure hits stage w, entry N = 0 the all-success one.
     """
     digits = _state_digits(powers.shape[-1])
     orders, gammas = _stage_tables(digits, powers)
     eps = per_cc_batch(gammas, code)[0]
-    succ = np.zeros(orders.shape[:-1] + (orders.shape[-1] + 1,), dtype=np.int64)
-    succ[..., :-1] = _fallback_successors(digits, orders)
-    return eps.tolist(), succ.tolist()
-
-
-def _transition_tallies(counts: np.ndarray, tables) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-user numerators of the empirical e_i and p_s.
-
-    counts[rot, s, w] is the number of counted slots in state s under
-    rotation rot whose first SIC failure hit stage w (w = N: none), and
-    tables[rot] the matching _decode_tables pair.  Uses the same per-slot
-    functionals as the analysis: e_i counts slots already in F plus R
-    slots about to fail; p_s counts fresh packets that decode first try.
-    """
-    n = counts.shape[-1] - 1
-    digits = _state_digits(n)
-    hit = np.flatnonzero(counts)
-    c = counts.ravel()[hit]
-    now = digits[hit // (n + 1) % len(digits)]
-    succ = np.asarray([succ_tab for _, succ_tab in tables], dtype=np.int64)
-    nxt = digits[succ.ravel()[hit]]
-    fails = (now == int(Phase.F)) | ((now == int(Phase.R)) & (nxt == int(Phase.F)))
-    fresh_ok = (now != int(Phase.R)) & (nxt == int(Phase.S))
-    return c @ fails, c @ fresh_ok
+    return orders, eps.tolist(), _fallback_successors(digits, orders).tolist()
 
 
 def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
@@ -262,18 +243,22 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     ledger.
 
     Returns (state visits, e_i numerators, p_s numerators, per-user sum of
-    received power times the capped channel inversion, capped slots).
+    received power times the capped channel inversion, capped slots).  The
+    numerators sum the counted moves as the analysis sums their
+    probabilities: e_i counts slots already in F plus R slots about to
+    fail, p_s fresh packets that decode at the first try.
     """
     dyn_rng, place_rng, fade_rng = map(np.random.default_rng, seq.spawn(3))
     distances, angles = disk_positions(place_rng, n)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
-    tables = list(zip(*_decode_tables(matrix * p0, cfg.system.code)))
+    orders, eps_tab, succ_tab = _decode_tables(matrix * p0, cfg.system.code)
     slots = cfg.slots // cfg.episodes
-    counts = _run_chain(dyn_rng, tables, n, slots, cfg.warmup, visits_thin=visits_thin)
-    f_hits, s_hits = _transition_tallies(counts, tables)
+    counts = _run_chain(dyn_rng, list(zip(eps_tab, succ_tab)), n, slots, cfg.warmup,
+                        visits_thin=visits_thin)
+    to_f, to_s = _move_sums(orders, counts)
     inv_sum, cap_cnt = _fading_ledger(fade_rng, matrix, slots)
-    return (counts.sum(axis=(0, 2)), f_hits, s_hits,
+    return (counts.sum(axis=(0, 2)), to_f.sum(axis=(0, 1)), to_s.sum(axis=(0, 1)),
             p0 * distances**PATH_LOSS_EXP * inv_sum, cap_cnt)
 
 

@@ -27,6 +27,9 @@ from .markov import max_user_per
 
 # floor for chromosome genes; keeps projected ratios strictly positive
 GENE_FLOOR = 1e-6
+# blocklength step of min_blocklength's coarse scan; it changes only the
+# search's speed, as the stride window is rechecked one by one
+COARSE_STRIDE = 8
 
 
 @dataclass(frozen=True)
@@ -223,14 +226,13 @@ def min_blocklength(
     target_per: float,
     params: GaParams,
     n_cap: int = 4096,
-    coarse_stride: int = 8,
     trace: Optional[TraceFn] = None,
 ) -> Tuple[int, Tuple[float, ...]]:
     """Smallest blocklength n whose optimized worst PER meets target_per.
 
-    Starts at n = k + 1 and scans upward.  A coarse pass with the given
-    stride finds the first feasible stretch, then the stride window is
-    rechecked one by one so the answer matches a stride-1 scan (the
+    Starts at n = k + 1 and scans upward.  A coarse pass with stride
+    COARSE_STRIDE finds the first feasible stretch, then the stride window
+    is rechecked one by one so the answer matches a stride-1 scan (the
     optimized worst PER decreases in n).  Optimized ratios are carried
     from one n to the next as GA warm starts.
 
@@ -241,7 +243,6 @@ def min_blocklength(
         raise ValueError(f"target_per must lie in (0, 1), got {target_per!r}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    stride = max(1, int(coarse_stride))
 
     cache: dict[int, Tuple[np.ndarray, float]] = {}
     warm: Optional[List[Sequence[float]]] = None
@@ -268,7 +269,7 @@ def min_blocklength(
         if val <= target_per:
             feasible_n = n
             break
-        n += stride
+        n += COARSE_STRIDE
     if feasible_n is None:
         raise InfeasibleError(
             f"no blocklength up to {n_cap} meets PER {target_per:g} "
@@ -277,7 +278,7 @@ def min_blocklength(
         )
 
     # walk the preceding stride window to find the exact crossing
-    for m in range(max(start, feasible_n - stride + 1), feasible_n):
+    for m in range(max(start, feasible_n - COARSE_STRIDE + 1), feasible_n):
         _, val = optimized(m)
         if val <= target_per:
             feasible_n = m

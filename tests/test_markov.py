@@ -289,6 +289,28 @@ class TestStationary:
             assert_relative(m.per, per_user(m.user, oracle, tm))
             assert_relative(m.success_prob, success_prob(m.user, oracle, tm))
 
+    def test_superlu_sticky_pivots_map_to_their_states(self, monkeypatch):
+        # equal ratios on a short N = 5 block: the regenerative SuperLU
+        # has sticky pivots; mapped through its column permutation to
+        # their own states they make a censored retry that holds, so
+        # whole-chain GTH does not run
+        cfg = SystemConfig(alphas=(0.2,) * 5, p0=1.0, code=CodeParams(k=50, n=91))
+        kept_sizes = []
+        solve = markov._censored_solve
+
+        def spy(src, dst, prob, m, kept):
+            kept_sizes.append(len(kept))
+            return solve(src, dst, prob, m, kept)
+
+        monkeypatch.setattr(markov, "_censored_solve", spy)
+        metrics = analyze(cfg)
+        assert kept_sizes == [1, 26]
+        tm = build_transition_matrix(cfg)
+        oracle = StationaryDistribution(probs=gth_oracle(tm.matrix))
+        for m in metrics:
+            assert_relative(m.per, per_user(m.user, oracle, tm))
+            assert_relative(m.success_prob, success_prob(m.user, oracle, tm))
+
     def test_two_closed_classes_raise(self):
         matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(NumericalError, match="2 closed classes"):
@@ -548,6 +570,37 @@ class TestStackedEngine:
         records = [r for r in caplog.records if r.name == "noma_harq.markov"]
         assert [r.levelno for r in records] == [logging.WARNING]
         assert f"after {markov.OMA_ITERATIONS} iterations" in records[0].getMessage()
+
+
+class TestMoveSums:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(ratio_stacks())
+    @example(SHORT_BLOCKS)
+    def test_matches_definition(self, case):
+        # e_i counts moves from F, or from R to F; p_s counts moves from a
+        # phase other than R to S
+        alphas, p0, code = case
+        orders, succ, prob = markov._chain_table(alphas * p0, code)
+        n = alphas.shape[1]
+        digits = markov._state_digits(n).tolist()
+        counts = np.random.default_rng(n).integers(0, 1000, size=succ.shape)
+        for weights in (counts, prob):
+            to_f, to_s = markov._move_sums(orders, weights)
+            want_f = np.zeros(to_f.shape, dtype=weights.dtype)
+            want_s = np.zeros(to_s.shape, dtype=weights.dtype)
+            for b, s, w in np.ndindex(succ.shape):
+                now, nxt, weight = digits[s], digits[succ[b, s, w]], weights[b, s, w]
+                for u in range(n):
+                    if now[u] == Phase.F or (now[u] == Phase.R and nxt[u] == Phase.F):
+                        want_f[b, s, u] += weight
+                    if now[u] != Phase.R and nxt[u] == Phase.S:
+                        want_s[b, s, u] += weight
+            if weights is counts:
+                np.testing.assert_array_equal(to_f, want_f)
+                np.testing.assert_array_equal(to_s, want_s)
+            else:
+                assert np.all(np.abs(to_f - want_f) <= 1e-12 * want_f)
+                assert np.all(np.abs(to_s - want_s) <= 1e-12 * want_s)
 
 
 class TestDelayPmf:

@@ -11,13 +11,7 @@ from scipy.integrate import quad
 
 import noma_harq.montecarlo as montecarlo
 from noma_harq.fbl import CodeParams, per_cc
-from noma_harq.markov import (
-    _stage_tables,
-    _state_digits,
-    analyze,
-    build_transition_matrix,
-    stationary_distribution,
-)
+from noma_harq.markov import analyze, build_transition_matrix, stationary_distribution
 from noma_harq.cellplan import CELL_RADIUS
 from noma_harq.montecarlo import (
     PATH_LOSS_EXP,
@@ -112,8 +106,7 @@ class TestDecodeTables:
     @given(clusters())
     def test_matches_scalar_oracle(self, cfg):
         n = cfg.n_users
-        eps_tab, succ_tab = _decode_tables(cfg.powers, cfg.code)
-        orders, _ = _stage_tables(_state_digits(n), cfg.powers)
+        orders, eps_tab, succ_tab = _decode_tables(cfg.powers, cfg.code)
         for s in range(3**n):
             state = SystemState.from_index(s, n)
             if not greedy_order_is_decided(state, cfg):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import noma_harq.optimizer as optimizer
 from noma_harq.errors import InfeasibleError
 from noma_harq.fbl import CodeParams, per_cc
 from noma_harq.optimizer import (
@@ -151,9 +152,10 @@ class TestMinBlocklength:
             got, _ = min_blocklength(50, snr_db, 1, target, FAST)
             assert got == expect
 
-    def test_single_user_stride_invariant(self):
-        a, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST, coarse_stride=8)
-        b, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST, coarse_stride=1)
+    def test_single_user_stride_invariant(self, monkeypatch):
+        a, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST)
+        monkeypatch.setattr(optimizer, "COARSE_STRIDE", 1)
+        b, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST)
         assert a == b
 
     def test_infeasible_carries_best_value(self):

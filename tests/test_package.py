@@ -1,5 +1,6 @@
-"""The package's public names."""
+"""The package's public names and imports."""
 
+import ast
 import importlib
 import inspect
 import re
@@ -17,6 +18,7 @@ REMOVED_MEMBERS = {
     "montecarlo.disk_positions": ["r_outer"],
     "montecarlo.chi_square_state_fit": ["min_expected"],
     "markov.oma_received_power": ["iterations"],
+    "optimizer.min_blocklength": ["coarse_stride"],
 }
 
 
@@ -50,3 +52,23 @@ def test_removed_names_are_gone_and_listed_in_readme():
     changes = README.read_text().split("## API changes", 1)[1]
     for name in REMOVED + members + ["per_fn", "max_transmissions"]:
         assert re.search(rf"`[\w.]*\b{name}`", changes), name
+
+
+def test_every_import_is_used():
+    # a name a module imports is read somewhere in it, or re-exported
+    # through __all__
+    for path in sorted(Path(noma_harq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                used |= {elt.value for elt in node.value.elts}
+        assert sorted(imported - used) == [], path.name
