@@ -6,7 +6,7 @@ header (tool version, command, resolved parameters, seed) that can be
 fed back through --config to reproduce the run.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
-NOMA_HARQ_THREADS caps the worker processes used for sweep grids.
+A sweep runs its grid points in order in one process.
 """
 
 import argparse
@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -61,11 +59,11 @@ def _parse_alphas(value) -> tuple:
 
 def _parse_grid(value) -> List[float]:
     """SNR grids: a comma list '0,1,2' or a range 'start:stop:count'."""
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
     text = str(value)
     try:
-        if ":" in text:
+        if isinstance(value, (list, tuple)):
+            grid = [float(v) for v in value]
+        elif ":" in text:
             start, stop, count = text.split(":")
             count = int(count)
             if count < 1:
@@ -77,9 +75,13 @@ def _parse_grid(value) -> List[float]:
                 return [float(start)]
             step = (float(stop) - float(start)) / (count - 1)
             return [float(start) + step * i for i in range(count)]
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
+        else:
+            grid = [float(v) for v in text.split(",") if v.strip()]
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse SNR grid from {value!r}") from exc
+    if not grid:
+        raise UsageError(f"SNR grid {value!r} holds no value")
+    return grid
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -114,13 +116,19 @@ class Resolver:
         if value is None and required:
             raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
         if value is not None and cast is not None:
-            value = cast(value)
+            try:
+                value = cast(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"cannot read --{key.replace('_', '-')} "
+                                 f"from {value!r}") from exc
         self.resolved[key] = value
         return value
 
 
 def _check_users(n_users: int) -> None:
-    """Reject a cluster too large to analyse before any work starts."""
+    """Reject an empty or too large cluster before any work starts."""
+    if n_users < 1:
+        raise UsageError(f"{n_users} users: a cluster needs at least one")
     if n_users > MAX_USERS:
         raise UsageError(f"{n_users} users exceeds the {MAX_USERS}-user cap")
 
@@ -159,26 +167,14 @@ def _ga_trace(res: Resolver):
 
 
 def _ga_params(res: Resolver) -> GaParams:
-    return GaParams(
-        population_size=res.get("population", 60, cast=int),
-        generations=res.get("generations", 200, cast=int),
-        crossover_rate=res.get("crossover_rate", 0.8, cast=float),
-        mutation_rate=res.get("mutation_rate", 0.1, cast=float),
-        mutation_sigma=res.get("mutation_sigma", 0.05, cast=float),
-        elitism_count=res.get("elitism", 2, cast=int),
-        seed=res.get("seed", 12345, cast=int),
-    )
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("NOMA_HARQ_THREADS", "1")
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"NOMA_HARQ_THREADS must be a positive integer, got {raw!r}")
-    return workers
+        return GaParams(
+            population_size=res.get("population", 60, cast=int),
+            generations=res.get("generations", 200, cast=int),
+            seed=res.get("seed", 12345, cast=int),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +301,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(point) -> List[dict]:
+def _sweep_point(system, sim_cfg, snr_db, seed, oma) -> List[dict]:
     """One SNR grid point of a sweep: the cluster, its uncoordinated
     simulation setup (None for the analysis), the grid SNR, the seed and
-    whether to add the orthogonal baseline.  Module-level so pools can
-    pickle it."""
-    system, sim_cfg, snr_db, seed, oma = point
+    whether to add the orthogonal baseline."""
     metrics = None
     if sim_cfg is None:
         metrics = analyze(system)
@@ -352,15 +346,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             points.append((system, sim_cfg, snr, seed + idx, oma))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    workers = _max_workers()
-    rows: List[dict] = []
-    if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_sweep_point, points):
-                rows.extend(chunk)
-    else:
-        for point in points:
-            rows.extend(_sweep_point(point))
+    rows = [row for point in points for row in _sweep_point(*point)]
     emit(rows, SIM_FIELDS, _meta("sweep", res), res.get("out"),
          res.get("format", "csv"))
     return 0
@@ -395,9 +381,13 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
     target = res.get("target_per", required=True, cast=float)
     cap = res.get("max_n", 4096, cast=int)
     params = _ga_params(res)
-    n_min, alphas = min_blocklength(
-        k, snr_db, n_users, target, params, n_cap=cap, trace=_ga_trace(res),
-    )
+    try:
+        # the search checks the target and k before it starts
+        n_min, alphas = min_blocklength(
+            k, snr_db, n_users, target, params, n_cap=cap, trace=_ga_trace(res),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     fields = ["n_min", "k", "snr_db", "target_per", "users"] + [
         f"alpha_{i+1}" for i in range(n_users)
     ]
@@ -490,10 +480,8 @@ def _add_sim(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_ga(sub: argparse.ArgumentParser) -> None:
-    for flag, typ in [("--population", int), ("--generations", int),
-                      ("--crossover-rate", float), ("--mutation-rate", float),
-                      ("--mutation-sigma", float), ("--elitism", int)]:
-        sub.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ)
+    for flag in ("--population", "--generations"):
+        sub.add_argument(flag, type=int)
     sub.add_argument("--verbose", action="store_const", const=True,
                      help="log the best value per generation to stderr")
 

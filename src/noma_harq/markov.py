@@ -84,8 +84,11 @@ MAX_USERS = 8
 # regenerative systems up to this many states (N <= 4) are factored dense;
 # SuperLU is faster from 243 states on
 DENSE_SOLVE_STATES = 81
-# smallest regenerative LU pivot trusted: over 3742 chains from GA runs the
-# metrics were within 5e-14 relative above this floor and up to 1e-7 below
+# smallest LU pivot trusted.  Regenerative LUs: over 3742 chains from GA
+# runs the metrics were within 5e-14 relative above this floor and up to
+# 1e-7 below.  Censored retries above it are less precise: on 300 N = 5,
+# k = 50, n = 80..129, 0 dB chains, p_s within 4.0e-12 relative of
+# whole-chain GTH (1.8e-12 where p_s > 1e-8) and PER within 4.3e-15
 PIVOT_FLOOR = 1e-2
 # fixed-point iterations of the matched orthogonal-baseline power
 OMA_ITERATIONS = 30

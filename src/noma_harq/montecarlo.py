@@ -52,6 +52,8 @@ from scipy.stats import chi2
 from .cellplan import CELL_RADIUS, build_plan, locate_segment
 from .fbl import CodeParams, per_cc, per_cc_batch
 from .markov import (
+    _F,
+    _R,
     _check_user_count,
     _fallback_successors,
     _move_sums,
@@ -102,6 +104,9 @@ class SimConfig:
             object.__setattr__(self, "n_actual", self.system.n_users)
         if self.n_hat is None:
             object.__setattr__(self, "n_hat", self.system.n_users)
+        if self.n_actual < 1 or self.n_hat < 1:
+            raise ValueError(f"n_actual and n_hat must be at least 1, got "
+                             f"{self.n_actual} and {self.n_hat}")
         if self.episodes < 1 or self.slots < 1 or self.warmup < 0:
             raise ValueError("slots and episodes must be positive, warmup >= 0")
         if self.slots // self.episodes <= self.warmup:
@@ -121,7 +126,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Empirical per-user statistics with binomial standard errors."""
+    """Empirical per-user statistics with binomial standard errors,
+    sqrt(x (1 - x) / T) over T counted slots.  They understate the
+    spread: a lost packet counts in its F slot and in the R slot failing
+    into it, so by the exact chain the PER estimator's variance is 2.0x
+    binomial for acceptance criterion 1's users, p_s's 1.2-1.9x."""
 
     scenario: str
     n_users: int
@@ -341,9 +350,10 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     one retransmission allowed, at the power matched so the average total
     received power per information packet equals the NOMA cluster's.
 
-    Rounds are independent, so no warmup applies.  Throughput divides by
-    the full schedule: every user waits out the other users' slots,
-    retransmissions included.
+    Rounds are independent, so no warmup applies.  PER and p_s are the
+    _move_sums of each user's own slots, tallied as single-user moves.
+    Throughput divides by the full schedule: every user waits out the
+    other users' slots, retransmissions included.
     """
     if cfg.scenario != "coordinated":
         raise ValueError("the orthogonal baseline compares coordinated clusters")
@@ -363,18 +373,20 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     for i in range(n):
         first_fail = dyn_rng.random(rounds) < eps1
         second_fail = first_fail & (dyn_rng.random(rounds) < eps2)
-        slots_i = rounds + int(first_fail.sum())
-        pairs_i = slots_i - 1
-        # from-state functionals over consecutive own slots: an F needs a
-        # following slot to count as a from-state; R->F pairs sit inside
-        # their round; fresh successes pair a round boundary with an S
-        hits = int(second_fail[:-1].sum()) + int(second_fail.sum())
-        fresh = int((~first_fail)[1:].sum())
-        per[i] = hits / pairs_i
-        p_s[i] = fresh / pairs_i
-        own_slots[i] = slots_i
-    per_se = _binomial_se(per, own_slots - 1)
-    ps_se = _binomial_se(p_s, own_slots - 1)
+        # own slots as moves (state, w), w = 0 a failure: a round's first
+        # slot leaves S (0), or F after a failed retransmission; its
+        # retransmission slot leaves R
+        after_f = np.r_[False, second_fail[:-1]]
+        counts = np.zeros((1, 3, 2), dtype=np.int64)
+        for state, sel, fail in ((0, ~after_f, first_fail), (_F, after_f, first_fail),
+                                 (_R, first_fail, second_fail)):
+            counts[0, state] = np.count_nonzero(sel & fail), np.count_nonzero(sel & ~fail)
+        to_f, to_s = _move_sums(np.zeros((1, 3, 1), dtype=np.intp), counts)
+        own_slots[i] = counts.sum()
+        per[i] = to_f.sum() / own_slots[i]
+        p_s[i] = to_s.sum() / own_slots[i]
+    per_se = _binomial_se(per, own_slots)
+    ps_se = _binomial_se(p_s, own_slots)
 
     schedule = float(np.sum(2.0 - p_s))
     eta = code.rate * (1.0 - per) / schedule

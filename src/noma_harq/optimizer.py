@@ -10,8 +10,8 @@ Chromosomes are unnormalized positive reals projected onto the simplex
 the feasible set.  The objective is row-wise: it receives a whole
 generation as one (B, n_vars) stack and returns B values, so the power
 searches evaluate a generation in one stacked max_user_per call.
-Everything is driven by one seeded generator, so a given seed reproduces
-the run bit for bit.
+Everything is driven by one seeded generator and the module's operator
+constants, so a given seed reproduces the run bit for bit.
 """
 
 import functools
@@ -30,33 +30,30 @@ GENE_FLOOR = 1e-6
 # blocklength step of min_blocklength's coarse scan; it changes only the
 # search's speed, as the stride window is rechecked one by one
 COARSE_STRIDE = 8
+# GA operators: the crossover probability of a parent pair, the per-gene
+# mutation probability and standard deviation, and the elites carried
+# into the next generation with their fitness
+CROSSOVER_RATE = 0.8
+MUTATION_RATE = 0.1
+MUTATION_SIGMA = 0.05
+ELITISM = 2
 
 
 @dataclass(frozen=True)
 class GaParams:
-    """Genetic algorithm hyperparameters.
+    """Genetic algorithm size and seed; the operators are module constants.
 
-    The source analysis gives none, so these defaults are tuned for the
-    small simplex problems at hand and can be overridden throughout.
+    The source analysis gives no hyperparameters, so these defaults are
+    tuned for the small simplex problems at hand.
     """
 
     population_size: int = 60
     generations: int = 200
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    mutation_sigma: float = 0.05
-    elitism_count: int = 2
     seed: int = 12345
 
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
-        for name in ("crossover_rate", "mutation_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ValueError("elitism_count must be smaller than the population")
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,7 @@ def ga_minimize(
     once per generation.  Non-finite objective values rank as worst.
     Optional initial vectors are injected into the starting population
     (warm start).  The elites carried into the next generation keep their
-    fitness, so each generation evaluates population_size - elitism_count
+    fitness, so each generation evaluates population_size - ELITISM
     children.  trace, when given, receives (generation, best value so far)
     after every generation.
 
@@ -117,9 +114,8 @@ def ga_minimize(
     best_val = fitness[best_idx]
 
     pop_size = params.population_size
-    n_elite = params.elitism_count
     for gen in range(params.generations):
-        elite = np.argsort(fitness, kind="stable")[:n_elite]
+        elite = np.argsort(fitness, kind="stable")[:ELITISM]
 
         # binary tournament selection
         draws = rng.integers(0, pop_size, size=(pop_size, 2))
@@ -131,20 +127,20 @@ def ga_minimize(
         # arithmetic crossover on consecutive pairs
         children = parents.copy()
         for a in range(0, pop_size - 1, 2):
-            if rng.random() < params.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 u = rng.random()
                 pa, pb = parents[a], parents[a + 1]
                 children[a] = u * pa + (1.0 - u) * pb
                 children[a + 1] = u * pb + (1.0 - u) * pa
 
         # gaussian mutation on the unnormalized genes
-        mask = rng.random(children.shape) < params.mutation_rate
-        noise = rng.normal(0.0, params.mutation_sigma, size=children.shape)
+        mask = rng.random(children.shape) < MUTATION_RATE
+        noise = rng.normal(0.0, MUTATION_SIGMA, size=children.shape)
         children = np.where(mask, children + noise, children)
         children = np.maximum(children, GENE_FLOOR)
 
-        children[:n_elite] = pop[elite]
-        fitness = np.concatenate([fitness[elite], evaluate(children[n_elite:])])
+        children[:ELITISM] = pop[elite]
+        fitness = np.concatenate([fitness[elite], evaluate(children[ELITISM:])])
         pop = children
         gen_best = int(fitness.argmin())
         if fitness[gen_best] < best_val:
@@ -242,7 +238,7 @@ def min_blocklength(
     if not 0.0 < target_per < 1.0:
         raise ValueError(f"target_per must lie in (0, 1), got {target_per!r}")
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ValueError(f"k (information bits) must be at least 1, got {k}")
 
     cache: dict[int, Tuple[np.ndarray, float]] = {}
     warm: Optional[List[Sequence[float]]] = None

@@ -127,14 +127,6 @@ class TestSweep:
         # per grid point: the 3-user cluster once, the single-user baseline once
         assert sorted(sizes) == [1, 1, 3, 3]
 
-    def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        args = ["sweep", "--alphas", "0.29,0.35,0.36", "--snr-db", "0,1,2",
-                "--rate", "0.25", "--blocklength", "100"]
-        sequential = run_json(tmp_path, list(args), "seq.json")
-        monkeypatch.setenv("NOMA_HARQ_THREADS", "2")
-        pooled = run_json(tmp_path, list(args), "pool.json")
-        assert pooled["results"] == sequential["results"]
-
     def test_crowded_high_rate_error_floor(self, tmp_path):
         payload = run_json(tmp_path, [
             "sweep", "--alphas", "0.11,0.15,0.2,0.24,0.3", "--snr-db", "6:14:5",
@@ -326,8 +318,47 @@ class TestInputChecks:
                      "--rate", "0.333", "--blocklength", "100"]) == 2
         assert "not an integer" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["two", "2.5", "0", "-1", ""])
-    def test_bad_thread_count_usage_error(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("NOMA_HARQ_THREADS", value)
-        assert main(["sweep"] + ANCHOR_ARGS) == 2
-        assert "NOMA_HARQ_THREADS" in capsys.readouterr().err
+    PAIR = ["--alphas", "0.5,0.5", "--snr-db", "0"]
+    GA = ["--users", "2", "--population", "8", "--generations", "2"]
+
+    @pytest.mark.parametrize("args, named", [
+        (["optimize-pareto", "--users", "2", "--snr-db", "0", "--population", "2"]
+         + CODE, "population_size"),
+        (["optimize-pareto", "--users", "0", "--snr-db", "0"] + CODE, "0 users"),
+        (["optimize-pareto", "--snr-db", ","] + GA + CODE, "SNR grid ','"),
+        (["min-blocklength", "--bits", "50", "--snr-db", "0", "--target-per", "2"]
+         + GA, "target_per"),
+        (["min-blocklength", "--bits", "0", "--snr-db", "0", "--target-per", "0.01"]
+         + GA, "information bits"),
+        (["analyze", "--alphas", "0.5,0.5", "--snr-db", "x"] + CODE, "--snr-db"),
+        (["analyze", "--rate", "0.25", "--config", "BAD_CONFIG"] + PAIR, "--blocklength"),
+        (["sweep", "--scenario", "uncoordinated", "--users", "0"] + PAIR + CODE,
+         "0 users"),
+    ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
+            "snr-db", "config-cast", "sweep-users"])
+    def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"blocklength": "abc"}))
+        assert main([str(config) if a == "BAD_CONFIG" else a for a in args]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--crossover-rate", "--mutation-rate",
+                                      "--mutation-sigma", "--elitism"])
+    def test_removed_ga_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize-pareto", "--users", "2", "--snr-db", "0", flag, "1"]
+                 + self.CODE)
+        assert exc.value.code == 2
+
+    def test_config_with_removed_ga_keys(self, tmp_path):
+        # headers of earlier versions hold the operator settings; at the
+        # constants' values they reproduce the same search
+        args = ["optimize-pareto", "--users", "2", "--snr-db=-1,0", "--population",
+                "8", "--generations", "3"] + self.CODE
+        plain = run_json(tmp_path, args, "plain.json")
+        config = tmp_path / "old.json"
+        config.write_text(json.dumps({"meta": {"config": {
+            "crossover_rate": 0.8, "mutation_rate": 0.1, "mutation_sigma": 0.05,
+            "elitism": 2}}}))
+        old = run_json(tmp_path, args + ["--config", str(config)], "old.json")
+        assert old["results"] == plain["results"]

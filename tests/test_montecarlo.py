@@ -67,6 +67,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(system=ANCHOR_CFG, episodes=3)
 
+    @pytest.mark.parametrize("field", ["n_actual", "n_hat"])
+    def test_user_counts_positive(self, field):
+        with pytest.raises(ValueError, match="at least 1"):
+            SimConfig(system=ANCHOR_CFG, scenario="uncoordinated", **{field: 0})
+
 
 @st.composite
 def clusters(draw):

@@ -19,7 +19,10 @@ REMOVED_MEMBERS = {
     "montecarlo.chi_square_state_fit": ["min_expected"],
     "markov.oma_received_power": ["iterations"],
     "optimizer.min_blocklength": ["coarse_stride"],
+    "optimizer.GaParams": ["crossover_rate", "mutation_rate", "mutation_sigma",
+                           "elitism_count"],
 }
+PACKAGE = Path(noma_harq.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -50,14 +53,14 @@ def test_removed_names_are_gone_and_listed_in_readme():
             assert not hasattr(obj, name), (path, name)
         members += names
     changes = README.read_text().split("## API changes", 1)[1]
-    for name in REMOVED + members + ["per_fn", "max_transmissions"]:
+    for name in REMOVED + members + ["per_fn", "max_transmissions", "NOMA_HARQ_THREADS"]:
         assert re.search(rf"`[\w.]*\b{name}`", changes), name
 
 
 def test_every_import_is_used():
     # a name a module imports is read somewhere in it, or re-exported
     # through __all__
-    for path in sorted(Path(noma_harq.__file__).parent.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         imported = set()
         used = set()
@@ -72,3 +75,15 @@ def test_every_import_is_used():
                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
                 used |= {elt.value for elt in node.value.elts}
         assert sorted(imported - used) == [], path.name
+
+
+def test_no_module_reads_the_environment():
+    # every setting comes from arguments, config files or module constants
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                name = f"{node.value.id}.{node.attr}"
+                assert name not in ("os.environ", "os.getenv"), (path.name, name)
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+                assert not names & {"environ", "getenv"}, path.name
