@@ -15,6 +15,7 @@ constants, so a given seed reproduces the run bit for bit.
 """
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -22,8 +23,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .fbl import CodeParams
+from .fbl import CodeParams, per_cc_batch
 from .markov import max_user_per
+
+_log = logging.getLogger(__name__)
 
 # floor for chromosome genes; keeps projected ratios strictly positive
 GENE_FLOOR = 1e-6
@@ -226,19 +229,59 @@ def min_blocklength(
 ) -> Tuple[int, Tuple[float, ...]]:
     """Smallest blocklength n whose optimized worst PER meets target_per.
 
-    Starts at n = k + 1 and scans upward.  A coarse pass with stride
-    COARSE_STRIDE finds the first feasible stretch, then the stride window
-    is rechecked one by one so the answer matches a stride-1 scan (the
-    optimized worst PER decreases in n).  Optimized ratios are carried
-    from one n to the next as GA warm starts.
+    No GA runs below the single-user bound.  Some user has a ratio of at
+    most 1/N, so its fresh packets are decoded at SINR at most P0/N and
+    its Chase-combined retransmissions at most 2 P0/N (interference and
+    earlier SIC stages only lower them; undecoded packets fail).  For
+    n <= 2^k per_cc falls as the SINR rises, so that user's slot-averaged
+    fresh and retransmission failure probabilities a, b are at least
+    eps1 = per_cc(P0/N, n) and eps2 = per_cc(2 P0/N, n).  Its PER
+    e = 2ab/(1 + a) rises in both, so every split has
 
-    Raises InfeasibleError (carrying the best PER found) if the cap is
-    reached without meeting the target.
+        max_i e_i >= 2 eps1 eps2 / (1 + eps1),
+
+    the PER of one user alone at power P0/N, up to the ~1e-12 relative
+    rounding of the float64 Gaussian tail.  Above n = 2^k the mean term
+    n log2(1 + g) - k + log2(n) is positive at g = 0, per_cc rises with
+    the SINR near zero, and the bound does not hold.
+
+    The search starts at the first n >= k + 1 where the bound meets the
+    target, or at 2^k + 1.  For N = 1 the bound is the exact PER, so the
+    search makes one GA run.  If the bound rules out every n <= n_cap,
+    InfeasibleError is raised before any GA run, carrying the smallest
+    bound value, a lower bound on any split's worst PER.
+
+    From the start, a coarse pass with stride COARSE_STRIDE finds the
+    first feasible stretch, then the stride window is rechecked one by
+    one so the answer matches a stride-1 scan (the optimized worst PER
+    decreases in n).  Optimized ratios are carried from one n to the next
+    as GA warm starts.  Raises InfeasibleError (carrying the best PER
+    found) if the cap is reached without meeting the target.  The answer
+    is logged as one INFO record on the noma_harq.optimizer logger, with
+    the start and the blocklengths tried in order.
     """
     if not 0.0 < target_per < 1.0:
         raise ValueError(f"target_per must lie in (0, 1), got {target_per!r}")
     if k < 1:
         raise ValueError(f"k (information bits) must be at least 1, got {k}")
+    if n_users < 1:
+        raise ValueError(f"n_users must be at least 1, got {n_users}")
+
+    share = np.array([1.0, 2.0]) * 10.0 ** (snr_db / 10.0) / n_users
+    start, lowest = k + 1, math.inf
+    while start <= n_cap and math.log2(start) <= k:
+        (eps1, eps2), _ = per_cc_batch(share, CodeParams(k=k, n=start))
+        bound = 2.0 * eps1 * eps2 / (1.0 + eps1)
+        if bound <= target_per:
+            break
+        lowest = min(lowest, bound)
+        start += 1
+    if start > n_cap:
+        raise InfeasibleError(
+            f"no blocklength up to {n_cap} meets PER {target_per:g} "
+            f"at {snr_db:g} dB (single-user bound {lowest:.3e})",
+            best_value=lowest,
+        )
 
     cache: dict[int, Tuple[np.ndarray, float]] = {}
     warm: Optional[List[Sequence[float]]] = None
@@ -257,7 +300,6 @@ def min_blocklength(
             cache[n] = (alphas, val)
         return cache[n]
 
-    start = k + 1
     feasible_n = None
     n = start
     while n <= n_cap:
@@ -280,5 +322,7 @@ def min_blocklength(
             feasible_n = m
             break
 
+    _log.info("min_blocklength: bound start n=%d, tried n=%s, answer n=%d",
+              start, list(cache), feasible_n)
     alphas, _ = cache[feasible_n]
     return feasible_n, tuple(float(a) for a in alphas)

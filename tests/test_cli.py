@@ -155,7 +155,20 @@ class TestOptimizeAndBlocklength:
             "--population", "8", "--generations", "2",
         ])
         assert code == 3
-        assert "infeasible" in capsys.readouterr().err or True
+        assert capsys.readouterr().err.startswith(
+            "error: no blocklength up to 70 meets PER 1e-09 at -20 dB")
+
+    def test_min_blocklength_bound_rules_out_every_n(self, capsys):
+        # at -20 dB, 4096 channel uses carry ~20 bits per user, not 50
+        code = main([
+            "min-blocklength", "--users", "3", "--bits", "50", "--snr-db", "-20",
+            "--target-per", "1e-9", "--population", "8", "--generations", "2",
+            "--verbose",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no blocklength up to 4096 meets PER 1e-09")
+        assert "generation" not in err
 
     def test_verbose_generation_log(self, tmp_path, capsys):
         code = main([

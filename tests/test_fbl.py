@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from noma_harq.fbl import (
@@ -16,6 +17,11 @@ from noma_harq.fbl import (
     per_cc_batch,
     q_function,
 )
+
+
+# float64 rounding of the Gaussian tail grows like z^2 * 1e-16 relative; at
+# SINRs a few ulps apart it can lift eps by up to ~6e-13 relative
+TAIL_ROUNDING = 1e-12
 
 
 def gaussian_tail_quad(x):
@@ -175,3 +181,22 @@ class TestPerCC:
                      + mpmath.log(code.n, 2)) / mpmath.sqrt(code.n * v)
                 exact = mpmath.erfc(-z / mpmath.sqrt(2)) / 2
                 assert abs(q - exact) <= 1e-12 * exact
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(51, 600), data=st.data(),
+           exps=st.lists(st.floats(-4.0, 3.0), min_size=2, max_size=2))
+    def test_batch_monotone_in_sinr(self, n, data, exps):
+        # min_blocklength's bound rests on this; it holds for n <= 2^k
+        k = data.draw(st.integers(math.ceil(math.log2(n)), n - 1))
+        lo, hi = 10.0 ** np.sort(exps)
+        gammas = np.array([lo, np.nextafter(lo, np.inf), hi])
+        eps, success = per_cc_batch(gammas, CodeParams(k=k, n=n))
+        tiny = np.finfo(float).tiny
+        assert np.all(eps[1:] <= eps[:-1] * (1.0 + TAIL_ROUNDING) + tiny)
+        assert np.all(success[1:] >= success[:-1] * (1.0 - TAIL_ROUNDING))
+
+    def test_batch_rises_in_sinr_above_two_to_the_k(self):
+        # n > 2^k: the mean term is positive at zero SINR, so tiny SINRs
+        # decode almost surely and eps rises before it falls
+        eps, _ = per_cc_batch(np.array([1e-4, 1e-2, 1.0]), CodeParams(k=4, n=64))
+        assert eps[0] < eps[1]

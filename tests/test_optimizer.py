@@ -1,13 +1,16 @@
 """GA mechanics, simplex feasibility, and the blocklength search."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import noma_harq.optimizer as optimizer
 from noma_harq.errors import InfeasibleError
-from noma_harq.fbl import CodeParams, per_cc
+from noma_harq.fbl import CodeParams, per_cc, per_cc_batch
+from noma_harq.markov import max_user_per
 from noma_harq.optimizer import (
     GaParams,
     ga_minimize,
@@ -137,6 +140,90 @@ def closed_form_single_user_nmin(k, snr_db, target):
         n += 1
 
 
+def single_user_bound(n_users, p0, code):
+    """2 eps1 eps2 / (1 + eps1) at power P0/N: min_blocklength's bound."""
+    (eps1, eps2), _ = per_cc_batch(np.array([p0, 2 * p0]) / n_users, code)
+    return 2 * eps1 * eps2 / (1 + eps1)
+
+
+def search_record(caplog):
+    """(start, blocklengths tried, answer) of the one search log record."""
+    records = [r for r in caplog.records if r.name == "noma_harq.optimizer"]
+    assert [r.levelno for r in records] == [logging.INFO]
+    return records[0].args
+
+
+class TestSingleUserBound:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n_users=st.integers(1, 4), data=st.data(), n=st.integers(51, 600),
+           p0_db=st.floats(-6.0, 12.0))
+    def test_worst_per_never_below_bound(self, n_users, data, n, p0_db):
+        raw = [data.draw(st.integers(1, 100)) for _ in range(n_users)]
+        alphas = np.array(raw, dtype=float) / sum(raw)
+        p0 = 10 ** (p0_db / 10)
+        code = CodeParams(k=50, n=n)
+        # rounding of the float64 Gaussian tail, and equality at N = 1
+        assert max_user_per(alphas, p0, code) >= \
+            single_user_bound(n_users, p0, code) * (1 - 1e-12)
+
+    def test_bound_fails_above_two_to_the_k(self):
+        # per_cc rises with the SINR near zero once n > 2^k, so starved
+        # users beat the bound; the search stops using it at n = 2^k
+        p0, code = 0.1, CodeParams(k=4, n=64)
+        worst = max_user_per(np.array([0.005, 0.005, 0.99]), p0, code)
+        assert worst < single_user_bound(3, p0, code) / 10
+
+    def test_search_stops_using_bound_at_two_to_the_k(self):
+        contexts = set()
+        try:
+            min_blocklength(4, -10.0, 3, 1e-4, FAST, n_cap=2 ** 4 + 1,
+                            trace=lambda label, g, v: contexts.add(label))
+        except InfeasibleError:
+            pass
+        assert contexts == {"P0=-10dB n=17"}
+
+    @pytest.mark.parametrize("snr_db, target", [(-3.0, 1e-3), (-1.0, 1e-4),
+                                                (0.0, 1e-5)])
+    def test_single_user_starts_at_answer(self, monkeypatch, caplog,
+                                          snr_db, target):
+        runs = []
+        solve = optimizer.optimize_power_split
+
+        def counted(*args, **kwargs):
+            runs.append(args[2].n)
+            return solve(*args, **kwargs)
+
+        # one user needs no GA generations, so no trace context fires;
+        # count the searches instead
+        monkeypatch.setattr(optimizer, "optimize_power_split", counted)
+        with caplog.at_level(logging.INFO, logger="noma_harq.optimizer"):
+            got, _ = min_blocklength(50, snr_db, 1, target, FAST)
+        expect = closed_form_single_user_nmin(50, snr_db, target)
+        assert search_record(caplog) == (expect, [expect], expect)
+        assert got == expect
+        assert runs == [expect]
+
+    def test_no_ga_run_meets_target_below_start(self, caplog):
+        with caplog.at_level(logging.INFO, logger="noma_harq.optimizer"):
+            min_blocklength(50, 0.0, 2, 1e-2, FAST)
+        start, _, _ = search_record(caplog)
+        assert start > 51
+        for n in range(51, start):
+            _, val = optimize_power_split(2, 0.0, CodeParams(k=50, n=n), FAST)
+            assert val > 1e-2
+
+    def test_ruled_out_target_raises_before_any_ga_run(self):
+        contexts = set()
+        with pytest.raises(InfeasibleError) as exc:
+            min_blocklength(50, -20.0, 3, 1e-9, FAST,
+                            trace=lambda label, g, v: contexts.add(label))
+        assert not contexts
+        lowest = min(single_user_bound(3, 0.01, CodeParams(k=50, n=n))
+                     for n in range(51, 4097))
+        assert exc.value.best_value == lowest
+        assert exc.value.best_value > 1e-9
+
+
 class TestMinBlocklength:
     def test_trivial_target_stops_at_first_candidate(self):
         n_min, alphas = min_blocklength(50, 20.0, 1, 0.99, FAST)
@@ -155,11 +242,31 @@ class TestMinBlocklength:
         b, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST)
         assert a == b
 
+    def test_logs_start_tries_and_answer(self, caplog):
+        contexts = []
+
+        def trace(label, generation, best):
+            if label not in contexts:
+                contexts.append(label)
+
+        with caplog.at_level(logging.INFO, logger="noma_harq.optimizer"):
+            n_min, _ = min_blocklength(50, 0.0, 2, 1e-3, FAST, trace=trace)
+        start, tried, answer = search_record(caplog)
+        assert tried[0] == start
+        assert answer == n_min
+        assert n_min in tried
+        assert contexts == [f"P0=0dB n={n}" for n in tried]
+
     def test_infeasible_carries_best_value(self):
         with pytest.raises(InfeasibleError) as exc:
             min_blocklength(50, -20.0, 1, 1e-9, FAST, n_cap=80)
         assert exc.value.best_value is not None
         assert exc.value.best_value > 1e-9
+
+    @pytest.mark.parametrize("n_users", [0, -1])
+    def test_user_count_validated_before_bound(self, n_users):
+        with pytest.raises(ValueError, match="n_users"):
+            min_blocklength(50, 0.0, n_users, 0.1, FAST)
 
     def test_validation(self):
         with pytest.raises(ValueError):
