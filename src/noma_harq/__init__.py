@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .cellplan import CellPlan, build_plan, locate_segment, ring_radii
 from .errors import ConsistencyError, InfeasibleError, NomaHarqError, NumericalError
-from .fbl import CodeParams, channel_dispersion, per_cc, q_function
+from .fbl import CodeParams
 from .markov import (
     StationaryDistribution,
     TransitionMatrix,
@@ -23,7 +23,6 @@ from .markov import (
 from .montecarlo import (
     SimConfig,
     SimResult,
-    chi_square_state_fit,
     simulate_coordinated,
     simulate_oma_baseline,
     simulate_uncoordinated,
@@ -43,12 +42,12 @@ __all__ = [
     "__version__",
     "CellPlan", "build_plan", "locate_segment", "ring_radii",
     "ConsistencyError", "InfeasibleError", "NomaHarqError", "NumericalError",
-    "CodeParams", "channel_dispersion", "per_cc", "q_function",
+    "CodeParams",
     "StationaryDistribution", "TransitionMatrix", "UserMetrics", "analyze",
     "build_transition_matrix", "delay_pmf", "max_user_per", "oma_metrics",
     "oma_received_power", "stationary_distribution", "throughput",
-    "SimConfig", "SimResult", "chi_square_state_fit", "simulate_coordinated",
-    "simulate_oma_baseline", "simulate_uncoordinated",
+    "SimConfig", "SimResult", "simulate_coordinated", "simulate_oma_baseline",
+    "simulate_uncoordinated",
     "GaParams", "ParetoPoint", "ga_minimize", "min_blocklength",
     "optimize_power_split", "pareto_front",
     "DecodingOrder", "Phase", "SystemConfig", "SystemState", "decoding_order",

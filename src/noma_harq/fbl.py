@@ -5,9 +5,17 @@ the decoder fails with probability
 
     eps = Q( (n*log2(1+gamma) - k + log2(n)) / sqrt(n*V(gamma)) )
 
-where V is the channel dispersion.  Chase combining adds the per-copy
-SINRs (MRC) before applying the formula.  All SINRs are linear-scale;
-dB conversion belongs to the caller.
+where V(gamma) = (1 - (1+gamma)^-2) * (log2 e)^2 is the channel
+dispersion.  Chase combining adds the per-copy SINRs (MRC) before
+applying the formula.  All SINRs are linear-scale; dB conversion belongs
+to the caller.
+
+Domain: n <= 2^k.  There the mean term n*log2(1+gamma) - k + log2(n) is at
+most 0 at gamma = 0 and eps falls as the SINR rises.  Above 2^k the
+term is positive at zero SINR, so eps is small for a user that carries
+no information (k = 4, n = 64 gives eps = 4.0e-35 at -40 dB) and rises
+with the SINR near zero.  The formula still evaluates there; its values
+are not error rates.
 """
 
 import math
@@ -40,59 +48,16 @@ class CodeParams:
         return self.k / self.n
 
 
-def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x) = 0.5*erfc(x/sqrt(2)).
-
-    The erfc identity is numerically stable deep into the tails; the
-    result underflows to exactly 0.0 rather than going negative.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"q_function requires finite input, got {x!r}")
-    return 0.5 * float(erfc(x / math.sqrt(2.0)))
-
-
-def channel_dispersion(gamma: float) -> float:
-    """Channel dispersion V(gamma) = (1 - (1+gamma)^-2) * (log2 e)^2 in bits^2.
-
-    Zero at gamma = 0, increasing, bounded by (log2 e)^2.  gamma = inf is
-    accepted as a saturated-SINR sentinel and returns the bound.
-    """
-    if math.isnan(gamma) or gamma < 0:
-        raise ValueError(f"SINR must be >= 0, got {gamma!r}")
-    return (1.0 - (1.0 + gamma) ** -2) * LOG2E_SQ
-
-
-def per_cc(gamma_cc: float, code: CodeParams) -> float:
-    """Packet error rate under Chase combining at MRC-combined SINR gamma_cc.
-
-    gamma_cc is the sum of the per-copy SINRs.  Returns 1.0 for
-    gamma_cc = 0 (zero mutual information cannot carry k >= 1 bits) and
-    clamps the result to [0, 1].
-    """
-    if math.isnan(gamma_cc) or gamma_cc < 0:
-        raise ValueError(f"SINR must be >= 0, got {gamma_cc!r}")
-    if gamma_cc == 0.0:
-        return 1.0
-    if math.isinf(gamma_cc):
-        return 0.0
-    v = channel_dispersion(gamma_cc)
-    num = code.n * math.log2(1.0 + gamma_cc) - code.k + math.log2(code.n)
-    if v <= 0.0:
-        # dispersion underflow at tiny SINR: outcome decided by the mean term
-        return 1.0 if num < 0.0 else 0.0
-    eps = q_function(num / math.sqrt(code.n * v))
-    return min(1.0, max(0.0, eps))
-
-
 def per_cc_batch(gammas: np.ndarray, code: CodeParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized per_cc over an array of MRC-combined SINRs, with the
-    matching success probabilities: returns (eps, 1 - eps).
+    """Packet error rates under Chase combining at an array of
+    MRC-combined SINRs, with the matching success probabilities:
+    returns (eps, 1 - eps).
 
     The smaller of the two is the Gaussian tail Q(|z|) and the larger its
     complement, so a success probability near 0 keeps its relative
     precision just as an error rate near 0 does.  Entries <= 0 map to
-    (1.0, 0.0).  Used by the successor-table builder, where inputs are
-    constructed internally and already validated.
+    (1.0, 0.0).  The package's one error-rate path: its callers build the
+    SINRs internally, so they are not validated here.
     """
     g = np.asarray(gammas, dtype=float)
     z = np.full_like(g, -np.inf)

@@ -70,7 +70,7 @@ from scipy.sparse.linalg import splu
 from scipy.stats import binom
 
 from .errors import ConsistencyError, NumericalError, ReducibleChainError
-from .fbl import CodeParams, per_cc, per_cc_batch
+from .fbl import CodeParams, per_cc_batch
 from .sic import Phase, SystemConfig
 
 _log = logging.getLogger(__name__)
@@ -642,6 +642,25 @@ def max_user_per(alphas, p0: float, code: CodeParams):
     return float(worst[0]) if alphas.ndim == 1 else worst
 
 
+def _single_user(powers, code: CodeParams):
+    """(PER, p_s) of one user alone at each of an array of received powers:
+    the one-user chain in closed form.
+
+    Fresh packets fail with eps1, the error rate at SINR P, and
+    Chase-combined retransmissions with eps2, the rate at 2P.  Fresh
+    transmissions take 1/(1 + eps1) of the slots, so
+
+        e = 2 eps1 eps2 / (1 + eps1),    p_s = (1 - eps1) / (1 + eps1),
+
+    with 1 - eps1 read as the success probability per_cc_batch returns,
+    never formed by subtraction.  The tests pin this to analyze on a
+    one-user cluster.
+    """
+    powers = np.asarray(powers, dtype=float)
+    (eps1, eps2), (ok1, _) = per_cc_batch(np.stack([powers, 2.0 * powers]), code)
+    return 2.0 * eps1 * eps2 / (1.0 + eps1), ok1 / (1.0 + eps1)
+
+
 def oma_received_power(cfg: SystemConfig,
                        metrics: Optional[List[UserMetrics]] = None) -> float:
     """Per-slot received power of the orthogonal baseline.
@@ -659,9 +678,8 @@ def oma_received_power(cfg: SystemConfig,
     t_noma = float(np.mean([2.0 - m.success_prob for m in metrics]))
     p = cfg.p0
     for _ in range(OMA_ITERATIONS):
-        eps1 = per_cc(p, cfg.code)
-        p_s = (1.0 - eps1) / (1.0 + eps1)
-        p_new = cfg.p0 * t_noma / (2.0 - p_s)
+        _, p_s = _single_user(p, cfg.code)
+        p_new = cfg.p0 * t_noma / (2.0 - float(p_s))
         step, prev = abs(p_new - p), p
         p = p_new
         if step <= 1e-12 * prev:
@@ -682,11 +700,10 @@ def oma_metrics(cfg: SystemConfig,
     given, is analyze(cfg), which is otherwise computed here.
     """
     p_oma = oma_received_power(cfg, metrics=metrics)
-    solo = SystemConfig(alphas=(1.0,), p0=p_oma, code=cfg.code)
-    m = analyze(solo)[0]
-    schedule = cfg.n_users * (2.0 - m.success_prob)
-    eta = cfg.code.rate * (1.0 - m.per) / schedule
+    per, p_s = map(float, _single_user(p_oma, cfg.code))
+    schedule = cfg.n_users * (2.0 - p_s)
+    eta = cfg.code.rate * (1.0 - per) / schedule
     return [
-        UserMetrics(user=i, per=m.per, success_prob=m.success_prob, throughput=eta)
+        UserMetrics(user=i, per=per, success_prob=p_s, throughput=eta)
         for i in range(cfg.n_users)
     ]

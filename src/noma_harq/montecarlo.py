@@ -44,13 +44,12 @@ episodes take SeedSequence(seed).spawn(episodes).
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2
 
 from .cellplan import CELL_RADIUS, build_plan, locate_segment
-from .fbl import CodeParams, per_cc, per_cc_batch
+from .fbl import CodeParams, per_cc_batch
 from .markov import (
     _F,
     _R,
@@ -71,8 +70,6 @@ THIN_STRIDE = 10
 PATH_LOSS_EXP = 3.5
 # channel inversion is capped at this multiple of the mean fading gain
 POWER_CAP_FACTOR = 1e3
-# chi-square cells expected to hold fewer visits than this are pooled
-MIN_EXPECTED = 5.0
 
 _CHUNK = 1 << 16
 
@@ -361,8 +358,7 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     n = sys_cfg.n_users
     code = sys_cfg.code
     p_oma = oma_received_power(sys_cfg)
-    eps1 = per_cc(p_oma, code)
-    eps2 = per_cc(2.0 * p_oma, code)
+    (eps1, eps2), _ = per_cc_batch(np.array([p_oma, 2.0 * p_oma]), code)
 
     dyn_rng, place_rng, fade_rng = map(np.random.default_rng,
                                        np.random.SeedSequence(cfg.seed).spawn(3))
@@ -421,38 +417,3 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
         cap_fraction=cap_frac,
     )
 
-
-def chi_square_state_fit(observed: np.ndarray,
-                         expected_probs: np.ndarray) -> Tuple[float, int, float]:
-    """Pearson goodness-of-fit of visit counts against a distribution.
-
-    Cells with expected count below MIN_EXPECTED are pooled (merging into
-    the smallest kept cell if the pool itself stays too small).  Returns
-    (statistic, degrees of freedom, p-value).
-    """
-    obs = np.asarray(observed, dtype=float)
-    probs = np.asarray(expected_probs, dtype=float)
-    total = obs.sum()
-    if total <= 0:
-        raise ValueError("no observations")
-    exp = probs * total
-    keep = exp >= MIN_EXPECTED
-    if not keep.any():
-        raise ValueError("every cell falls below the pooling threshold")
-    obs_cells = list(obs[keep])
-    exp_cells = list(exp[keep])
-    if (~keep).any():
-        pool_o = obs[~keep].sum()
-        pool_e = exp[~keep].sum()
-        if pool_e >= MIN_EXPECTED:
-            obs_cells.append(pool_o)
-            exp_cells.append(pool_e)
-        else:
-            j = int(np.argmin(exp_cells))
-            obs_cells[j] += pool_o
-            exp_cells[j] += pool_e
-    obs_arr = np.array(obs_cells)
-    exp_arr = np.array(exp_cells)
-    stat = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
-    dof = len(obs_arr) - 1
-    return stat, dof, float(chi2.sf(stat, dof))

@@ -23,8 +23,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InfeasibleError
-from .fbl import CodeParams, per_cc_batch
-from .markov import max_user_per
+from .fbl import CodeParams
+from .markov import _single_user, max_user_per
 
 _log = logging.getLogger(__name__)
 
@@ -233,17 +233,17 @@ def min_blocklength(
     most 1/N, so its fresh packets are decoded at SINR at most P0/N and
     its Chase-combined retransmissions at most 2 P0/N (interference and
     earlier SIC stages only lower them; undecoded packets fail).  For
-    n <= 2^k per_cc falls as the SINR rises, so that user's slot-averaged
-    fresh and retransmission failure probabilities a, b are at least
-    eps1 = per_cc(P0/N, n) and eps2 = per_cc(2 P0/N, n).  Its PER
+    n <= 2^k the error rate eps(g) falls as the SINR g rises, so that
+    user's slot-averaged fresh and retransmission failure probabilities
+    a, b are at least eps1 = eps(P0/N) and eps2 = eps(2 P0/N).  Its PER
     e = 2ab/(1 + a) rises in both, so every split has
 
         max_i e_i >= 2 eps1 eps2 / (1 + eps1),
 
-    the PER of one user alone at power P0/N, up to the ~1e-12 relative
-    rounding of the float64 Gaussian tail.  Above n = 2^k the mean term
-    n log2(1 + g) - k + log2(n) is positive at g = 0, per_cc rises with
-    the SINR near zero, and the bound does not hold.
+    the PER of one user alone at power P0/N (markov._single_user), up to
+    the ~1e-12 relative rounding of the float64 Gaussian tail.  Above
+    n = 2^k the mean term n log2(1 + g) - k + log2(n) is positive at
+    g = 0, eps rises with the SINR near zero, and the bound does not hold.
 
     The search starts at the first n >= k + 1 where the bound meets the
     target, or at 2^k + 1.  For N = 1 the bound is the exact PER, so the
@@ -267,11 +267,10 @@ def min_blocklength(
     if n_users < 1:
         raise ValueError(f"n_users must be at least 1, got {n_users}")
 
-    share = np.array([1.0, 2.0]) * 10.0 ** (snr_db / 10.0) / n_users
+    share = 10.0 ** (snr_db / 10.0) / n_users
     start, lowest = k + 1, math.inf
     while start <= n_cap and math.log2(start) <= k:
-        (eps1, eps2), _ = per_cc_batch(share, CodeParams(k=k, n=start))
-        bound = 2.0 * eps1 * eps2 / (1.0 + eps1)
+        bound, _ = _single_user(share, CodeParams(k=k, n=start))
         if bound <= target_per:
             break
         lowest = min(lowest, bound)

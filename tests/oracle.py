@@ -1,13 +1,67 @@
-"""Scalar reference engine for the tests: one transition probability at a
-time from the scalar SIC order, and per-user metrics as loops over the
-dense transition matrix.  The package computes the same quantities from
-its vectorized successor table; the tests compare the two."""
+"""Scalar reference engine for the tests: the normal-approximation error
+rate one SINR at a time, one transition probability at a time from the
+scalar SIC order, and per-user metrics as loops over the dense
+transition matrix.  The package computes the same quantities with its
+vectorized per_cc_batch and successor table; the tests compare the two.
+Also the chi-square fit the simulator tests apply to state visits."""
+
+import math
+from typing import Tuple
 
 import numpy as np
+from scipy.special import erfc
+from scipy.stats import chi2
 
-from noma_harq.fbl import per_cc
+from noma_harq.fbl import LOG2E_SQ, CodeParams
 from noma_harq.markov import StationaryDistribution, TransitionMatrix, _state_digits
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
+
+# chi-square cells expected to hold fewer visits than this are pooled
+MIN_EXPECTED = 5.0
+
+
+def q_function(x: float) -> float:
+    """Gaussian tail probability Q(x) = 0.5*erfc(x/sqrt(2)).
+
+    The erfc identity is numerically stable deep into the tails; the
+    result underflows to exactly 0.0 rather than going negative.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"q_function requires finite input, got {x!r}")
+    return 0.5 * float(erfc(x / math.sqrt(2.0)))
+
+
+def channel_dispersion(gamma: float) -> float:
+    """Channel dispersion V(gamma) = (1 - (1+gamma)^-2) * (log2 e)^2 in bits^2.
+
+    Zero at gamma = 0, increasing, bounded by (log2 e)^2.  gamma = inf is
+    accepted as a saturated-SINR sentinel and returns the bound.
+    """
+    if math.isnan(gamma) or gamma < 0:
+        raise ValueError(f"SINR must be >= 0, got {gamma!r}")
+    return (1.0 - (1.0 + gamma) ** -2) * LOG2E_SQ
+
+
+def per_cc(gamma_cc: float, code: CodeParams) -> float:
+    """Packet error rate under Chase combining at MRC-combined SINR gamma_cc.
+
+    gamma_cc is the sum of the per-copy SINRs.  Returns 1.0 for
+    gamma_cc = 0 (zero mutual information cannot carry k >= 1 bits) and
+    clamps the result to [0, 1].
+    """
+    if math.isnan(gamma_cc) or gamma_cc < 0:
+        raise ValueError(f"SINR must be >= 0, got {gamma_cc!r}")
+    if gamma_cc == 0.0:
+        return 1.0
+    if math.isinf(gamma_cc):
+        return 0.0
+    v = channel_dispersion(gamma_cc)
+    num = code.n * math.log2(1.0 + gamma_cc) - code.k + math.log2(code.n)
+    if v <= 0.0:
+        # dispersion underflow at tiny SINR: outcome decided by the mean term
+        return 1.0 if num < 0.0 else 0.0
+    eps = q_function(num / math.sqrt(code.n * v))
+    return min(1.0, max(0.0, eps))
 
 
 def _per_all_users(digits: np.ndarray, pi: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -81,3 +135,39 @@ def success_prob(i: int, p: StationaryDistribution, tm: TransitionMatrix) -> flo
     if not 0 <= i < tm.n_users:
         raise ValueError(f"user index {i} out of range")
     return float(_success_all_users(digits, tm.matrix, p.probs)[i])
+
+
+def chi_square_state_fit(observed: np.ndarray,
+                         expected_probs: np.ndarray) -> Tuple[float, int, float]:
+    """Pearson goodness-of-fit of visit counts against a distribution.
+
+    Cells with expected count below MIN_EXPECTED are pooled (merging into
+    the smallest kept cell if the pool itself stays too small).  Returns
+    (statistic, degrees of freedom, p-value).
+    """
+    obs = np.asarray(observed, dtype=float)
+    probs = np.asarray(expected_probs, dtype=float)
+    total = obs.sum()
+    if total <= 0:
+        raise ValueError("no observations")
+    exp = probs * total
+    keep = exp >= MIN_EXPECTED
+    if not keep.any():
+        raise ValueError("every cell falls below the pooling threshold")
+    obs_cells = list(obs[keep])
+    exp_cells = list(exp[keep])
+    if (~keep).any():
+        pool_o = obs[~keep].sum()
+        pool_e = exp[~keep].sum()
+        if pool_e >= MIN_EXPECTED:
+            obs_cells.append(pool_o)
+            exp_cells.append(pool_e)
+        else:
+            j = int(np.argmin(exp_cells))
+            obs_cells[j] += pool_o
+            exp_cells[j] += pool_e
+    obs_arr = np.array(obs_cells)
+    exp_arr = np.array(exp_cells)
+    stat = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
+    dof = len(obs_arr) - 1
+    return stat, dof, float(chi2.sf(stat, dof))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from noma_harq.cellplan import build_plan, ring_radii
-from noma_harq.fbl import CodeParams, q_function
+from noma_harq.fbl import CodeParams
 from noma_harq.markov import (
     analyze,
     build_transition_matrix,
@@ -18,14 +18,10 @@ from noma_harq.markov import (
     oma_metrics,
     stationary_distribution,
 )
-from noma_harq.montecarlo import (
-    SimConfig,
-    chi_square_state_fit,
-    simulate_coordinated,
-    simulate_uncoordinated,
-)
+from noma_harq.montecarlo import SimConfig, simulate_coordinated, simulate_uncoordinated
 from noma_harq.optimizer import GaParams, min_blocklength, optimize_power_split
 from noma_harq.sic import Phase, SystemConfig, SystemState
+from oracle import chi_square_state_fit, q_function
 
 CODE_R25 = CodeParams(k=25, n=100)
 CODE_R50 = CodeParams(k=50, n=100)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,31 @@ import noma_harq.cli as cli
 import noma_harq.markov as markov
 from noma_harq.cli import main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 ANCHOR_ARGS = ["--alphas", "0.29,0.35,0.36", "--snr-db", "-2.02",
               "--rate", "0.25", "--blocklength", "100"]
+
+
+def readme_cli_examples():
+    """Arguments of each noma-harq command in README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```bash", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("noma-harq ")]
+
+
+@pytest.fixture
+def analyzed_sizes(monkeypatch):
+    """Cluster sizes of the analyze calls a command makes, in order."""
+    sizes = []
+    real = markov.analyze
+
+    def counting(cfg):
+        sizes.append(cfg.n_users)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "analyze", counting)
+    monkeypatch.setattr(markov, "analyze", counting)
+    return sizes
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -112,20 +137,11 @@ class TestSweep:
         scenarios = {r["scenario"] for r in payload["results"]}
         assert scenarios == {"coordinated", "oma"}
 
-    def test_oma_reuses_the_cluster_analysis(self, tmp_path, monkeypatch):
-        sizes = []
-        real = markov.analyze
-
-        def counting(cfg):
-            sizes.append(cfg.n_users)
-            return real(cfg)
-
-        monkeypatch.setattr(cli, "analyze", counting)
-        monkeypatch.setattr(markov, "analyze", counting)
+    def test_oma_reuses_the_cluster_analysis(self, tmp_path, analyzed_sizes):
         run_json(tmp_path, ["sweep", "--alphas", "0.29,0.35,0.36", "--snr-db", "0,1",
                             "--rate", "0.25", "--blocklength", "100", "--oma"])
-        # per grid point: the 3-user cluster once, the single-user baseline once
-        assert sorted(sizes) == [1, 1, 3, 3]
+        # per grid point the 3-user cluster once; the baseline is closed form
+        assert analyzed_sizes == [3, 3]
 
     def test_crowded_high_rate_error_floor(self, tmp_path):
         payload = run_json(tmp_path, [
@@ -213,6 +229,16 @@ class TestSimulate:
         worst = max(r["per"] for r in rows)
         assert 1e-3 <= worst <= 5e-2
         assert all(r["seed"] == 5 for r in rows)
+
+    def test_oma_reuses_the_cluster_analysis(self, tmp_path, analyzed_sizes):
+        payload = run_json(tmp_path, [
+            "simulate", "--alphas", "0.29,0.35,0.36", "--snr-db", "-2.02",
+            "--rate", "0.25", "--blocklength", "100", "--slots", "20000",
+            "--seed", "5", "--warmup", "500", "--oma",
+        ])
+        assert len(payload["results"]) == 6
+        # the matched power analyzes the cluster once; nothing else does
+        assert analyzed_sizes == [3]
 
     def test_uncoordinated_with_mismatch(self, tmp_path):
         payload = run_json(tmp_path, [
@@ -305,6 +331,17 @@ class TestErrorsAndRoundTrip:
             "simulate", "--config", str(tmp_path / "sim1.json"),
         ], "sim2.json")
         assert first["results"] == second["results"]
+
+
+class TestReadmeExamples:
+    def test_every_example_parses(self):
+        # a removed flag or command cannot leave a dead example behind
+        examples = readme_cli_examples()
+        assert {argv[0] for argv in examples} == {
+            "analyze", "sweep", "optimize-pareto", "min-blocklength", "simulate",
+            "cellplan"}
+        for argv in examples:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 class TestInputChecks:

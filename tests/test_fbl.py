@@ -9,14 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from noma_harq.fbl import (
-    LOG2E_SQ,
-    CodeParams,
-    channel_dispersion,
-    per_cc,
-    per_cc_batch,
-    q_function,
-)
+from noma_harq.fbl import LOG2E_SQ, CodeParams, per_cc_batch
+from oracle import channel_dispersion, per_cc, q_function
 
 
 # float64 rounding of the Gaussian tail grows like z^2 * 1e-16 relative; at

@@ -25,7 +25,7 @@ from noma_harq.markov import (
 )
 from noma_harq.montecarlo import SimConfig, simulate_coordinated, simulate_uncoordinated
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
-from oracle import per_user, success_prob, transition_prob
+from oracle import per_cc, per_user, success_prob, transition_prob
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -151,9 +151,6 @@ class TestTransitionProb:
         assert transition_prob(j, j2, ANCHOR_CFG) == 0.0
 
     def test_all_success_product(self):
-        from noma_harq.fbl import per_cc
-        from noma_harq.sic import decoding_order
-
         j = SystemState((Phase.S,) * 3)
         dec = decoding_order(j, ANCHOR_CFG)
         expect = 1.0
@@ -352,6 +349,23 @@ class TestUserMetrics:
         assert success_prob(0, stat, tm) == pytest.approx(
             (1 - eps1) / (1 + eps1), rel=1e-12
         )
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p_db=st.floats(-12.0, 14.0), k=st.integers(1, 200), n=st.integers(1, 400))
+    @example(p_db=-10.0, k=4, n=64)
+    @example(p_db=-12.0, k=200, n=201)
+    @example(p_db=6.537728064059241, k=200, n=284)
+    def test_single_user_closed_form_matches_engine(self, p_db, k, n):
+        # the OMA baseline, its matched power and min_blocklength's bound
+        # read the one-user chain in closed form; the engine is the
+        # reference, also outside the normal approximation's n <= 2^k
+        p, code = 10 ** (p_db / 10), CodeParams(k=k, n=n)
+        per, p_s = markov._single_user(p, code)
+        m = analyze(SystemConfig(alphas=(1.0,), p0=p, code=code))[0]
+        # subnormal PERs (from ~1e-308 down) carry fewer significant digits
+        tiny = np.finfo(float).tiny
+        assert abs(per - m.per) <= 1e-14 * m.per + tiny, (per, m.per)
+        assert abs(p_s - m.success_prob) <= 1e-14 * m.success_prob + tiny, (p_s, m)
 
     def test_published_anchor_reproduced(self):
         # (0.29, 0.35, 0.36) at -2.02 dB, R=1/4, n=100 -> max PER 7.5e-3
@@ -562,9 +576,10 @@ class TestStackedEngine:
         with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
             markov.oma_received_power(ANCHOR_CFG)
         assert not caplog.records
-        # a first-copy error rate that flips every step never settles
-        flips = itertools.cycle([0.0, 0.5])
-        monkeypatch.setattr(markov, "per_cc", lambda gamma, code: next(flips))
+        # a first-copy error rate that flips between 0 and 0.5 every step
+        # (p_s = 1, then 1/3) never settles
+        flips = itertools.cycle([1.0, 1.0 / 3.0])
+        monkeypatch.setattr(markov, "_single_user", lambda powers, code: (0.0, next(flips)))
         with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
             markov.oma_received_power(ANCHOR_CFG)
         records = [r for r in caplog.records if r.name == "noma_harq.markov"]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import noma_harq.montecarlo as montecarlo
-from noma_harq.fbl import CodeParams, per_cc
+from noma_harq.fbl import CodeParams
 from noma_harq.markov import analyze, build_transition_matrix, stationary_distribution
 from noma_harq.cellplan import CELL_RADIUS
 from noma_harq.montecarlo import (
@@ -19,13 +19,13 @@ from noma_harq.montecarlo import (
     SimConfig,
     SimResult,
     _decode_tables,
-    chi_square_state_fit,
     disk_positions,
     simulate_coordinated,
     simulate_oma_baseline,
     simulate_uncoordinated,
 )
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order, stage_sinr
+from oracle import chi_square_state_fit, per_cc
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import noma_harq.optimizer as optimizer
 from noma_harq.errors import InfeasibleError
-from noma_harq.fbl import CodeParams, per_cc, per_cc_batch
+from noma_harq.fbl import CodeParams, per_cc_batch
 from noma_harq.markov import max_user_per
 from noma_harq.optimizer import (
     GaParams,
@@ -18,6 +18,7 @@ from noma_harq.optimizer import (
     optimize_power_split,
     pareto_front,
 )
+from oracle import per_cc
 
 FAST = GaParams(population_size=24, generations=40, seed=99)
 

@@ -10,13 +10,13 @@ import noma_harq
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED = ["per_ir", "initial_sinr", "transition_prob", "per_user", "success_prob",
-           "UserPosition"]
+           "UserPosition", "per_cc", "q_function", "channel_dispersion",
+           "chi_square_state_fit"]
 # attributes and parameters removed from names that remain
 REMOVED_MEMBERS = {
     "cellplan.CellPlan": ["ratio_index", "ratio", "to_json"],
     "montecarlo.SimConfig": ["path_loss_exp", "r_outer", "power_cap_factor"],
     "montecarlo.disk_positions": ["r_outer"],
-    "montecarlo.chi_square_state_fit": ["min_expected"],
     "markov.oma_received_power": ["iterations"],
     "optimizer.min_blocklength": ["coarse_stride"],
     "optimizer.GaParams": ["crossover_rate", "mutation_rate", "mutation_sigma",
