@@ -22,18 +22,20 @@ slot with probability p_s, else two.
 Production path.  One move table (the N+1 successors of every state and
 their probabilities, column w < N for the first SIC failure at stage w,
 column N for all-success) feeds the solve, the metrics, the dense
-matrix and the simulator; no 3^N x 3^N array is formed.  The stationary
-vector comes from one censored solve; its common case, state 0 (the
-only state with a self-loop) kept alone, is the regenerative solve: the
-expected visits x per excursion solve (I - Q)^T x = P[0, 1:] over the
-other states and pi = [1, x] / (1 + sum x).  Systems up to 81 states
-(N <= 4) are factored dense with LAPACK, larger ones with SuperLU on the
-N+1 entries per row.  The LU pivots are the only place a subtraction
-enters; states whose pivot falls below PIVOT_FLOOR (chains that rarely
-return to state 0) are handled by subtraction-free Grassmann-Taksar-
-Heyman elimination on the chain censored onto them, or on the whole chain
-when that LU falls short too (low SNR, where every user cycles R, F, R,
-... almost surely: 1.1 s and 0.45 GiB at N = 8).  Per-user metrics are
+matrix and the simulator.  The stationary vector comes from one of two
+solves.  A chain that moves to state 0 (the only state with a self-loop)
+from every state takes the regenerative solve: the expected visits x per
+excursion from state 0 solve (I - Q)^T x = P[0, 1:] over the other
+states and pi = [1, x] / (1 + sum x).  Systems up to 81 states (N <= 4)
+are factored dense with LAPACK, larger ones with SuperLU on the N+1
+entries per row, with no 3^N x 3^N array.  The LU pivots are the
+only place a subtraction enters.  Every other chain goes to
+subtraction-free Grassmann-Taksar-Heyman elimination on the whole dense
+chain: one with a pivot below PIVOT_FLOOR (a chain that rarely returns
+to state 0: short blocks, low SNR, a nearly silenced user), a SuperLU
+failure or a vector that is not finite, and one in which some state
+cannot move to state 0 (a silenced user).  It holds 3^N x 3^N doubles:
+0.6 s and 342 MiB at N = 8 (k = 50, n = 60, 0 dB).  Per-user metrics are
 closed-form sums over the table (_move_sums, which also turns the
 simulator's slot counts into its tallies): P(next F | R) is a forward
 cumulative sum of first-failure probabilities and P(next S | S or F) a
@@ -42,11 +44,12 @@ reverse one, never 1 - q.
 Stacks.  The engine has a leading batch axis: the tables, the stationary
 solve and the metrics take a (B, N) stack of received-power vectors, so
 max_user_per evaluates a whole GA generation in one call (in chunks of
-at most STACK_STATES chain states); analyze runs it on a stack of one.  The dense chains
-that move to state 0 from every state are assembled by one bincount and
-factored one by one; the others, and every chain above 81 states, run the
-cascade one by one.  Every floating-point operation is the one a chain
-sees alone, so a row's result does not depend on the stack around it.
+at most STACK_STATES chain states); analyze runs it on a stack of one.
+The regenerative chains up to 81 states are assembled by one bincount
+and factored one by one; larger ones, and every chain that goes to GTH,
+are solved one by one.  Every floating-point operation is the one a
+chain sees alone, so a row's result does not depend on the stack around
+it.
 
 Accuracy.  Against an exact 400-digit chain (N <= 3, -10..+14 dB, rates
 1/4 and 1/2) every PER and p_s above 1e-300 agrees to 2.3e-13 relative or
@@ -81,14 +84,12 @@ ROW_SUM_TOL = 1e-6
 STATIONARY_TOL = 1e-10
 # largest cluster analysed or simulated: 3^8 = 6561 states
 MAX_USERS = 8
-# regenerative systems up to this many states (N <= 4) are factored dense;
-# SuperLU is faster from 243 states on
+# regenerative systems up to this many states (N <= 4) are factored dense,
+# and GTH updates whole rows; SuperLU is faster from 243 states on
 DENSE_SOLVE_STATES = 81
-# smallest LU pivot trusted.  Regenerative LUs: over 3742 chains from GA
-# runs the metrics were within 5e-14 relative above this floor and up to
-# 1e-7 below.  Censored retries above it are less precise: on 300 N = 5,
-# k = 50, n = 80..129, 0 dB chains, p_s within 4.0e-12 relative of
-# whole-chain GTH (1.8e-12 where p_s > 1e-8) and PER within 4.3e-15
+# smallest LU pivot trusted: over 3742 regenerative LUs from GA runs the
+# metrics were within 5e-14 relative above this floor and up to 1e-7
+# below; a chain with a smaller pivot goes to whole-chain GTH
 PIVOT_FLOOR = 1e-2
 # fixed-point iterations of the matched orthogonal-baseline power
 OMA_ITERATIONS = 30
@@ -239,12 +240,14 @@ def _chain_table(powers: np.ndarray, code: CodeParams):
 
 
 def _regeneration_state(src, dst, prob, m: int) -> int:
-    """A state the chain reaches from everywhere, for a chain in which
-    some state cannot move to state 0: the lowest state of the only
-    closed class.  Several closed classes raise ReducibleChainError.
+    """A state the chain reaches from everywhere: state 0 when every state
+    moves to it, else the lowest state of the only closed class.  Several
+    closed classes raise ReducibleChainError.
     """
     live = prob > 0.0
     src, dst = src[live], dst[live]
+    if len(np.unique(src[dst == 0])) == m:
+        return 0
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
     _, labels = connected_components(graph, directed=True, connection="strong")
     leaving = labels[src] != labels[dst]
@@ -266,39 +269,40 @@ def _stationary(src, dst, prob, m: int):
     solve holds, else the ReducibleChainError or NumericalError that chain
     raises on its own.  Every chain is solved exactly as it would be alone.
 
-    First the regenerative solve: the chain censored onto its regeneration
-    state alone, state 0 when every state moves to it (the common case,
-    tested here for the whole stack).  Its LU is right to a few ulps
+    Two solves.  A chain that moves to state 0 from every state (the
+    common case, tested here for the whole stack) takes the regenerative
+    LU: _regenerative_lu for the dense stack, _regenerative_splu one by
+    one above DENSE_SOLVE_STATES.  Its vector is right to a few ulps
     relative wherever the pivots stay away from 0, as only the pivots
-    involve a subtraction.  Dense chains that move to state 0 from every
-    state make this attempt together (_regenerative_lu); the others run
-    the whole cascade of _cascade one by one.  A NumericalError is a
-    residual ||P^T p - p||_inf above STATIONARY_TOL (one bincount for the
-    whole stack) or a negative mass; NaN fails every comparison, so an
-    all-NaN vector is one too.
+    involve a subtraction.  Every other chain goes to whole-chain GTH
+    (_gth): one with a pivot below PIVOT_FLOOR, a SuperLU failure or a
+    vector that is not finite (a divisor underflowed to 0), and one with a
+    state that cannot move to state 0.  A NumericalError is a residual
+    ||P^T p - p||_inf above STATIONARY_TOL (one bincount for the whole
+    stack) or a negative mass; NaN fails every comparison, so an all-NaN
+    vector is one too.
     The numpy warnings of a solve that underflows are silenced: the
     residual test turns its vector into NumericalError.
     """
     n_chains = len(prob)
-    p = np.zeros((n_chains, m))
+    # NaN marks a chain no LU has solved
+    p = np.full((n_chains, m), np.nan)
     errors = [None] * n_chains
-    first = [None] * n_chains
     chains, moves = np.nonzero((prob > 0.0) & (dst == 0))
     to_zero = np.zeros((n_chains, m), dtype=bool)
     to_zero[chains, src[moves]] = True
-    regen = to_zero.all(axis=1)
+    regen = np.flatnonzero(to_zero.all(axis=1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m <= DENSE_SOLVE_STATES:
-            dense = np.flatnonzero(regen)
-            for b, attempt in zip(dense, _regenerative_lu(
-                    src, dst[dense], prob[dense], m)):
-                first[b] = attempt
-        for b in range(n_chains):
+            p[regen] = _regenerative_lu(src, dst[regen], prob[regen], m)
+        else:
+            for b in regen:
+                p[b] = _regenerative_splu(src, dst[b], prob[b], m)
+        for b in np.flatnonzero(~np.isfinite(p).all(axis=1)):
             try:
-                p[b] = _cascade(src, dst[b], prob[b], m,
-                                0 if regen[b] else None, first[b])
+                p[b] = _gth(src, dst[b], prob[b], m)
             except ReducibleChainError as exc:
-                errors[b] = exc
+                p[b], errors[b] = 0.0, exc
         flow = np.bincount((np.arange(n_chains)[:, None] * m + dst).ravel(),
                            weights=(prob * p[:, src]).ravel(),
                            minlength=n_chains * m).reshape(n_chains, m)
@@ -314,42 +318,16 @@ def _stationary(src, dst, prob, m: int):
     return np.maximum(p, 0.0), errors
 
 
-def _cascade(src, dst, prob, m: int, root=None, first=None) -> np.ndarray:
-    """Stationary vector of one chain, unchecked.
-
-    root is the regeneration state, 0 when every state moves to it, else
-    None and found by _regeneration_state.  first is the (p, sticky)
-    result of the regenerative attempt when the stack already made it;
-    otherwise the attempt runs here, censored onto root.  A pivot
-    below PIVOT_FLOOR marks a sticky state, one the chain returns to many
-    times before it reaches the regeneration state (short blocks, or a
-    nearly silenced user whose R/F parity is almost conserved).  Sticky
-    states join the censored set, where the subtraction-free GTH
-    elimination runs; keeping states out of the LU can only raise the
-    other pivots.  If pivots still fall short, sticky states are
-    everywhere (at low SNR every user cycles R, F, R, ... almost surely)
-    and GTH runs on the whole chain, as it does after an attempt whose
-    vector is not finite (a divisor underflowed to 0).
-    """
-    if root is None:
-        root = _regeneration_state(src, dst, prob, m)
-    if first is None:
-        first = _censored_solve(src, dst, prob, m, np.array([root]))
-    p, sticky = first
-    if p is None:
-        p, _ = _censored_solve(src, dst, prob, m, np.append(root, sticky))
-    if p is None or not np.isfinite(p).all():
-        everyone = np.concatenate([[root], np.delete(np.arange(m), root)])
-        p, _ = _censored_solve(src, dst, prob, m, everyone)
-    return p
-
-
 def _regenerative_lu(src, dst, prob, m: int):
-    """The regenerative attempt of _censored_solve (state 0 kept alone,
-    dense LAPACK) for a stack of chains that all move to state 0 from
-    every state.  One bincount assembles every chain's matrix; each is
-    factored and checked on its own.  Returns one (p, sticky) pair per
-    chain, as _censored_solve does.
+    """Stationary vectors of a stack of chains that all move to state 0
+    from every state, by dense LAPACK: with Q the chain over the other
+    states, the expected visits x per excursion from state 0 solve
+    (I - Q)^T x = P[0, 1:], and pi = [1, x] / (1 + sum x).  One bincount
+    assembles every chain's matrix; each is factored on its own.  The
+    diagonal of I - Q is exactly 1 (no state but 0 has a self-loop), so no
+    near-1 entry enters as in a replaced-row solve; its transpose is
+    column diagonally dominant, so the LU pivots are its diagonal.  A
+    chain with a pivot below PIVOT_FLOOR reads NaN.
     """
     n_chains = len(prob)
     at = (np.arange(n_chains)[:, None] * m + src) * m + dst
@@ -358,112 +336,60 @@ def _regenerative_lu(src, dst, prob, m: int):
     # (I - Q)^T of every chain, handed to LAPACK in Fortran order with no copy
     a = np.eye(m - 1) - pm[:, 1:, 1:]
     p = np.ones((n_chains, m))
-    sticky = [None] * n_chains
     for b in range(n_chains):
         lu, piv, _ = dgetrf(a[b].T, overwrite_a=True)
-        low = np.abs(lu.diagonal()) < PIVOT_FLOOR
-        if low.any():
-            sticky[b] = np.flatnonzero(low) + 1
+        if (np.abs(lu.diagonal()) < PIVOT_FLOOR).any():
+            p[b] = np.nan
         else:
             p[b, 1:] = dgetrs(lu, piv, pm[b, 0, 1:])[0]
-    p /= p.sum(axis=1, keepdims=True)
-    return [(row, None) if low is None else (None, low) for row, low in zip(p, sticky)]
+    return p / p.sum(axis=1, keepdims=True)
 
 
-def _censored_solve(src, dst, prob, m: int, kept: np.ndarray):
-    """Stationary vector through the chain censored onto the states kept
-    (the regeneration state first), or None and the other states whose LU
-    pivot fell below PIVOT_FLOOR.
+def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
+    """The regenerative solve of _regenerative_lu for one chain, by SuperLU
+    on the N+1 entries per row; NaN when a pivot falls below PIVOT_FLOOR
+    or cancels to exactly 0."""
+    from_0, into_0 = src == 0, dst == 0
+    rhs = np.bincount(dst[from_0], weights=prob[from_0], minlength=m)[1:]
+    inner = ~from_0 & ~into_0
+    # (I - Q)^T: row = destination, column = source
+    diag = np.arange(m - 1)
+    a = csc_matrix((np.concatenate([np.ones(m - 1), -prob[inner]]),
+                    (np.concatenate([diag, dst[inner] - 1]),
+                     np.concatenate([diag, src[inner] - 1]))), shape=(m - 1, m - 1))
+    try:
+        # minimum degree on A^T + A: 3-8x less fill than the default
+        # COLAMD on these chains, and the fastest at N = 5..7
+        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:  # a pivot cancelled to exactly 0
+        return np.full(m, np.nan)
+    if (np.abs(lu.U.diagonal()) < PIVOT_FLOOR).any():
+        return np.full(m, np.nan)
+    p = np.concatenate([[1.0], lu.solve(rhs)])
+    return p / p.sum()
 
-    With G the other states, the censored chain is
-    P_KK + P_KG (I - P_GG)^{-1} P_GK, all terms of one sign; GTH gives its
-    stationary vector pi_K, and pi_G solves (I - P_GG)^T pi_G =
-    P_KG^T pi_K.  With K the regeneration state alone this is the
-    regenerative solve: pi_K = [1] with no elimination, and pi_G are the
-    expected visits per excursion, (I - Q)^T x = P[0, 1:] at state 0,
-    whose positions need no renumbering.  The diagonal of I - P_GG is
-    exactly 1 wherever a state has no self-loop (every state but 0 in a
-    NOMA chain), so no near-1 entry enters as in a replaced-row solve; its
-    transpose is column diagonally dominant, so the LU pivots are its
-    diagonal.
+
+def _gth(src, dst, prob, m: int) -> np.ndarray:
+    """Stationary vector of one chain by Grassmann-Taksar-Heyman
+    elimination on the whole dense chain, rooted at _regeneration_state
+    (moved to position 0; ReducibleChainError if the chain has several
+    closed classes).
+
+    States are censored out from the last position to position 1; each
+    pivot is the sum of the eliminated state's remaining out-probabilities
+    rather than 1 minus its return probability, so every step adds terms
+    of one sign and every component keeps its relative precision however
+    rarely the chain visits it.  Every state reaches the root, so no pivot
+    is 0 unless it underflows, which leaves a vector that is not finite.
     """
-    k, n_g = len(kept), m - len(kept)
-    if k == 1 and kept[0] == 0:
-        pos, g, s, d = None, np.arange(1, m), src, dst
-    else:
-        # position of each state: the kept ones first, the others after
-        others = np.ones(m, dtype=bool)
-        others[kept] = False
-        g = np.flatnonzero(others)
-        pos = np.empty(m, dtype=np.int64)
-        pos[kept] = np.arange(k)
-        pos[g] = np.arange(k, m)
-        s, d = pos[src], pos[dst]
-    if m <= DENSE_SOLVE_STATES:
-        # the chain with its states at their positions
-        pm = np.bincount(s * m + d, weights=prob, minlength=m * m).reshape(m, m)
-        p_k, p_gk = pm[:k], pm[k:, :k]
-        if n_g:
-            # (I - P_GG)^T, handed to LAPACK in Fortran order with no copy
-            lu, piv, _ = dgetrf((np.eye(n_g) - pm[k:, k:]).T, overwrite_a=True)
-            sticky = np.abs(np.diagonal(lu)) < PIVOT_FLOOR
-            if sticky.any():
-                return None, g[sticky]
-            solve = lambda rhs, trans=0: dgetrs(lu, piv, rhs, trans=trans)[0]
-    else:
-        from_k, into_k = s < k, d < k
-        p_k = np.bincount(s[from_k] * m + d[from_k], weights=prob[from_k],
-                          minlength=k * m).reshape(k, m)
-        if k > 1:
-            sel = ~from_k & into_k
-            p_gk = np.bincount((s[sel] - k) * k + d[sel], weights=prob[sel],
-                               minlength=n_g * k).reshape(n_g, k)
-        inner = ~from_k & ~into_k
-        # (I - P_GG)^T: row = destination, column = source
-        diag = np.arange(n_g)
-        a = csc_matrix((np.concatenate([np.ones(n_g), -prob[inner]]),
-                        (np.concatenate([diag, d[inner] - k]),
-                         np.concatenate([diag, s[inner] - k]))), shape=(n_g, n_g))
-        if n_g:
-            try:
-                # minimum degree on A^T + A: 3-8x less fill than the default
-                # COLAMD on these chains, and the fastest at N = 5..7
-                lu = splu(a, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError:  # a pivot cancelled to exactly 0
-                return None, g
-            sticky = np.abs(lu.U.diagonal()) < PIVOT_FLOOR
-            if sticky.any():
-                # Pr A Pc = L U with Pc[i, perm_c[i]] = 1, so U's column j
-                # is A's column argsort(perm_c)[j]
-                return None, np.sort(g[np.argsort(lu.perm_c)[sticky]])
-            solve = lambda rhs, trans=0: lu.solve(rhs, trans="NT"[trans])
-    p_kk, p_kg = p_k[:, :k], p_k[:, k:]
-    if k == 1:
-        pi_k, rhs = np.array([1.0]), p_kg[0]
-    else:
-        if n_g:
-            p_kk = p_kk + p_kg @ solve(p_gk, 1)
-        pi_k = _gth(p_kk)
-        rhs = p_kg.T @ pi_k
-    if n_g:
-        pi_k = np.concatenate([pi_k, solve(rhs)])
-    p = pi_k if pos is None else pi_k[pos]
-    return p / p.sum(), None
-
-
-def _gth(a: np.ndarray) -> np.ndarray:
-    """Unnormalized stationary vector of the dense chain a by
-    Grassmann-Taksar-Heyman elimination (a is overwritten).
-
-    States are censored out from the last to state 1; each pivot is the
-    sum of the eliminated state's remaining out-probabilities rather than
-    1 minus its return probability, so every step adds terms of one sign
-    and every component keeps its relative precision however rarely the
-    chain visits it.
-    """
-    m = len(a)
+    root = _regeneration_state(src, dst, prob, m)
+    # the root first, the other states after it in their order
+    pos = np.argsort(np.r_[root, np.delete(np.arange(m), root)])
+    a = np.bincount(pos[src] * m + pos[dst], weights=prob, minlength=m * m).reshape(m, m)
     for n in range(m - 1, 0, -1):
-        into = np.flatnonzero(a[:n, n])
+        # the rows into state n: all of them on small chains, where
+        # whole-row slices cost less than finding the nonzero ones
+        into = np.s_[:n] if m <= DENSE_SOLVE_STATES else np.flatnonzero(a[:n, n])
         a[into, n] /= a[n, :n].sum()
         a[into, :n] += a[into, n, None] * a[n, :n]
     # x_j = sum_{i<j} x_i a_ij with x_0 = 1: a unit upper-triangular solve
@@ -471,7 +397,8 @@ def _gth(a: np.ndarray) -> np.ndarray:
     np.negative(a, out=a)
     e0 = np.zeros(m)
     e0[0] = 1.0
-    return solve_triangular(a, e0, trans="T", unit_diagonal=True, check_finite=False)
+    p = solve_triangular(a, e0, trans="T", unit_diagonal=True, check_finite=False)[pos]
+    return p / p.sum()
 
 
 def _move_sums(orders: np.ndarray, weights: np.ndarray):

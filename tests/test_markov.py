@@ -121,6 +121,20 @@ def gth_oracle(matrix: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
+@pytest.fixture
+def gth_sizes(monkeypatch):
+    """The state count of every chain that reaches whole-chain GTH."""
+    sizes = []
+    gth = markov._gth
+
+    def spy(src, dst, prob, m):
+        sizes.append(m)
+        return gth(src, dst, prob, m)
+
+    monkeypatch.setattr(markov, "_gth", spy)
+    return sizes
+
+
 def single_user_chain(eps1: float, eps2: float) -> TransitionMatrix:
     """Hand-built single-user chain: fresh packets fail with eps1, the
     MRC retransmission with eps2.  State order (S, R, F)."""
@@ -271,7 +285,7 @@ class TestStationary:
     @pytest.mark.parametrize("snr_db", [4.0, -10.0])
     def test_sparse_solve_matches_dense_oracle(self, n_users, snr_db):
         # 4 dB: one regenerative LU; -10 dB: every user nearly always
-        # fails, so sticky states send the solve to GTH
+        # fails, so pivots below PIVOT_FLOOR send the solve to GTH
         raw = np.linspace(1.0, 2.0, n_users)
         cfg = SystemConfig(alphas=tuple(raw / raw.sum()), p0=10 ** (snr_db / 10),
                            code=CODE)
@@ -286,27 +300,39 @@ class TestStationary:
             assert_relative(m.per, per_user(m.user, oracle, tm))
             assert_relative(m.success_prob, success_prob(m.user, oracle, tm))
 
-    def test_superlu_sticky_pivots_map_to_their_states(self, monkeypatch):
+    def test_superlu_sticky_pivots_go_to_gth(self, gth_sizes):
         # equal ratios on a short N = 5 block: the regenerative SuperLU
-        # has sticky pivots; mapped through its column permutation to
-        # their own states they make a censored retry that holds, so
-        # whole-chain GTH does not run
+        # has pivots below PIVOT_FLOOR, so whole-chain GTH runs once
         cfg = SystemConfig(alphas=(0.2,) * 5, p0=1.0, code=CodeParams(k=50, n=91))
-        kept_sizes = []
-        solve = markov._censored_solve
-
-        def spy(src, dst, prob, m, kept):
-            kept_sizes.append(len(kept))
-            return solve(src, dst, prob, m, kept)
-
-        monkeypatch.setattr(markov, "_censored_solve", spy)
         metrics = analyze(cfg)
-        assert kept_sizes == [1, 26]
+        assert gth_sizes == [243]
         tm = build_transition_matrix(cfg)
         oracle = StationaryDistribution(probs=gth_oracle(tm.matrix))
         for m in metrics:
             assert_relative(m.per, per_user(m.user, oracle, tm))
             assert_relative(m.success_prob, success_prob(m.user, oracle, tm))
+
+    @pytest.mark.parametrize("n_users", [3, 5], ids=["dense", "sparse"])
+    def test_closed_class_without_state_0(self, n_users):
+        # user 0 is silenced: it never leaves R/F again, so the states with
+        # user 0 in S are transient and the one closed class starts at
+        # state 1 (user 0 in R, everyone else in S)
+        raw = np.r_[0.0, np.linspace(1.0, 2.0, n_users - 1)]
+        _, succ, prob = markov._chain_table(3.0 * raw / raw.sum(), CODE)
+        m = 3**n_users
+        matrix = np.zeros((m, m))
+        matrix[np.arange(m)[:, None], succ] = prob
+        tm = TransitionMatrix(matrix=matrix, n_users=n_users)
+        src, dst = np.nonzero(tm.matrix)
+        assert markov._regeneration_state(src, dst, tm.matrix[src, dst], m) == 1
+        order = np.r_[1, 0, 2:m]
+        want = np.empty(m)
+        want[order] = gth_oracle(tm.matrix[np.ix_(order, order)])
+        got = stationary_distribution(tm).probs
+        transient = markov._state_digits(n_users)[:, 0] == int(Phase.S)
+        assert np.all(got[transient] == 0.0) and np.all(want[transient] == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+        assert np.abs(tm.matrix.T @ got - got).max() <= markov.STATIONARY_TOL
 
     def test_two_closed_classes_raise(self):
         matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -418,25 +444,17 @@ class TestUserMetrics:
         assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
 
     @pytest.mark.parametrize("raw,k", list(NAN_CASES.values()), ids=list(NAN_CASES))
-    def test_nan_stationary_vector_is_a_numerical_error(self, raw, k, monkeypatch):
-        # at -10 dB the all-success move underflows to 0 in most states; a
-        # NaN attempt falls through to whole-chain GTH, which returns NaN
-        # too, and the solve's numpy warnings stay silent
+    def test_nan_stationary_vector_is_a_numerical_error(self, raw, k, gth_sizes):
+        # at -10 dB the all-success move underflows to 0 in most states, so
+        # the chain goes to whole-chain GTH, which returns NaN, and the
+        # solve's numpy warnings stay silent
         alphas = tuple(np.array(raw) / sum(raw))
         cfg = SystemConfig(alphas=alphas, p0=0.1, code=CodeParams(k=k, n=100))
-        kept_sizes = []
-        solve = markov._censored_solve
-
-        def spy(src, dst, prob, m, kept):
-            kept_sizes.append(len(kept))
-            return solve(src, dst, prob, m, kept)
-
-        monkeypatch.setattr(markov, "_censored_solve", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="residual nan"):
                 analyze(cfg)
-            assert kept_sizes[-1] == 3 ** len(raw)
+            assert gth_sizes == [3 ** len(raw)]
             assert np.isnan(max_user_per(cfg.alphas, cfg.p0, cfg.code))
 
     def test_max_user_per_matches_analyze(self):
@@ -472,7 +490,7 @@ def _nan_stack(name):
 
 
 # k = 50 bits in 74 channel uses at 0 dB: the short blocks of the minimum
-# blocklength search, where most rows take the censored retry
+# blocklength search, where most rows go to whole-chain GTH
 SHORT_BLOCKS = (_normalized([[0.3, 0.33, 0.37], [0.1, 0.3, 0.6], [0.0, 1.0, 1.0],
                              [1.0, 1.0, 1.0]]), 1.0, CodeParams(k=50, n=74))
 
@@ -493,7 +511,7 @@ def ratio_stacks(draw):
         rows = np.vstack([rows, raw])[draw(st.permutations(range(b + 1)))]
         return _normalized(rows), 0.1, CodeParams(k=k, n=100)
     k = draw(st.sampled_from([25, 50, 75]))
-    # blocks just above k are short and take the censored retry
+    # blocks just above k are short and often go to whole-chain GTH
     code = CodeParams(k=k, n=k + draw(st.integers(1, 150)))
     return _normalized(rows), 10 ** (draw(st.floats(-10.0, 12.0)) / 10), code
 
@@ -521,22 +539,14 @@ class TestStackedEngine:
 
     @pytest.mark.parametrize("case", [_nan_stack("N4"), _nan_stack("N5"), SHORT_BLOCKS],
                              ids=["N4", "N5", "short-blocks"])
-    def test_examples_reach_every_row_kind(self, case, monkeypatch):
+    def test_examples_reach_every_row_kind(self, case, gth_sizes):
         alphas, p0, code = case
-        kept_sizes = []
-        solve = markov._censored_solve
-
-        def spy(src, dst, prob, m, kept):
-            kept_sizes.append(len(kept))
-            return solve(src, dst, prob, m, kept)
-
-        monkeypatch.setattr(markov, "_censored_solve", spy)
         got = max_user_per(alphas, p0, code)
         silenced = alphas[:, 0] == 0.0
         assert np.all(got[silenced] == 1.0)
+        # whole-chain GTH ran on some row
+        assert gth_sizes
         if case is SHORT_BLOCKS:
-            # the censored retry ran, on fewer states than whole-chain GTH
-            assert any(1 < k < 27 for k in kept_sizes)
             assert np.isfinite(got).all() and np.all(got[~silenced] < 1.0)
         else:
             assert np.isnan(got[0])

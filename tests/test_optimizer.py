@@ -204,13 +204,14 @@ class TestSingleUserBound:
         assert got == expect
         assert runs == [expect]
 
-    def test_no_ga_run_meets_target_below_start(self, caplog):
+    @pytest.mark.parametrize("n_users", [2, 3])
+    def test_no_ga_run_meets_target_below_start(self, n_users, caplog):
         with caplog.at_level(logging.INFO, logger="noma_harq.optimizer"):
-            min_blocklength(50, 0.0, 2, 1e-2, FAST)
+            min_blocklength(50, 0.0, n_users, 1e-2, FAST)
         start, _, _ = search_record(caplog)
         assert start > 51
         for n in range(51, start):
-            _, val = optimize_power_split(2, 0.0, CodeParams(k=50, n=n), FAST)
+            _, val = optimize_power_split(n_users, 0.0, CodeParams(k=50, n=n), FAST)
             assert val > 1e-2
 
     def test_ruled_out_target_raises_before_any_ga_run(self):
