@@ -6,7 +6,9 @@ header (tool version, command, resolved parameters, seed) that can be
 fed back through --config to reproduce the run.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
-A sweep runs its grid points in order in one process.
+The sweep command analyses an SNR grid and simulate simulates one; each
+runs its grid points in order in one process, once every point has
+validated.
 """
 
 import argparse
@@ -151,6 +153,20 @@ def _system_config(res: Resolver) -> SystemConfig:
     code = _code_params(res)
     try:
         return SystemConfig(alphas=alphas, p0=db_to_linear(snr_db), code=code)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _grid_systems(res: Resolver):
+    """The SNR grid and the cluster of each of its points, every one
+    checked before any point runs."""
+    alphas = _parse_alphas(res.get("alphas", required=True))
+    grid = _parse_grid(res.get("snr_db", required=True))
+    code = _code_params(res)
+    _check_users(len(alphas))
+    try:
+        return grid, [SystemConfig(alphas=alphas, p0=db_to_linear(snr), code=code)
+                      for snr in grid]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -301,52 +317,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(system, sim_cfg, snr_db, seed, oma) -> List[dict]:
-    """One SNR grid point of a sweep: the cluster, its uncoordinated
-    simulation setup (None for the analysis), the grid SNR, the seed and
-    whether to add the orthogonal baseline."""
-    metrics = None
-    if sim_cfg is None:
-        metrics = analyze(system)
-        rows = _analysis_rows("coordinated", metrics, snr_db, system.code, seed)
-    else:
-        rows = _sim_rows(simulate_uncoordinated(sim_cfg), snr_db, system.code)
-    if oma:
-        rows += _analysis_rows("oma", oma_metrics(system, metrics), snr_db,
-                               system.code, seed)
-    return rows
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
-    alphas = _parse_alphas(res.get("alphas", required=True))
-    grid = _parse_grid(res.get("snr_db", required=True))
-    code = _code_params(res)
-    scenario = res.get("scenario", "coordinated")
-    if scenario not in ("coordinated", "uncoordinated"):
-        raise UsageError(f"unknown scenario {scenario!r}")
+    scenario = res.config.get("scenario", "coordinated")
+    if scenario != "coordinated":
+        raise UsageError(f"sweep analyses a coordinated cluster, not scenario "
+                         f"{scenario!r}: simulate runs uncoordinated grids")
+    grid, systems = _grid_systems(res)
     oma = bool(res.get("oma", False))
-    users = res.get("users", len(alphas), cast=int)
-    if scenario == "uncoordinated":
-        _check_users(users)
-    _check_users(len(alphas))
     seed = res.get("seed", 1, cast=int)
-    slots = res.get("slots", 200_000, cast=int)
-    n_hat = res.get("n_hat", len(alphas), cast=int)
-    warmup = res.get("warmup", 1000, cast=int)
-    episodes = res.get("episodes", 50, cast=int)
-    points = []
-    try:
-        for idx, snr in enumerate(grid):
-            system = SystemConfig(alphas=alphas, p0=db_to_linear(snr), code=code)
-            sim_cfg = None if scenario != "uncoordinated" else SimConfig(
-                system=system, slots=slots, seed=seed + idx,
-                scenario="uncoordinated", n_actual=users, n_hat=n_hat,
-                warmup=warmup, episodes=episodes)
-            points.append((system, sim_cfg, snr, seed + idx, oma))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    rows = [row for point in points for row in _sweep_point(*point)]
+    rows = []
+    for idx, (snr, system) in enumerate(zip(grid, systems)):
+        metrics = analyze(system)
+        rows += _analysis_rows("coordinated", metrics, snr, system.code, seed + idx)
+        if oma:
+            rows += _analysis_rows("oma", oma_metrics(system, metrics), snr,
+                                   system.code, seed + idx)
     emit(rows, SIM_FIELDS, _meta("sweep", res), res.get("out"),
          res.get("format", "csv"))
     return 0
@@ -402,35 +388,33 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
-    system = _system_config(res)
+    grid, systems = _grid_systems(res)
     scenario = res.get("scenario", "coordinated")
+    users = res.get("users", systems[0].n_users, cast=int)
+    _check_users(users)
+    oma = bool(res.get("oma", False))
     seed = res.get("seed", 1, cast=int)
     slots = res.get("slots", 1_000_000, cast=int)
     warmup = res.get("warmup", 1000, cast=int)
-    snr_db = res.resolved["snr_db"]
+    episodes = res.get("episodes", 50 if scenario == "uncoordinated" else 1,
+                       cast=int)
     try:
-        if scenario == "coordinated":
-            sim = simulate_coordinated(SimConfig(
-                system=system, slots=slots, seed=seed, warmup=warmup,
-            ))
-        elif scenario == "uncoordinated":
-            sim = simulate_uncoordinated(SimConfig(
-                system=system, slots=slots, seed=seed, warmup=warmup,
-                scenario="uncoordinated",
-                n_actual=res.get("users", system.n_users, cast=int),
-                n_hat=res.get("n_hat", system.n_users, cast=int),
-                episodes=res.get("episodes", 50, cast=int),
-            ))
-        else:
-            raise UsageError(f"unknown scenario {scenario!r}")
+        configs = [SimConfig(system=system, slots=slots, seed=seed + idx,
+                             scenario=scenario, n_actual=users, warmup=warmup,
+                             episodes=episodes)
+                   for idx, system in enumerate(systems)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-    rows = _sim_rows(sim, snr_db, system.code)
-    if res.get("oma", False):
-        rows += _sim_rows(simulate_oma_baseline(SimConfig(
-            system=system, slots=slots, seed=seed, warmup=warmup,
-        )), snr_db, system.code)
+    run = simulate_uncoordinated if scenario == "uncoordinated" else \
+        simulate_coordinated
+    rows = []
+    for snr, cfg in zip(grid, configs):
+        rows += _sim_rows(run(cfg), snr, cfg.system.code)
+        if oma:
+            # one episode of the same slots: valid whenever cfg is
+            rows += _sim_rows(simulate_oma_baseline(SimConfig(
+                system=cfg.system, slots=slots, seed=cfg.seed, warmup=warmup,
+            )), snr, cfg.system.code)
     emit(rows, SIM_FIELDS, _meta("simulate", res), res.get("out"),
          res.get("format", "csv"))
     return 0
@@ -469,14 +453,13 @@ def _add_code(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--blocklength", type=int, help="codeword length n")
 
 
-def _add_sim(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", choices=["coordinated", "uncoordinated"])
+def _add_grid(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--alphas")
+    sub.add_argument("--snr-db", dest="snr_db",
+                     help="grid: 'a,b,c' or 'start:stop:count'")
+    _add_code(sub)
     sub.add_argument("--oma", action="store_const", const=True,
                      help="add the matched-power orthogonal baseline")
-    sub.add_argument("--users", type=int, help="active users (uncoordinated)")
-    sub.add_argument("--n-hat", dest="n_hat", type=int, help="planned user count")
-    for flag in ("--slots", "--episodes", "--warmup"):
-        sub.add_argument(flag, type=int)
 
 
 def _add_ga(sub: argparse.ArgumentParser) -> None:
@@ -506,12 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = subs.add_parser("sweep", help="PER/throughput vs SNR grid")
-    p.add_argument("--alphas")
-    p.add_argument("--snr-db", dest="snr_db",
-                   help="grid: 'a,b,c' or 'start:stop:count'")
-    _add_code(p)
-    _add_sim(p)
+    p = subs.add_parser("sweep", help="PER/throughput vs SNR grid (analysis)")
+    _add_grid(p)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -534,11 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_min_blocklength)
 
-    p = subs.add_parser("simulate", help="slot-level Monte Carlo run")
-    p.add_argument("--alphas")
-    p.add_argument("--snr-db", dest="snr_db")
-    _add_code(p)
-    _add_sim(p)
+    p = subs.add_parser("simulate",
+                        help="PER/throughput vs SNR grid (slot-level simulation)")
+    _add_grid(p)
+    p.add_argument("--scenario", choices=["coordinated", "uncoordinated"])
+    p.add_argument("--users", type=int, help="placed users (default: ratio count)")
+    for flag in ("--slots", "--episodes", "--warmup"):
+        p.add_argument(flag, type=int)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

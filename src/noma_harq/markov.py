@@ -70,7 +70,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-from scipy.stats import binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .errors import ConsistencyError, NumericalError, ReducibleChainError
 from .fbl import CodeParams, per_cc_batch
@@ -497,8 +497,10 @@ def delay_pmf(p_s: float, n_packets: int) -> np.ndarray:
     if not (isinstance(n_packets, (int, np.integer)) and n_packets >= 1):
         raise ValueError(f"n_packets must be a positive integer, got {n_packets!r}")
     extra = np.arange(n_packets + 1)  # number of packets that needed 2 slots
-    with np.errstate(divide="ignore"):
-        logp = binom.logpmf(n_packets - extra, n_packets, p_s)
+    ones = n_packets - extra
+    # the binomial log-pmf as scipy.stats.binom.logpmf evaluates it
+    logp = (gammaln(n_packets + 1) - (gammaln(ones + 1) + gammaln(extra + 1))
+            + xlogy(ones, p_s) + xlog1py(extra, -p_s))
     return np.exp(logp)
 
 

@@ -246,8 +246,8 @@ def min_blocklength(
     g = 0, eps rises with the SINR near zero, and the bound does not hold.
 
     The search starts at the first n >= k + 1 where the bound meets the
-    target, or at 2^k + 1.  For N = 1 the bound is the exact PER, so the
-    search makes one GA run.  If the bound rules out every n <= n_cap,
+    target, or at 2^k + 1; an n_cap below k + 1 is a ValueError.  For
+    N = 1 the bound is the exact PER, so the search makes one GA run.  If the bound rules out every n <= n_cap,
     InfeasibleError is raised before any GA run, carrying the smallest
     bound value, a lower bound on any split's worst PER.
 
@@ -266,6 +266,9 @@ def min_blocklength(
         raise ValueError(f"k (information bits) must be at least 1, got {k}")
     if n_users < 1:
         raise ValueError(f"n_users must be at least 1, got {n_users}")
+    if n_cap < k + 1:
+        raise ValueError(f"n_cap {n_cap} leaves no blocklength above k = {k} "
+                         "information bits to search")
 
     share = 10.0 ** (snr_db / 10.0) / n_users
     start, lowest = k + 1, math.inf

@@ -11,6 +11,10 @@ import pytest
 import noma_harq.cli as cli
 import noma_harq.markov as markov
 from noma_harq.cli import main
+from noma_harq.fbl import CodeParams
+from noma_harq.montecarlo import SimConfig, simulate_coordinated, \
+    simulate_oma_baseline, simulate_uncoordinated
+from noma_harq.sic import SystemConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ANCHOR_ARGS = ["--alphas", "0.29,0.35,0.36", "--snr-db", "-2.02",
@@ -245,11 +249,35 @@ class TestSimulate:
             "simulate", "--scenario", "uncoordinated", "--alphas",
             "0.29,0.35,0.36", "--snr-db", "-2.02", "--rate", "0.25",
             "--blocklength", "100", "--slots", "40000", "--users", "2",
-            "--n-hat", "3", "--episodes", "10", "--warmup", "100", "--seed", "5",
+            "--episodes", "10", "--warmup", "100", "--seed", "5",
         ])
         rows = payload["results"]
         assert len(rows) == 2
         assert all(r["n_hat"] == 3 and r["N"] == 2 for r in rows)
+
+    @pytest.mark.parametrize("scenario, extra", [
+        ("coordinated", ["--oma"]),
+        ("uncoordinated", ["--users", "2", "--episodes", "2"]),
+    ], ids=["coordinated", "uncoordinated"])
+    def test_grid_rows_match_per_point_runs(self, scenario, extra, tmp_path):
+        payload = run_json(tmp_path, [
+            "simulate", "--scenario", scenario, "--alphas", "0.29,0.35,0.36",
+            "--snr-db=-2:0:2", "--rate", "0.25", "--blocklength", "100",
+            "--slots", "6000", "--warmup", "100", "--seed", "5"] + extra)
+        expected = []
+        for idx, snr in enumerate([-2.0, 0.0]):
+            system = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (snr / 10),
+                                  code=CodeParams(k=25, n=100))
+            if scenario == "coordinated":
+                cfg = SimConfig(system=system, slots=6000, seed=5 + idx, warmup=100)
+                runs = [simulate_coordinated(cfg), simulate_oma_baseline(cfg)]
+            else:
+                runs = [simulate_uncoordinated(SimConfig(
+                    system=system, slots=6000, seed=5 + idx, warmup=100,
+                    scenario="uncoordinated", n_actual=2, episodes=2))]
+            expected += [row for sim in runs
+                         for row in cli._sim_rows(sim, snr, system.code)]
+        assert payload["results"] == json.loads(json.dumps(expected))
 
 
 class TestCellplanCommand:
@@ -282,22 +310,22 @@ class TestErrorsAndRoundTrip:
     @pytest.mark.parametrize("args", [
         ["analyze", "--alphas", NINE, "--snr-db", "0"] + CODE,
         ["sweep", "--alphas", NINE, "--snr-db", "0,1"] + CODE,
-        ["sweep", "--alphas", "0.29,0.35,0.36", "--snr-db", "0",
+        ["simulate", "--alphas", "0.29,0.35,0.36", "--snr-db", "0",
          "--scenario", "uncoordinated", "--users", "9"] + CODE,
         ["min-blocklength", "--users", "9", "--bits", "50", "--snr-db", "0",
          "--target-per", "0.01"],
-    ], ids=["analyze", "sweep", "sweep-uncoordinated", "min-blocklength"])
+    ], ids=["analyze", "sweep", "simulate-uncoordinated", "min-blocklength"])
     def test_user_cap_usage_error(self, args, capsys):
         assert main(args) == 2
         assert "9 users exceeds the 8-user cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
-        (["--alphas", "0.5,0.6"], "sum to 1"),
-        (["--alphas", "0.29,0.35,0.36", "--scenario", "uncoordinated",
+        (["sweep", "--alphas", "0.5,0.6"], "sum to 1"),
+        (["simulate", "--alphas", "0.29,0.35,0.36", "--scenario", "uncoordinated",
           "--slots", "1000", "--episodes", "2", "--warmup", "500"], "warmup"),
     ], ids=["ratios", "warmup"])
     def test_sweep_bad_point_usage_error(self, args, message, capsys):
-        assert main(["sweep", "--snr-db", "0"] + args + self.CODE) == 2
+        assert main(args + ["--snr-db", "0"] + self.CODE) == 2
         assert message in capsys.readouterr().err
 
     def test_failed_solve_exit_code(self, capsys):
@@ -348,10 +376,10 @@ class TestInputChecks:
     NINE = ",".join([repr(1 / 9)] * 9)
     CODE = ["--rate", "0.25", "--blocklength", "100"]
 
-    @pytest.mark.parametrize("command", ["sweep", "simulate"])
-    def test_nine_planned_ratios_usage_error(self, command, capsys):
+    @pytest.mark.parametrize("snr_db", ["0", "0,1"], ids=["simulate", "simulate-grid"])
+    def test_nine_planned_ratios_usage_error(self, snr_db, capsys):
         # three placed users, but nine ratios plan nine decode tables
-        assert main([command, "--alphas", self.NINE, "--snr-db", "0",
+        assert main(["simulate", "--alphas", self.NINE, "--snr-db", snr_db,
                      "--scenario", "uncoordinated", "--users", "3",
                      "--slots", "2000", "--episodes", "1", "--warmup", "100"]
                     + self.CODE) == 2
@@ -382,15 +410,39 @@ class TestInputChecks:
          + GA, "information bits"),
         (["analyze", "--alphas", "0.5,0.5", "--snr-db", "x"] + CODE, "--snr-db"),
         (["analyze", "--rate", "0.25", "--config", "BAD_CONFIG"] + PAIR, "--blocklength"),
-        (["sweep", "--scenario", "uncoordinated", "--users", "0"] + PAIR + CODE,
+        (["simulate", "--scenario", "uncoordinated", "--users", "0"] + PAIR + CODE,
          "0 users"),
+        (["min-blocklength", "--bits", "50", "--snr-db", "0", "--target-per", "0.01",
+          "--max-n", "10"] + GA, "n_cap 10 leaves no blocklength"),
+        (["min-blocklength", "--bits", "50", "--snr-db", "0", "--target-per", "0.01",
+          "--max-n=-5"] + GA, "n_cap -5 leaves no blocklength"),
+        (["simulate", "--users", "5"] + PAIR + CODE, "exactly the configured users"),
+        (["simulate", "--episodes", "3"] + PAIR + CODE, "single episode"),
+        (["sweep", "--config", "UNCOORDINATED_CONFIG"] + PAIR + CODE,
+         "simulate runs uncoordinated grids"),
     ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
-            "snr-db", "config-cast", "sweep-users"])
+            "snr-db", "config-cast", "simulate-users", "max-n", "negative-max-n",
+            "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config"])
     def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"blocklength": "abc"}))
-        assert main([str(config) if a == "BAD_CONFIG" else a for a in args]) == 2
+        configs = {"BAD_CONFIG": {"blocklength": "abc"},
+                   "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"}}
+        for name, data in configs.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        assert main([str(tmp_path / a) if a in configs else a for a in args]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--scenario", "coordinated"], ["sweep", "--users", "2"],
+        ["sweep", "--slots", "2000"], ["sweep", "--episodes", "1"],
+        ["sweep", "--warmup", "100"], ["sweep", "--n-hat", "2"],
+        ["simulate", "--n-hat", "2", "--slots", "2000"],
+    ], ids=["sweep-scenario", "sweep-users", "sweep-slots", "sweep-episodes",
+            "sweep-warmup", "sweep-n-hat", "simulate-n-hat"])
+    def test_removed_simulation_flags_rejected(self, args):
+        # each value was accepted and left the rows unchanged
+        with pytest.raises(SystemExit) as exc:
+            main(args + self.PAIR + self.CODE)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--crossover-rate", "--mutation-rate",
                                       "--mutation-sigma", "--elitism"])

@@ -275,6 +275,9 @@ class TestMinBlocklength:
             min_blocklength(50, 0.0, 1, 0.0, FAST)
         with pytest.raises(ValueError):
             min_blocklength(0, 0.0, 1, 0.1, FAST)
+        # no n in k + 1 .. n_cap to search
+        with pytest.raises(ValueError, match="n_cap 50"):
+            min_blocklength(50, 0.0, 1, 0.1, FAST, n_cap=50)
 
 
 class TestParetoFront:

@@ -3,7 +3,10 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import noma_harq
@@ -87,3 +90,13 @@ def test_no_module_reads_the_environment():
             if isinstance(node, ast.ImportFrom) and node.module == "os":
                 names = {a.name for a in node.names}
                 assert not names & {"environ", "getenv"}, path.name
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes about half of the package's import time
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, noma_harq.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
