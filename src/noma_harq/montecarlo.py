@@ -27,18 +27,28 @@ are capped at markov.MAX_USERS.
 
 Decode tables come from the analysis's vectorized engine
 (markov._stage_tables and the successors of the chain's move table),
-all 3^N states at once; the scalar sic path is a test oracle only.  The
-chain tallies slots by rotation, state and first-failure stage, in the
-layout of the move table.  markov._move_sums turns those counts into the
-e_i and p_s tallies, the same sums the analysis takes over the move
-probabilities, and the state visits follow from the counts, so memory is
-O(n_hat * 3^N * N) with no 3^N x 3^N array.
+all 3^N states at once, as numpy arrays; the scalar sic path is a test
+oracle only.  The chain tallies slots by rotation, state and
+first-failure stage, in the layout of the move table.  markov._move_sums
+turns those counts into the e_i and p_s tallies, the same sums the
+analysis takes over the move probabilities, and the state visits follow
+from the counts, so memory is O(n_hat * 3^N * N) with no 3^N x 3^N
+array.
+
+The chain steps in numpy wherever it can.  A slot whose uniforms clear
+every stage's largest failure probability decodes every stage from any
+state, so the chain is in state 0 after it; the stretches between such
+slots step in lockstep, and the few long ones left finish in a Python
+loop over lists.  Each slot makes the move a slot-by-slot walk of the
+same uniforms makes, so every result is bit-identical to that walk (kept
+as run_chain in tests/oracle.py).
 
 Seeding: each episode splits its np.random.SeedSequence with spawn(3)
 into independent child streams (dynamics, placement, fading), so every
 run is reproducible bit for bit and the streams never alias.  The
 coordinated episode's sequence is SeedSequence(seed); uncoordinated
-episodes take SeedSequence(seed).spawn(episodes).
+episode i takes SeedSequence(seed, spawn_key=(i,)), the i-th child of
+SeedSequence(seed).spawn(episodes), built one episode at a time.
 """
 
 import functools
@@ -71,7 +81,14 @@ PATH_LOSS_EXP = 3.5
 # channel inversion is capped at this multiple of the mean fading gain
 POWER_CAP_FACTOR = 1e3
 
+# slots per chunk of fading draws; the ledger sums chunk by chunk
 _CHUNK = 1 << 16
+# slots per chunk of the chain; its per-chunk arrays grow with it (at
+# 1 << 16 they raised coordinated-simulation's peak RSS by ~6 MiB)
+_CHAIN_CHUNK = 1 << 13
+# fewer unfinished segments than this step one slot at a time in Python,
+# where a numpy step per slot position would cost more
+_LOCKSTEP_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -170,18 +187,24 @@ def _decode_tables(powers: np.ndarray, code: CodeParams):
     the analysis (one (N,) vector gives one table without the leading
     axis).
 
-    Returns (orders, eps_tab, succ_tab): orders is the array of
-    markov._stage_tables, the tables are nested lists, so the slot loop
-    reads Python floats and ints.  eps_tab[r][s][w] is the failure
-    probability of stage w in state s for row r, from the Chase-combining
-    finite-blocklength formula.  succ_tab[r][s] holds the N+1 successors
-    of the chain's move table: entry w < N is the next state when the
-    first SIC failure hits stage w, entry N = 0 the all-success one.
+    Returns the arrays (orders, eps, succ), (R, 3^N, N), (R, 3^N, N) and
+    (R, 3^N, N+1).  orders is markov._stage_tables' decode order.
+    eps[r, s, w] is the failure probability of stage w in state s for row
+    r, from the Chase-combining finite-blocklength formula.  succ[r, s]
+    holds the N+1 successors of the chain's move table: entry w < N is the
+    next state when the first SIC failure hits stage w, entry N = 0 the
+    all-success one.
     """
     digits = _state_digits(powers.shape[-1])
     orders, gammas = _stage_tables(digits, powers)
-    eps = per_cc_batch(gammas, code)[0]
-    return orders, eps.tolist(), _fallback_successors(digits, orders).tolist()
+    return orders, per_cc_batch(gammas, code)[0], _fallback_successors(digits, orders)
+
+
+def _episode_seeds(seed: int, episodes: int):
+    """The seed sequences of the episodes, one at a time: the children
+    SeedSequence(seed).spawn(episodes) would return, built lazily so that
+    memory does not grow with the episode count."""
+    return (np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(episodes))
 
 
 def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
@@ -207,39 +230,122 @@ def _fading_ledger(fade_rng, ratios: np.ndarray, slots: int):
     return inv_sum, cap_cnt
 
 
-def _run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
+def _walk(uni, rot, starts, stops, states, low, tables, keys):
+    """Step the chain one slot at a time over the segments [starts[i],
+    stops[i]) of the chunk, segment i from states[i], writing each slot's
+    move into keys.
+
+    uni holds the chunk's uniforms with a sentinel column of zeros and rot
+    the rotation of every slot.  tables holds the rows of eps by rotation
+    and state and the flat succ as lists, so the loop reads Python floats
+    and ints.  low[r, w] = min_s eps[r, s, w], then a sentinel 1: a uniform
+    below it fails stage w from any state, so the first such stage caps a
+    slot's search, and a slot capped at stage 0 reads no uniform at all.
+    """
+    eps_tab, succ_tab = tables
+    n1 = low.shape[1]
+    m = len(eps_tab) // len(low)
+    lengths = stops - starts
+    offsets = np.cumsum(lengths) - lengths
+    # the segments' slots one after another; init marks where each starts
+    at = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
+    init = np.full(len(at), -1, dtype=np.intp)
+    init[offsets] = states
+    caps = (uni[at] < low[rot[at]]).argmax(axis=1)
+    rows = iter(uni[at[caps > 0]].tolist())
+    moves = []
+    for base, cap, fresh in zip((rot[at] * m).tolist(), caps.tolist(), init.tolist()):
+        if fresh >= 0:
+            state = fresh
+        row = base + state
+        if cap:
+            u, eps = next(rows), eps_tab[row]
+            for w in range(cap):
+                if u[w] < eps[w]:
+                    break
+            else:
+                w = cap
+        else:
+            w = 0
+        key = row * n1 + w
+        moves.append(key)
+        state = succ_tab[key]
+    keys[at] = moves
+
+
+def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: int,
                visits_thin=None) -> np.ndarray:
     """Evolve the phase-vector chain from the all-success state.
 
-    tables[rot] is the (eps_tab, succ_tab) pair of _decode_tables for
-    rotation rot; slot t uses tables[t % len(tables)].  Returns the counts
-    (len(tables), 3^N, N+1): slots after the warmup by rotation, state and
-    first-failure stage (N: every stage succeeded).
+    eps and succ are _decode_tables' (R, 3^N, N) and (R, 3^N, N+1) arrays;
+    slot t uses rotation t % R.  Returns the counts (R, 3^N, N+1): slots
+    after the warmup by rotation, state and first-failure stage (N: every
+    stage succeeded).  Every THIN_STRIDE-th counted slot adds its state to
+    visits_thin.
+
+    Slot t draws N uniforms u and fails first at the first stage w with
+    u[w] < eps[rot, state, w].  A reset slot has u[w] >= max_s eps[rot,
+    s, w] at every stage, so it decodes every stage from any state and
+    the chain is in state 0 after it (the coalescence of Propp and
+    Wilson's coupled chains).  Each chunk of uniforms splits into
+    segments that end at reset slots; every segment but the first starts
+    in state 0, so all of them step in lockstep, one numpy step per slot
+    position.  Once fewer than _LOCKSTEP_MIN segments remain, _walk
+    finishes them one slot at a time.  Every slot makes the move a
+    slot-by-slot walk of the same uniforms makes, so the counts are
+    bit-identical to it.
+
+    A slot's move is its key (r * 3^N + state) * (N+1) + w, at once the
+    flat index of its count and of its successor.
     """
-    n_rot = len(tables)
-    m = 3**n_users
-    counts = [[[0] * (n_users + 1) for _ in range(m)] for _ in range(n_rot)]
+    n_rot, m, n = eps.shape
+    n1 = n + 1
+    # a sentinel stage that every slot fails: uniform 0 < eps 1
+    sentinel = np.ones((n_rot * m, 1))
+    eps_rows = np.hstack((eps.reshape(-1, n), sentinel))
+    low = np.hstack((eps.min(axis=1), sentinel[:n_rot]))
+    clear = eps.max(axis=1)
+    succ_flat = succ.reshape(-1)
+    counts = np.zeros(n_rot * m * n1, dtype=np.int64)
+    tables = None
     state = 0
     done = 0
     while done < slots:
-        take = min(_CHUNK, slots - done)
-        uni = dyn_rng.random((take, n_users))
-        for row in uni:
-            rot = done % n_rot
-            eps_tab, succ_tab = tables[rot]
-            eps = eps_tab[state]
-            for w in range(n_users):
-                if row[w] < eps[w]:
-                    break
-            else:
-                w = n_users
-            if done >= warmup:
-                counts[rot][state][w] += 1
-                if visits_thin is not None and (done - warmup) % THIN_STRIDE == 0:
-                    visits_thin[state] += 1
-            state = succ_tab[state][w]
-            done += 1
-    return np.array(counts, dtype=np.int64)
+        take = min(_CHAIN_CHUNK, slots - done)
+        uni = np.zeros((take, n1))
+        uni[:, :n] = dyn_rng.random((take, n))
+        rot = np.arange(done, done + take) % n_rot
+        reset = (uni[:, :n] >= clear[rot]).all(axis=1)
+        ends = np.append(np.flatnonzero(reset[:-1]) + 1, take)
+        lengths = np.diff(ends, prepend=0)
+        # longest first: the segments still running are always a prefix;
+        # the first segment goes on from the last chunk's state
+        order = np.argsort(-lengths, kind="stable")
+        starts, lengths = ends[order] - lengths[order], lengths[order]
+        states = np.where(order == 0, state, 0)
+        steps = int(lengths[_LOCKSTEP_MIN - 1]) if len(lengths) >= _LOCKSTEP_MIN else 0
+        keys = np.empty(take, dtype=np.intp)
+        base = rot * m
+        for j, k in enumerate(np.searchsorted(-lengths, -np.arange(steps))):
+            t = starts[:k] + j
+            row = base[t] + states[:k]
+            key = row * n1 + (uni[t] < eps_rows[row]).argmax(axis=1)
+            keys[t] = key
+            states[:k] = succ_flat[key]
+        left = int(np.searchsorted(-lengths, -steps))
+        if left:
+            if tables is None:
+                tables = eps.reshape(-1, n).tolist(), succ_flat.tolist()
+            _walk(uni, rot, starts[:left] + steps, starts[:left] + lengths[:left],
+                  states[:left], low, tables, keys)
+        lo = min(max(warmup - done, 0), take)
+        counts += np.bincount(keys[lo:], minlength=counts.size)
+        if visits_thin is not None:
+            first = lo + (warmup - done - lo) % THIN_STRIDE
+            visits_thin += np.bincount(keys[first::THIN_STRIDE] // n1 % m, minlength=m)
+        state = int(succ_flat[keys[-1]])
+        done += take
+    return counts.reshape(n_rot, m, n1)
 
 
 def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
@@ -258,10 +364,9 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     distances, angles = disk_positions(place_rng, n)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
-    orders, eps_tab, succ_tab = _decode_tables(matrix * p0, cfg.system.code)
+    orders, eps, succ = _decode_tables(matrix * p0, cfg.system.code)
     slots = cfg.slots // cfg.episodes
-    counts = _run_chain(dyn_rng, list(zip(eps_tab, succ_tab)), n, slots, cfg.warmup,
-                        visits_thin=visits_thin)
+    counts = _run_chain(dyn_rng, eps, succ, slots, cfg.warmup, visits_thin=visits_thin)
     to_f, to_s = _move_sums(orders, counts)
     inv_sum, cap_cnt = _fading_ledger(fade_rng, matrix, slots)
     return (counts.sum(axis=(0, 2)), to_f.sum(axis=(0, 1)), to_s.sum(axis=(0, 1)),
@@ -276,7 +381,7 @@ def _simulate(cfg: SimConfig, ratios, seqs, visits_thin=None) -> SimResult:
         lambda acc, ep: [a + b for a, b in zip(acc, ep)],
         (_episode(seq, cfg, cfg.n_actual, ratios, visits_thin) for seq in seqs))
     total = int(visits.sum())
-    fading_slots = cfg.slots // cfg.episodes * len(seqs)
+    fading_slots = cfg.slots // cfg.episodes * cfg.episodes
     code = cfg.system.code
     per, p_s = f_hits / total, s_hits / total
     per_se, ps_se = _binomial_se(per, total), _binomial_se(p_s, total)
@@ -339,7 +444,7 @@ def simulate_uncoordinated(cfg: SimConfig) -> SimResult:
         rings, sectors = locate_segment(distances, angles, plan)
         return alphas[grids[:, rings, sectors]]
 
-    return _simulate(cfg, ratios, np.random.SeedSequence(cfg.seed).spawn(cfg.episodes))
+    return _simulate(cfg, ratios, _episode_seeds(cfg.seed, cfg.episodes))
 
 
 def simulate_oma_baseline(cfg: SimConfig) -> SimResult:

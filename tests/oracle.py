@@ -3,7 +3,8 @@ rate one SINR at a time, one transition probability at a time from the
 scalar SIC order, and per-user metrics as loops over the dense
 transition matrix.  The package computes the same quantities with its
 vectorized per_cc_batch and successor table; the tests compare the two.
-Also the chi-square fit the simulator tests apply to state visits."""
+Also the simulator's chain one slot at a time, and the chi-square fit the
+simulator tests apply to state visits."""
 
 import math
 from typing import Tuple
@@ -12,6 +13,7 @@ import numpy as np
 from scipy.special import erfc
 from scipy.stats import chi2
 
+from noma_harq import montecarlo
 from noma_harq.fbl import LOG2E_SQ, CodeParams
 from noma_harq.markov import StationaryDistribution, TransitionMatrix, _state_digits
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
@@ -171,3 +173,41 @@ def chi_square_state_fit(observed: np.ndarray,
     stat = float(((obs_arr - exp_arr) ** 2 / exp_arr).sum())
     dof = len(obs_arr) - 1
     return stat, dof, float(chi2.sf(stat, dof))
+
+
+def run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
+              visits_thin=None) -> np.ndarray:
+    """Evolve the phase-vector chain from the all-success state, one slot
+    at a time, drawing the uniforms in chunks of montecarlo._CHUNK.
+
+    tables[rot] is the (eps_tab, succ_tab) pair of nested lists for
+    rotation rot (montecarlo._decode_tables' arrays as lists); slot t uses
+    tables[t % len(tables)].  Returns the counts (len(tables), 3^N, N+1):
+    slots after the warmup by rotation, state and first-failure stage (N:
+    every stage succeeded).  Every montecarlo.THIN_STRIDE-th counted slot
+    adds its state to visits_thin.
+    """
+    n_rot = len(tables)
+    m = 3**n_users
+    counts = [[[0] * (n_users + 1) for _ in range(m)] for _ in range(n_rot)]
+    state = 0
+    done = 0
+    while done < slots:
+        take = min(montecarlo._CHUNK, slots - done)
+        uni = dyn_rng.random((take, n_users))
+        for row in uni:
+            rot = done % n_rot
+            eps_tab, succ_tab = tables[rot]
+            eps = eps_tab[state]
+            for w in range(n_users):
+                if row[w] < eps[w]:
+                    break
+            else:
+                w = n_users
+            if done >= warmup:
+                counts[rot][state][w] += 1
+                if visits_thin is not None and (done - warmup) % montecarlo.THIN_STRIDE == 0:
+                    visits_thin[state] += 1
+            state = succ_tab[state][w]
+            done += 1
+    return np.array(counts, dtype=np.int64)

@@ -19,13 +19,15 @@ from noma_harq.montecarlo import (
     SimConfig,
     SimResult,
     _decode_tables,
+    _episode_seeds,
+    _run_chain,
     disk_positions,
     simulate_coordinated,
     simulate_oma_baseline,
     simulate_uncoordinated,
 )
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order, stage_sinr
-from oracle import chi_square_state_fit, per_cc
+from oracle import chi_square_state_fit, per_cc, run_chain
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -127,7 +129,72 @@ class TestDecodeTables:
             for w in range(n - 1, -1, -1):
                 u = dec.order[w]
                 tails[w] = tails[w + 1] + fall[u] * 3**u
-            assert succ_tab[s] == tails
+            assert succ_tab[s].tolist() == tails
+
+
+@st.composite
+def chains(draw):
+    """Decode tables of 1..N rotations of a random 1..5-user cluster, or
+    forced ones: every stage fails (no slot resets the chain), none fails
+    (every slot resets it), or only the last stage fails (no resets, but
+    the earlier stages still read their uniforms)."""
+    n = draw(st.integers(1, 5))
+    rotations = draw(st.integers(1, n))
+    powers = np.array([[draw(st.floats(0.05, 1.0)) for _ in range(n)]
+                       for _ in range(rotations)]) * 10 ** (draw(st.floats(-1.0, 1.5)) / 10)
+    _, eps, succ = _decode_tables(powers, CodeParams(k=draw(st.sampled_from([25, 50])), n=100))
+    kind = draw(st.sampled_from(["decode", "always_fails", "never_fails", "last_fails"]))
+    if kind == "always_fails":
+        eps = np.ones_like(eps)
+    elif kind == "never_fails":
+        eps = np.zeros_like(eps)
+    elif kind == "last_fails":
+        eps[..., -1] = 1.0
+    return eps, succ
+
+
+class TestSegmentedWalk:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(chains(), st.integers(1, 3000), st.integers(0, 400), st.integers(0, 2**32 - 1),
+           st.sampled_from([7, 64, 1000]), st.sampled_from([1, 2, 32]))
+    def test_matches_slot_by_slot_oracle(self, chain, slots, warmup, seed, chunk,
+                                         lockstep_min):
+        # small chunks make segments, the warmup and the thinning stride
+        # straddle chunk boundaries
+        eps, succ = chain
+        warmup = min(warmup, slots - 1)
+        _, m, n = eps.shape
+        thin, thin_oracle = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_CHAIN_CHUNK", chunk)
+            mp.setattr(montecarlo, "_LOCKSTEP_MIN", lockstep_min)
+            counts = _run_chain(np.random.default_rng(seed), eps, succ, slots, warmup, thin)
+            expect = run_chain(np.random.default_rng(seed),
+                               list(zip(eps.tolist(), succ.tolist())), n, slots, warmup,
+                               thin_oracle)
+        np.testing.assert_array_equal(counts, expect)
+        np.testing.assert_array_equal(thin, thin_oracle)
+        assert counts.sum() == slots - warmup
+
+
+class TestEpisodeSeeds:
+    def test_children_match_spawn(self):
+        lazy = list(_episode_seeds(2024, 5))
+        spawned = np.random.SeedSequence(2024).spawn(5)
+        for a, b in zip(lazy, spawned):
+            assert (a.entropy, a.spawn_key) == (b.entropy, b.spawn_key)
+            np.testing.assert_array_equal(a.generate_state(8), b.generate_state(8))
+
+    def test_seeds_for_many_episodes_take_no_memory(self):
+        # spawn(episodes) took ~375 bytes per episode, ~37 GB at 1e8
+        tracemalloc.start()
+        try:
+            seeds = _episode_seeds(1, 10**8)
+            next(seeds).generate_state(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCoordinated:
@@ -198,6 +265,39 @@ class TestCoordinated:
             tracemalloc.stop()
         assert peak < 50 * 2**20
         assert res.state_visits.sum() == res.slots_counted == 2900
+
+    def test_never_resetting_chain(self, monkeypatch):
+        # every stage fails, so no slot returns the chain to state 0 and
+        # the whole run steps one slot at a time
+        ratios = np.arange(1.0, 9.0)
+        cfg = SimConfig(system=SystemConfig(alphas=tuple(ratios / ratios.sum()),
+                                            p0=0.1, code=CODE),
+                        slots=20_000, seed=13, warmup=100)
+        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        res = simulate_coordinated(cfg)
+        assert np.all(res.per == 1.0)
+        assert np.all(res.success_prob == 0.0)
+        all_r = SystemState((Phase.R,) * 8).index
+        all_f = SystemState((Phase.F,) * 8).index
+        assert set(np.nonzero(res.state_visits)[0].tolist()) == {all_r, all_f}
+        assert res.state_visits.sum() == res.slots_counted == 19_900
+
+    def test_chunk_temporaries_do_not_grow_with_slots(self, monkeypatch):
+        # the chain keeps per-chunk arrays, never one per slot of the run
+        ratios = np.arange(1.0, 9.0)
+        system = SystemConfig(alphas=tuple(ratios / ratios.sum()), p0=0.1, code=CODE)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 2048)
+        monkeypatch.setattr(montecarlo, "_CHAIN_CHUNK", 2048)
+        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        peaks = []
+        for slots in (4096, 40_960):
+            tracemalloc.start()
+            try:
+                simulate_coordinated(SimConfig(system=system, slots=slots, seed=7, warmup=10))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + (64 << 10)
 
     def test_state_frequencies_normalized(self):
         cfg = SimConfig(system=ANCHOR_CFG, slots=30_000, seed=5, warmup=700)
