@@ -546,8 +546,8 @@ def max_user_per(alphas, p0: float, code: CodeParams):
 
     A row whose stationary solve fails (NumericalError: a residual above
     STATIONARY_TOL, or a NaN vector when every solve underflows at low
-    SNR) reads NaN, which the GA ranks worst; a call with such rows logs
-    their count as one INFO record.
+    SNR) reads NaN, which the GA ranks worst.  A call with NaN rows or
+    rows of several closed classes logs both counts as one INFO record.
     """
     alphas = np.asarray(alphas, dtype=float)
     powers = np.atleast_2d(alphas) * p0
@@ -558,16 +558,18 @@ def max_user_per(alphas, p0: float, code: CodeParams):
         pers, _, chunk_errors = _table_analysis(powers[start:start + size], code)
         worst[start:start + size] = pers.max(axis=1)
         errors += chunk_errors
-    failed = 0
+    failed = reducible = 0
     for b, error in enumerate(errors):
         if isinstance(error, ReducibleChainError):
             worst[b] = 1.0
+            reducible += 1
         elif error is not None:
             worst[b] = np.nan
             failed += 1
-    if failed:
-        _log.info("max_user_per: %d of %d stationary solves failed and read NaN",
-                  failed, len(worst))
+    if failed or reducible:
+        _log.info("max_user_per: %d of %d stationary solves failed and read NaN, "
+                  "and %d of %d chains have several closed classes and read 1.0",
+                  failed, len(worst), reducible, len(worst))
     return float(worst[0]) if alphas.ndim == 1 else worst
 
 

@@ -8,22 +8,27 @@ their cell segment, including mismatched load estimates.
 Decode outcomes are independent Bernoulli draws at the analytically
 computed stage SINRs: exactly the abstraction the chain assumes, so the
 comparison is sharp.  Fading never touches reliability (users power
-control their received level); it is drawn only to account transmit
-power, with channel inversion capped at POWER_CAP_FACTOR times the mean
-and the capped fraction reported.  Transmit power scales with distance
-to the power PATH_LOSS_EXP; users are placed uniformly over a cell of
-radius cellplan.CELL_RADIUS.
+control their received level); it enters only the transmit-power
+accounting, with channel inversion capped at POWER_CAP_FACTOR times the
+mean.  Both power fields are expectations over h ~ Exp(1) given the
+placed users, in closed form, not sample means: the mean capped
+inversion E[min(1/h, C)] = E1(1/C) + C (1 - e^(-1/C)) and the capped
+fraction P(h < 1/C) = 1 - e^(-1/C) (Abramowitz & Stegun 5.1.1), so no
+fading is drawn.  Transmit power scales with distance to the power
+PATH_LOSS_EXP; users are placed uniformly over a cell of radius
+cellplan.CELL_RADIUS.
 
 One episode engine serves both scenarios.  An episode places the users,
 reads their (rotations x users) ratio matrix, builds the decode tables
-of every rotation in one call, runs the chain and then the fading
-ledger; a run sums its episodes into one SimResult.  The coordinated run
-is one episode with one rotation, the matrix [alphas]; uncoordinated
-runs sum many episodes whose rotations follow the cell plan: one
-locate_segment call maps the placed users to their segments, and the
-stacked assignment grids of the n_hat rotations give the whole matrix in
-one array lookup.  Both the placed users and the n_hat planned ratios
-are capped at markov.MAX_USERS.
+of every rotation in one call, runs the chain and weighs each user's
+ratios by the slots of each rotation for the power ledger; a run sums
+its episodes into one SimResult.  The coordinated run is one episode
+with one rotation, the matrix [alphas]; uncoordinated runs sum many
+episodes whose rotations follow the cell plan: one locate_segment call
+maps the placed users to their segments, and the stacked assignment
+grids of the n_hat rotations give the whole matrix in one array lookup.
+Both the placed users and the n_hat planned ratios are capped at
+markov.MAX_USERS.
 
 Decode tables come from the analysis's vectorized engine
 (markov._stage_tables and the successors of the chain's move table),
@@ -46,8 +51,9 @@ as run_chain in tests/oracle.py).
 Seeding: each episode splits its np.random.SeedSequence with spawn(3)
 into independent child streams (dynamics, placement, fading), so every
 run is reproducible bit for bit and the streams never alias.  The
-coordinated episode's sequence is SeedSequence(seed); uncoordinated
-episode i takes SeedSequence(seed, spawn_key=(i,)), the i-th child of
+fading stream is spawned but never drawn.  The coordinated episode's
+sequence is SeedSequence(seed); uncoordinated episode i takes
+SeedSequence(seed, spawn_key=(i,)), the i-th child of
 SeedSequence(seed).spawn(episodes), built one episode at a time.
 """
 
@@ -57,6 +63,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import exp1
 
 from .cellplan import CELL_RADIUS, build_plan, locate_segment
 from .fbl import CodeParams, per_cc_batch
@@ -80,9 +87,11 @@ THIN_STRIDE = 10
 PATH_LOSS_EXP = 3.5
 # channel inversion is capped at this multiple of the mean fading gain
 POWER_CAP_FACTOR = 1e3
+# E[min(1/h, C)] and P(h < 1/C) for h ~ Exp(1) and C = POWER_CAP_FACTOR
+_MEAN_INVERSION = (exp1(1.0 / POWER_CAP_FACTOR)
+                   - POWER_CAP_FACTOR * np.expm1(-1.0 / POWER_CAP_FACTOR))
+_CAP_PROB = -np.expm1(-1.0 / POWER_CAP_FACTOR)
 
-# slots per chunk of fading draws; the ledger sums chunk by chunk
-_CHUNK = 1 << 16
 # slots per chunk of the chain; its per-chunk arrays grow with it (at
 # 1 << 16 they raised coordinated-simulation's peak RSS by ~6 MiB)
 _CHAIN_CHUNK = 1 << 13
@@ -144,7 +153,15 @@ class SimResult:
     sqrt(x (1 - x) / T) over T counted slots.  They understate the
     spread: a lost packet counts in its F slot and in the R slot failing
     into it, so by the exact chain the PER estimator's variance is 2.0x
-    binomial for acceptance criterion 1's users, p_s's 1.2-1.9x."""
+    binomial for acceptance criterion 1's users, p_s's 1.2-1.9x.
+
+    mean_tx_power and cap_fraction are not sample means but expectations
+    over the fading, given the placed users and their ratio schedule, in
+    closed form.  mean_tx_power is a user's expected transmit power per
+    slot it transmits in (every slot of a NOMA episode, warmup included;
+    its own slots in the orthogonal baseline), and cap_fraction the
+    probability P(h < 1/POWER_CAP_FACTOR) that its channel inversion is
+    capped."""
 
     scenario: str
     n_users: int
@@ -209,25 +226,6 @@ def _episode_seeds(seed: int, episodes: int):
 
 def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
-
-
-def _fading_ledger(fade_rng, ratios: np.ndarray, slots: int):
-    """Per-user sum of ratio * min(1/h, POWER_CAP_FACTOR) over the slots,
-    and the count of capped slots.  ratios is the (rotations x users)
-    ratio matrix; slot t weighs by its row t % rotations."""
-    inv_sum = np.zeros(ratios.shape[1])
-    cap_cnt = np.zeros(ratios.shape[1], dtype=np.int64)
-    done = 0
-    threshold = 1.0 / POWER_CAP_FACTOR
-    while done < slots:
-        take = min(_CHUNK, slots - done)
-        h = fade_rng.exponential(1.0, size=(take, ratios.shape[1]))
-        with np.errstate(divide="ignore"):
-            inv = np.minimum(1.0 / h, POWER_CAP_FACTOR)
-        inv_sum += (inv * ratios[np.arange(done, done + take) % len(ratios)]).sum(axis=0)
-        cap_cnt += (h < threshold).sum(axis=0)
-        done += take
-    return inv_sum, cap_cnt
 
 
 def _walk(uni, rot, starts, stops, states, low, tables, keys):
@@ -351,16 +349,16 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
 def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     """One episode from the seed sequence seq: place n users, read their
     (rotations x users) ratio matrix ratios(distances, angles), build the
-    decode tables of every rotation at once, run the chain and the fading
-    ledger.
+    decode tables of every rotation at once, and run the chain.
 
-    Returns (state visits, e_i numerators, p_s numerators, per-user sum of
-    received power times the capped channel inversion, capped slots).  The
+    Returns (state visits, e_i numerators, p_s numerators, per-user
+    expected transmit power summed over the slots).  Slot t uses rotation
+    t % R, so rotation r has slots // R + (r < slots % R) slots.  The
     numerators sum the counted moves as the analysis sums their
     probabilities: e_i counts slots already in F plus R slots about to
     fail, p_s fresh packets that decode at the first try.
     """
-    dyn_rng, place_rng, fade_rng = map(np.random.default_rng, seq.spawn(3))
+    dyn_rng, place_rng = map(np.random.default_rng, seq.spawn(3)[:2])
     distances, angles = disk_positions(place_rng, n)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
@@ -368,20 +366,20 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     slots = cfg.slots // cfg.episodes
     counts = _run_chain(dyn_rng, eps, succ, slots, cfg.warmup, visits_thin=visits_thin)
     to_f, to_s = _move_sums(orders, counts)
-    inv_sum, cap_cnt = _fading_ledger(fade_rng, matrix, slots)
+    n_rot = len(matrix)
+    rot_slots = slots // n_rot + (np.arange(n_rot) < slots % n_rot)
     return (counts.sum(axis=(0, 2)), to_f.sum(axis=(0, 1)), to_s.sum(axis=(0, 1)),
-            p0 * distances**PATH_LOSS_EXP * inv_sum, cap_cnt)
+            p0 * distances**PATH_LOSS_EXP * (rot_slots @ matrix) * _MEAN_INVERSION)
 
 
 def _simulate(cfg: SimConfig, ratios, seqs, visits_thin=None) -> SimResult:
     """The episodes of the seed sequences seqs, summed into one result
     with binomial standard errors (delta method for the throughput);
     state visits are reported when visits_thin collects thinned ones."""
-    visits, f_hits, s_hits, tx, cap = functools.reduce(
+    visits, f_hits, s_hits, tx = functools.reduce(
         lambda acc, ep: [a + b for a, b in zip(acc, ep)],
         (_episode(seq, cfg, cfg.n_actual, ratios, visits_thin) for seq in seqs))
     total = int(visits.sum())
-    fading_slots = cfg.slots // cfg.episodes * cfg.episodes
     code = cfg.system.code
     per, p_s = f_hits / total, s_hits / total
     per_se, ps_se = _binomial_se(per, total), _binomial_se(p_s, total)
@@ -399,8 +397,8 @@ def _simulate(cfg: SimConfig, ratios, seqs, visits_thin=None) -> SimResult:
         throughput=np.array([throughput(e, p, code) for e, p in zip(per, p_s)]),
         throughput_stderr=np.hypot(-code.rate / denom * per_se,
                                    code.rate * (1.0 - per) / denom**2 * ps_se),
-        mean_tx_power=tx / fading_slots,
-        cap_fraction=cap / fading_slots,
+        mean_tx_power=tx / (cfg.slots // cfg.episodes * cfg.episodes),
+        cap_fraction=np.full(cfg.n_actual, _CAP_PROB),
         state_visits=None if visits_thin is None else visits,
         state_visits_thinned=visits_thin,
     )
@@ -465,8 +463,8 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     p_oma = oma_received_power(sys_cfg)
     (eps1, eps2), _ = per_cc_batch(np.array([p_oma, 2.0 * p_oma]), code)
 
-    dyn_rng, place_rng, fade_rng = map(np.random.default_rng,
-                                       np.random.SeedSequence(cfg.seed).spawn(3))
+    dyn_rng, place_rng = map(np.random.default_rng,
+                             np.random.SeedSequence(cfg.seed).spawn(3)[:2])
     rounds = max(2, cfg.slots // n)
     per = np.empty(n)
     p_s = np.empty(n)
@@ -499,13 +497,6 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     )
 
     distances, _ = disk_positions(place_rng, n)
-    mean_tx = np.empty(n)
-    cap_frac = np.empty(n)
-    for i in range(n):
-        inv_sum, cap_cnt = _fading_ledger(fade_rng, np.ones((1, 1)), int(own_slots[i]))
-        mean_tx[i] = p_oma * distances[i] ** PATH_LOSS_EXP * inv_sum[0] / own_slots[i]
-        cap_frac[i] = cap_cnt[0] / own_slots[i]
-
     return SimResult(
         scenario="oma",
         n_users=n,
@@ -518,7 +509,7 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
         success_prob_stderr=ps_se,
         throughput=eta,
         throughput_stderr=eta_se,
-        mean_tx_power=mean_tx,
-        cap_fraction=cap_frac,
+        mean_tx_power=p_oma * distances**PATH_LOSS_EXP * _MEAN_INVERSION,
+        cap_fraction=np.full(n, _CAP_PROB),
     )
 

@@ -20,6 +20,8 @@ from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
 
 # chi-square cells expected to hold fewer visits than this are pooled
 MIN_EXPECTED = 5.0
+# slots per chunk of run_chain's uniforms; the stream does not depend on it
+CHAIN_CHUNK = 1 << 16
 
 
 def q_function(x: float) -> float:
@@ -178,7 +180,7 @@ def chi_square_state_fit(observed: np.ndarray,
 def run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
               visits_thin=None) -> np.ndarray:
     """Evolve the phase-vector chain from the all-success state, one slot
-    at a time, drawing the uniforms in chunks of montecarlo._CHUNK.
+    at a time, drawing the uniforms in chunks of CHAIN_CHUNK.
 
     tables[rot] is the (eps_tab, succ_tab) pair of nested lists for
     rotation rot (montecarlo._decode_tables' arrays as lists); slot t uses
@@ -193,7 +195,7 @@ def run_chain(dyn_rng, tables, n_users: int, slots: int, warmup: int,
     state = 0
     done = 0
     while done < slots:
-        take = min(montecarlo._CHUNK, slots - done)
+        take = min(CHAIN_CHUNK, slots - done)
         uni = dyn_rng.random((take, n_users))
         for row in uni:
             rot = done % n_rot

@@ -438,10 +438,24 @@ class TestUserMetrics:
                 if q > 1e-300:
                     assert_relative(m.success_prob, q)
 
-    def test_silenced_user_objective_is_one(self):
-        # user 0 fails every decode, so its R/F parity never changes and
-        # the chain has two closed classes
-        assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
+    def test_silenced_user_objective_is_one(self, caplog):
+        # user 0 fails every decode, so its PER is 1; one such user leaves
+        # one closed class, and the chain solves as usual
+        with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
+            assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
+        assert not caplog.records
+
+    def test_several_closed_classes_read_one_and_are_logged(self, caplog):
+        # two silenced users fail every decode, so their relative R/F
+        # parity never changes and the chain has two closed classes
+        alphas = np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
+            worst = max_user_per(alphas, 10.0, CODE)
+        assert worst[0] == 1.0
+        records = [r for r in caplog.records if r.name == "noma_harq.markov"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert "0 of 3 stationary solves failed" in records[0].getMessage()
+        assert "1 of 3 chains have several closed classes" in records[0].getMessage()
 
     @pytest.mark.parametrize("raw,k", list(NAN_CASES.values()), ids=list(NAN_CASES))
     def test_nan_stationary_vector_is_a_numerical_error(self, raw, k, gth_sizes):
@@ -581,6 +595,8 @@ class TestStackedEngine:
         # one record for the stack with NaN rows, none for the clean call
         assert [r.levelno for r in records] == [logging.INFO]
         assert "1 of 4 stationary solves failed" in records[0].getMessage()
+        # the silenced user's chain keeps one closed class at this power
+        assert "0 of 4 chains have several closed classes" in records[0].getMessage()
 
     def test_unconverged_oma_power_warns(self, monkeypatch, caplog):
         with caplog.at_level(logging.INFO, logger="noma_harq.markov"):

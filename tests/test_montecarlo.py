@@ -11,8 +11,9 @@ from scipy.integrate import quad
 
 import noma_harq.montecarlo as montecarlo
 from noma_harq.fbl import CodeParams
-from noma_harq.markov import analyze, build_transition_matrix, stationary_distribution
-from noma_harq.cellplan import CELL_RADIUS
+from noma_harq.markov import (analyze, build_transition_matrix, oma_received_power,
+                               stationary_distribution)
+from noma_harq.cellplan import CELL_RADIUS, build_plan, locate_segment
 from noma_harq.montecarlo import (
     PATH_LOSS_EXP,
     POWER_CAP_FACTOR,
@@ -41,6 +42,15 @@ def never_fails(gammas, code):
 def always_fails(gammas, code):
     """Stand-in for fbl.per_cc_batch: every stage fails."""
     return np.ones_like(gammas), np.zeros_like(gammas)
+
+
+def quad_mean_inversion() -> float:
+    """Quadrature oracle for E[min(1/h, cap)] under h ~ Exp(1), split at
+    the cap threshold where the integrand kinks."""
+    cap = POWER_CAP_FACTOR
+    head, _ = quad(lambda h: cap * math.exp(-h), 0, 1.0 / cap)
+    tail, _ = quad(lambda h: math.exp(-h) / h, 1.0 / cap, np.inf, limit=200)
+    return head + tail
 
 
 def sim_result_equal(a: SimResult, b: SimResult) -> bool:
@@ -286,7 +296,6 @@ class TestCoordinated:
         # the chain keeps per-chunk arrays, never one per slot of the run
         ratios = np.arange(1.0, 9.0)
         system = SystemConfig(alphas=tuple(ratios / ratios.sum()), p0=0.1, code=CODE)
-        monkeypatch.setattr(montecarlo, "_CHUNK", 2048)
         monkeypatch.setattr(montecarlo, "_CHAIN_CHUNK", 2048)
         monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
         peaks = []
@@ -335,6 +344,32 @@ class TestUncoordinated:
         monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
         res = simulate_uncoordinated(self.UNCOORD)
         assert np.all(res.per == 1.0)
+
+    def test_power_ledger_weighs_rotations_by_their_slots(self):
+        # 2203 slots an episode over 5 rotations: slot t uses rotation
+        # t % 5, so rotations 0-2 hold one slot more than rotations 3-4
+        seed, episode_slots = 47, 2203
+        five = SystemConfig(alphas=(0.1, 0.15, 0.2, 0.25, 0.3), p0=ANCHOR_CFG.p0, code=CODE)
+        cfg = SimConfig(system=five, slots=2 * episode_slots, seed=seed,
+                        scenario="uncoordinated", warmup=100, episodes=2)
+        res = simulate_uncoordinated(cfg)
+        plan = build_plan(5, CELL_RADIUS, five.alphas)
+        grids = np.stack([plan.rotated(r).assignment for r in range(5)])
+        tx = np.zeros(5)
+        uniform = np.zeros(5)
+        for i in range(2):
+            seq = np.random.SeedSequence(seed, spawn_key=(i,))
+            dist, ang = disk_positions(np.random.default_rng(seq.spawn(3)[1]), 5)
+            rings, sectors = locate_segment(dist, ang, plan)
+            matrix = np.asarray(plan.alphas)[grids[:, rings, sectors]]
+            scale = five.p0 * dist**PATH_LOSS_EXP
+            tx += scale * matrix[np.arange(episode_slots) % 5].sum(axis=0)
+            uniform += scale * matrix.mean(axis=0) * episode_slots
+        expect_inv = quad_mean_inversion()
+        expect = tx * expect_inv / cfg.slots
+        np.testing.assert_allclose(res.mean_tx_power, expect, rtol=1e-8)
+        # the schedule's weights are not the plain mean over rotations
+        assert not np.allclose(uniform * expect_inv / cfg.slots, expect, rtol=1e-6)
 
 
 class TestPlanCap:
@@ -392,22 +427,23 @@ class TestEnergyLedger:
         cap = POWER_CAP_FACTOR
         cfg = SimConfig(system=ANCHOR_CFG, slots=400_000, seed=31)
         res = simulate_coordinated(cfg)
-        # capped slots happen when the fading draw falls below 1/cap
-        p_cap = 1.0 - math.exp(-1.0 / cap)
-        for frac in res.cap_fraction:
-            assert frac == pytest.approx(p_cap, abs=4 * math.sqrt(p_cap / cfg.slots))
-        # quadrature oracle for E[min(1/h, cap)] under h ~ Exp(1), split at
-        # the cap threshold where the integrand kinks
-        head, _ = quad(lambda h: cap * math.exp(-h), 0, 1.0 / cap)
-        tail, _ = quad(lambda h: math.exp(-h) / h, 1.0 / cap, np.inf, limit=200)
-        expect_inv = head + tail
+        oma = simulate_oma_baseline(cfg)
+        # capped slots happen when the fading draw falls below 1/cap; both
+        # fields are expectations over the fading, not sample means
+        p_cap = -math.expm1(-1.0 / cap)
+        for frac in np.concatenate([res.cap_fraction, oma.cap_fraction]):
+            assert frac == pytest.approx(p_cap, abs=1e-15)
+        expect_inv = quad_mean_inversion()
         # reproduce the documented seed-splitting rule to recover distances
         place = np.random.default_rng(np.random.SeedSequence(31).spawn(3)[1])
         dist, _ = disk_positions(place, 3)
         scale = ANCHOR_CFG.powers * dist**PATH_LOSS_EXP
         ratio = res.mean_tx_power / scale
         for r in ratio:
-            assert r == pytest.approx(expect_inv, rel=0.15)
+            assert r == pytest.approx(expect_inv, rel=1e-8)
+        oma_scale = oma_received_power(ANCHOR_CFG) * dist**PATH_LOSS_EXP
+        for r in oma.mean_tx_power / oma_scale:
+            assert r == pytest.approx(expect_inv, rel=1e-8)
 
     def test_finite_power_reported(self):
         res = simulate_coordinated(SimConfig(system=ANCHOR_CFG, slots=50_000, seed=33))
