@@ -1,9 +1,10 @@
 """Dynamic cell planning for uncoordinated power selection.
 
-The cell is split into n_hat equal-area annuli and n_hat equal-angle
-sectors (n_hat^2 segments of area pi*R^2/n_hat^2 each).  Every segment
-is assigned one of the n_hat power splitting ratios through a cyclic
-Latin square, so the ratios in each annulus and in each sector sum to 1.
+A plan of n_hat power splitting ratios splits the cell into n_hat
+equal-area annuli and n_hat equal-angle sectors (n_hat^2 segments of
+area pi*R^2/n_hat^2 each): its size is its ratio count.  Every segment
+is assigned one of the ratios through a cyclic Latin square, so the
+ratios in each annulus and in each sector sum to 1.
 Rotating the assignment one step per slot cycles every segment through
 all ratios, equalizing average transmit power across the cell.
 
@@ -42,24 +43,22 @@ def ring_radii(n_hat: int, r_outer: float) -> Tuple[float, ...]:
 class CellPlan:
     """Equal-area segmentation with a rotating cyclic ratio assignment.
 
-    alphas holds the ratio values sorted ascending; segment (ring, sector)
-    uses ratio index (ring + sector + rotation) mod n_hat.  Immutable:
-    advancing the rotation produces a new plan.
+    alphas holds the n_hat ratio values sorted ascending; segment (ring,
+    sector) uses ratio index (ring + sector + rotation) mod n_hat.
+    Immutable: advancing the rotation produces a new plan.
     """
 
-    n_hat: int
     r_outer: float
     alphas: Tuple[float, ...]
     rotation: int = 0
 
     def __post_init__(self):
-        if len(self.alphas) != self.n_hat:
-            raise ValueError(
-                f"{self.n_hat} segments per ring need {self.n_hat} ratios, "
-                f"got {len(self.alphas)}"
-            )
         if any(not (a > 0.0) for a in self.alphas):
             raise ValueError("ratios must be positive")
+
+    @property
+    def n_hat(self) -> int:
+        return len(self.alphas)
 
     @property
     def ring_boundaries(self) -> Tuple[float, ...]:
@@ -85,16 +84,12 @@ class CellPlan:
         }
 
 
-def build_plan(
-    n_hat: int, r_outer: float, alphas: Sequence[float], rotation: int = 0
-) -> CellPlan:
-    """Construct the plan for n_hat estimated users; ratios are sorted
+def build_plan(r_outer: float, alphas: Sequence[float], rotation: int = 0) -> CellPlan:
+    """Construct the plan of one ratio per estimated user; ratios are sorted
     ascending before the cyclic assignment so the mapping is reproducible."""
     ratios = tuple(sorted(float(a) for a in alphas))
-    if len(ratios) != n_hat:
-        raise ValueError(f"expected {n_hat} ratios, got {len(ratios)}")
-    ring_radii(n_hat, r_outer)  # validates n_hat and r_outer
-    return CellPlan(n_hat=n_hat, r_outer=r_outer, alphas=ratios, rotation=rotation)
+    ring_radii(len(ratios), r_outer)  # validates the ratio count and r_outer
+    return CellPlan(r_outer=r_outer, alphas=ratios, rotation=rotation)
 
 
 def locate_segment(distances, angles, plan: CellPlan) -> Tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,9 @@
 
 All dB <-> linear conversion happens here; the library modules work in
 linear scale throughout.  Every emission carries a reproducibility
-header (tool version, command, resolved parameters, seed) that can be
-fed back through --config to reproduce the run.
+header (tool version, command, resolved parameters) that can be fed
+back through --config to reproduce the run; each command offers only
+the options it reads, and every one it reads lands in that header.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
 The sweep command analyses an SNR grid and simulate simulates one; each
@@ -96,8 +97,6 @@ def _load_config(path: Optional[str]) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if isinstance(data, dict) and "meta" in data and isinstance(data["meta"], dict):
         data = data["meta"].get("config", data)
-    if isinstance(data, dict) and "config" in data and isinstance(data["config"], dict):
-        data = data["config"]
     if not isinstance(data, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     return data
@@ -208,6 +207,8 @@ def _meta(command: str, res: Resolver) -> dict:
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
@@ -253,14 +254,14 @@ def _sim_rows(sim: SimResult, snr_db: float, code: CodeParams) -> List[dict]:
     ))) for u in range(sim.n_users)]
 
 
-def _analysis_rows(scenario: str, metrics, snr_db: float, code: CodeParams,
-                   seed: int) -> List[dict]:
+def _analysis_rows(scenario: str, metrics, snr_db: float,
+                   code: CodeParams) -> List[dict]:
     """SIM_FIELDS rows of analytic metrics: no standard error, no transmit
-    power."""
+    power, no seed."""
     n = len(metrics)
     return [dict(zip(SIM_FIELDS, (
         scenario, n, n, snr_db, code.rate, code.n, m.user + 1, m.per, 0.0,
-        m.success_prob, m.throughput, math.nan, 0.0, seed,
+        m.success_prob, m.throughput, math.nan, 0.0, None,
     ))) for m in metrics]
 
 
@@ -325,14 +326,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"{scenario!r}: simulate runs uncoordinated grids")
     grid, systems = _grid_systems(res)
     oma = bool(res.get("oma", False))
-    seed = res.get("seed", 1, cast=int)
     rows = []
-    for idx, (snr, system) in enumerate(zip(grid, systems)):
+    for snr, system in zip(grid, systems):
         metrics = analyze(system)
-        rows += _analysis_rows("coordinated", metrics, snr, system.code, seed + idx)
+        rows += _analysis_rows("coordinated", metrics, snr, system.code)
         if oma:
             rows += _analysis_rows("oma", oma_metrics(system, metrics), snr,
-                                   system.code, seed + idx)
+                                   system.code)
     emit(rows, SIM_FIELDS, _meta("sweep", res), res.get("out"),
          res.get("format", "csv"))
     return 0
@@ -422,18 +422,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_cellplan(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
-    n_hat = res.get("n_hat", required=True, cast=int)
     alphas = _parse_alphas(res.get("alphas", required=True))
     r_outer = res.get("r_outer", CELL_RADIUS, cast=float)
     rotation = res.get("rotation", 0, cast=int)
+    out = res.get("out")
     try:
-        plan = build_plan(n_hat, r_outer, alphas, rotation=rotation)
+        plan = build_plan(r_outer, alphas, rotation=rotation)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # dumped before --out is resolved: the header's config leaves it out
-    text = json.dumps({"meta": _meta("cellplan", res), "plan": plan.to_dict()},
-                      indent=2)
-    _write(text, res.get("out"))
+    _write(json.dumps({"meta": _meta("cellplan", res), "plan": plan.to_dict()},
+                      indent=2), out)
     return 0
 
 
@@ -441,11 +439,11 @@ def cmd_cellplan(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, fmt: bool = True) -> None:
     sub.add_argument("--config", help="JSON file of parameters; flags override")
-    sub.add_argument("--seed", type=int, help="master seed (default 1, GA 12345)")
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], help="output format")
+    if fmt:
+        sub.add_argument("--format", choices=["csv", "json"], help="output format")
 
 
 def _add_code(sub: argparse.ArgumentParser) -> None:
@@ -467,6 +465,7 @@ def _add_ga(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(flag, type=int)
     sub.add_argument("--verbose", action="store_const", const=True,
                      help="log the best value per generation to stderr")
+    sub.add_argument("--seed", type=int, help="GA seed (default 12345)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,15 +519,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, help="placed users (default: ratio count)")
     for flag in ("--slots", "--episodes", "--warmup"):
         p.add_argument(flag, type=int)
+    p.add_argument("--seed", type=int,
+                   help="master seed; grid point i runs with seed + i (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("cellplan", help="equal-area segment plan as JSON")
-    p.add_argument("--n-hat", dest="n_hat", type=int)
-    p.add_argument("--alphas")
+    p.add_argument("--alphas", help="comma list of the plan's ratios, one per "
+                                    "ring and sector")
     p.add_argument("--r-outer", dest="r_outer", type=float)
     p.add_argument("--rotation", type=int)
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(func=cmd_cellplan)
 
     return parser

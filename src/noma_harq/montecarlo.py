@@ -108,7 +108,8 @@ class SimConfig:
     episodes (fresh random user placement each episode) and discard
     warmup slots per episode before collecting statistics.  For the
     uncoordinated scenario system.alphas are the n_hat planned ratios
-    while n_actual users are actually placed.
+    while n_actual users are actually placed.  n_hat defaults to, and
+    must equal, the ratio count in either scenario.
     """
 
     system: SystemConfig
@@ -134,17 +135,14 @@ class SimConfig:
             raise ValueError("slots and episodes must be positive, warmup >= 0")
         if self.slots // self.episodes <= self.warmup:
             raise ValueError("each episode needs more slots than the warmup")
+        if self.n_hat != self.system.n_users:
+            raise ValueError(f"n_hat must be the count of system.alphas, "
+                             f"{self.system.n_users}, got {self.n_hat}")
         if self.scenario == "coordinated":
             if self.n_actual != self.system.n_users:
                 raise ValueError("coordinated runs use exactly the configured users")
             if self.episodes != 1:
                 raise ValueError("coordinated runs are a single episode")
-        else:
-            if self.n_hat != self.system.n_users:
-                raise ValueError(
-                    "uncoordinated runs read the n_hat planned ratios from "
-                    "system.alphas; n_hat must match their count"
-                )
 
 
 @dataclass(frozen=True)
@@ -433,7 +431,7 @@ def simulate_uncoordinated(cfg: SimConfig) -> SimResult:
         raise ValueError("scenario must be 'uncoordinated'")
     _check_user_count(cfg.n_actual)
     _check_user_count(cfg.n_hat)
-    plan = build_plan(cfg.n_hat, CELL_RADIUS, cfg.system.alphas)
+    plan = build_plan(CELL_RADIUS, cfg.system.alphas)
     # ratio index of every segment under every rotation offset
     grids = np.stack([plan.rotated(r).assignment for r in range(cfg.n_hat)])
     alphas = np.asarray(plan.alphas)

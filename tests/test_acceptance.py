@@ -186,7 +186,7 @@ def test_criterion_5_structural_invariants():
 
     # Latin squares and equal-area rings for every plan size up to 8
     for n_hat in range(1, 9):
-        plan = build_plan(n_hat, 1500.0, tuple(float(i + 1) for i in range(n_hat)))
+        plan = build_plan(1500.0, tuple(float(i + 1) for i in range(n_hat)))
         grid = plan.assignment
         for idx in range(n_hat):
             assert set(grid[idx, :]) == set(range(n_hat))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 from bisect import bisect_left
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from noma_harq.cellplan import (
     CELL_RADIUS,
+    CellPlan,
     build_plan,
     locate_segment,
     ring_radii,
@@ -46,22 +48,25 @@ class TestRingRadii:
 
 
 class TestBuildPlan:
-    def test_ratio_count_must_match(self):
-        with pytest.raises(ValueError):
-            build_plan(4, 1500.0, ALPHAS3)
+    def test_size_is_ratio_count(self):
+        plan = build_plan(1500.0, (0.1, 0.2, 0.3, 0.4))
+        assert plan.n_hat == len(plan.alphas) == 4
+        assert [f.name for f in fields(CellPlan)] == ["r_outer", "alphas", "rotation"]
+        with pytest.raises(ValueError, match="positive integer"):
+            build_plan(1500.0, ())
 
     def test_single_segment(self):
-        plan = build_plan(1, 1500.0, (1.0,))
+        plan = build_plan(1500.0, (1.0,))
         assert plan.assignment.tolist() == [[0]]
         assert plan.alphas == (1.0,)
 
     def test_ratios_sorted_ascending(self):
-        plan = build_plan(3, 1500.0, (0.36, 0.29, 0.35))
+        plan = build_plan(1500.0, (0.36, 0.29, 0.35))
         assert plan.alphas == (0.29, 0.35, 0.36)
 
     @pytest.mark.parametrize("n_hat", range(1, 9))
     def test_latin_square_exhaustive(self, n_hat):
-        plan = build_plan(n_hat, 1000.0, tuple((i + 1.0) for i in range(n_hat)))
+        plan = build_plan(1000.0, tuple((i + 1.0) for i in range(n_hat)))
         grid = plan.assignment
         want = set(range(n_hat))
         for ring in range(n_hat):
@@ -70,7 +75,7 @@ class TestBuildPlan:
             assert set(grid[:, sector]) == want
 
     def test_ring_and_sector_ratio_sums(self):
-        plan = build_plan(3, 1500.0, ALPHAS3)
+        plan = build_plan(1500.0, ALPHAS3)
         grid = plan.assignment
         for ring in range(3):
             assert sum(plan.alphas[i] for i in grid[ring, :]) == pytest.approx(1.0)
@@ -80,12 +85,12 @@ class TestBuildPlan:
 
 class TestRotation:
     def test_full_cycle_is_identity(self):
-        plan = build_plan(5, 1500.0, (0.1, 0.15, 0.2, 0.25, 0.3))
+        plan = build_plan(1500.0, (0.1, 0.15, 0.2, 0.25, 0.3))
         cycled = plan.rotated(5)
         assert np.array_equal(plan.assignment, cycled.assignment)
 
     def test_rotation_is_bijection_each_step(self):
-        plan = build_plan(4, 1000.0, (0.1, 0.2, 0.3, 0.4))
+        plan = build_plan(1000.0, (0.1, 0.2, 0.3, 0.4))
         for step in range(1, 4):
             grid = plan.rotated(step).assignment
             for ring in range(4):
@@ -93,7 +98,7 @@ class TestRotation:
 
     def test_segment_sees_every_ratio_once_per_cycle(self):
         n_hat = 4
-        plan = build_plan(n_hat, 1000.0, (0.1, 0.2, 0.3, 0.4))
+        plan = build_plan(1000.0, (0.1, 0.2, 0.3, 0.4))
         for ring in range(n_hat):
             for sector in range(n_hat):
                 seen = {plan.rotated(t).assignment[ring, sector]
@@ -102,7 +107,7 @@ class TestRotation:
 
     def test_average_power_share_uniform_over_cycle(self):
         n_hat = 3
-        plan = build_plan(n_hat, 1000.0, ALPHAS3)
+        plan = build_plan(1000.0, ALPHAS3)
         mean_ratio = sum(ALPHAS3) / n_hat
         for ring in range(n_hat):
             for sector in range(n_hat):
@@ -111,7 +116,7 @@ class TestRotation:
                 assert avg == pytest.approx(mean_ratio, rel=1e-12)
 
     def test_original_plan_unchanged(self):
-        plan = build_plan(3, 1000.0, ALPHAS3)
+        plan = build_plan(1000.0, ALPHAS3)
         plan.rotated(2)
         assert plan.rotation == 0
 
@@ -123,7 +128,7 @@ def locate_one(distance, angle, plan):
 
 
 class TestLocateSegment:
-    PLAN4 = build_plan(4, CELL_RADIUS, (0.1, 0.2, 0.3, 0.4))
+    PLAN4 = build_plan(CELL_RADIUS, (0.1, 0.2, 0.3, 0.4))
 
     def test_boundary_outer_radius_inclusive(self):
         ring, _ = locate_one(CELL_RADIUS, 1.0, self.PLAN4)
@@ -159,7 +164,7 @@ class TestLocateSegment:
         # the array lookup agrees with the scalar rule: bisect_left over the
         # ring radii, and the truncated angle fraction capped at n_hat - 1
         rng = np.random.default_rng(31)
-        plan = build_plan(5, CELL_RADIUS, (0.1, 0.15, 0.2, 0.25, 0.3))
+        plan = build_plan(CELL_RADIUS, (0.1, 0.15, 0.2, 0.25, 0.3))
         distances = np.maximum(CELL_RADIUS * np.sqrt(rng.random(2000)), 1e-12)
         angles = 2 * math.pi * rng.random(2000)
         rings, sectors = locate_segment(distances, angles, plan)
@@ -177,7 +182,7 @@ class TestLocateSegment:
 
 class TestExport:
     def test_json_schema(self):
-        plan = build_plan(3, 1500.0, ALPHAS3, rotation=2)
+        plan = build_plan(1500.0, ALPHAS3, rotation=2)
         payload = json.loads(json.dumps(plan.to_dict()))
         assert set(payload) == {"n_hat", "r_outer", "ring_radii", "assignment",
                                 "rotation"}

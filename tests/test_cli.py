@@ -1,5 +1,6 @@
 """Command dispatch, emission formats, config round-trip, exit codes."""
 
+import argparse
 import csv
 import json
 import shlex
@@ -147,6 +148,16 @@ class TestSweep:
         # per grid point the 3-user cluster once; the baseline is closed form
         assert analyzed_sizes == [3, 3]
 
+    def test_analytic_rows_carry_no_seed(self, tmp_path, capsys):
+        payload = run_json(tmp_path, ["sweep"] + ANCHOR_ARGS + ["--oma"])
+        assert {r["seed"] for r in payload["results"]} == {None}
+        assert "seed" not in payload["meta"]["config"]
+        assert main(["sweep"] + ANCHOR_ARGS) == 0
+        rows = [l for l in capsys.readouterr().out.splitlines()
+                if not l.startswith("#")]
+        assert rows[0].endswith(",seed")
+        assert all(row.endswith(",") for row in rows[1:])
+
     def test_crowded_high_rate_error_floor(self, tmp_path):
         payload = run_json(tmp_path, [
             "sweep", "--alphas", "0.11,0.15,0.2,0.24,0.3", "--snr-db", "6:14:5",
@@ -283,14 +294,33 @@ class TestSimulate:
 class TestCellplanCommand:
     def test_plan_emitted(self, tmp_path):
         out = tmp_path / "plan.json"
-        code = main(["cellplan", "--n-hat", "4", "--alphas", "0.1,0.2,0.3,0.4",
-                     "--out", str(out)])
+        code = main(["cellplan", "--alphas", "0.1,0.2,0.3,0.4", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         grid = np.array(payload["plan"]["assignment"])
         assert grid.shape == (4, 4)
         for ring in range(4):
             assert set(grid[ring]) == {0, 1, 2, 3}
+        assert payload["meta"]["config"]["out"] == str(out)
+
+    def test_config_with_removed_n_hat(self, tmp_path):
+        # a header of an earlier version holds n_hat, which was the ratio
+        # count; read as an unknown key, it reproduces the same plan
+        earlier = {
+            "meta": {"tool": "noma-harq", "version": "0.1.0", "schema": 1,
+                     "command": "cellplan",
+                     "config": {"n_hat": 3, "alphas": "0.36,0.29,0.35",
+                                "r_outer": 1200.0, "rotation": 1}},
+            "plan": {"n_hat": 3, "r_outer": 1200.0,
+                     "ring_radii": [692.8203230275509, 979.7958971132713, 1200.0],
+                     "assignment": [[1, 2, 0], [2, 0, 1], [0, 1, 2]],
+                     "rotation": 1},
+        }
+        config = tmp_path / "earlier.json"
+        config.write_text(json.dumps(earlier))
+        out = tmp_path / "plan.json"
+        assert main(["cellplan", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["plan"] == earlier["plan"]
 
 
 class TestErrorsAndRoundTrip:
@@ -361,6 +391,44 @@ class TestErrorsAndRoundTrip:
         assert first["results"] == second["results"]
 
 
+def subcommands() -> dict:
+    """Name -> subparser of every command of build_parser()."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# a valid cheap value for every option of every command (None: a switch)
+AUDIT_VALUES = {
+    "--alphas": "0.4,0.6", "--snr-db": "0", "--rate": "0.25", "--blocklength": "100",
+    "--oma": None, "--users": "2", "--population": "4", "--generations": "1",
+    "--verbose": None, "--seed": "3", "--bits": "20", "--target-per": "0.5",
+    "--max-n": "200", "--scenario": "coordinated", "--slots": "2000",
+    "--episodes": "1", "--warmup": "100", "--r-outer": "1000", "--rotation": "1",
+    "--format": "json",
+}
+
+
+class TestOptionAudit:
+    @pytest.mark.parametrize("command", sorted(subcommands()))
+    def test_every_option_lands_in_the_header(self, command, tmp_path):
+        # an option a command offers but never reads would be missing here
+        out = tmp_path / "out.json"
+        values = dict(AUDIT_VALUES, **{"--out": str(out),
+                                       "--emit-matrix": str(tmp_path / "pi.csv"),
+                                       "--state-table": str(tmp_path / "states.csv")})
+        argv, dests = [command], []
+        for action in subcommands()[command]._actions:
+            flag = next((o for o in action.option_strings if o.startswith("--")), None)
+            if flag in (None, "--help", "--config"):
+                continue
+            argv += [flag] if values[flag] is None else [f"{flag}={values[flag]}"]
+            dests.append(action.dest)
+        assert main(argv) == 0
+        config = json.loads(out.read_text())["meta"]["config"]
+        assert [d for d in dests if d not in config] == []
+
+
 class TestReadmeExamples:
     def test_every_example_parses(self):
         # a removed flag or command cannot leave a dead example behind
@@ -420,28 +488,41 @@ class TestInputChecks:
         (["simulate", "--episodes", "3"] + PAIR + CODE, "single episode"),
         (["sweep", "--config", "UNCOORDINATED_CONFIG"] + PAIR + CODE,
          "simulate runs uncoordinated grids"),
+        # only a plain object or an emitted header is a config
+        (["cellplan", "--config", "NESTED_CONFIG"], "--alphas"),
     ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
             "snr-db", "config-cast", "simulate-users", "max-n", "negative-max-n",
-            "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config"])
+            "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config",
+            "nested-config"])
     def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
         configs = {"BAD_CONFIG": {"blocklength": "abc"},
-                   "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"}}
+                   "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"},
+                   "NESTED_CONFIG": {"config": {"alphas": "0.5,0.5"}}}
         for name, data in configs.items():
             (tmp_path / name).write_text(json.dumps(data))
         assert main([str(tmp_path / a) if a in configs else a for a in args]) == 2
         assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [
-        ["sweep", "--scenario", "coordinated"], ["sweep", "--users", "2"],
-        ["sweep", "--slots", "2000"], ["sweep", "--episodes", "1"],
-        ["sweep", "--warmup", "100"], ["sweep", "--n-hat", "2"],
-        ["simulate", "--n-hat", "2", "--slots", "2000"],
+    SWEEP = ["sweep"] + PAIR + CODE
+    CELLPLAN = ["cellplan", "--alphas", "0.5,0.5"]
+
+    @pytest.mark.parametrize("command, removed", [
+        (SWEEP, ["--scenario", "coordinated"]), (SWEEP, ["--users", "2"]),
+        (SWEEP, ["--slots", "2000"]), (SWEEP, ["--episodes", "1"]),
+        (SWEEP, ["--warmup", "100"]), (SWEEP, ["--n-hat", "2"]),
+        (["simulate", "--slots", "2000"] + PAIR + CODE, ["--n-hat", "2"]),
+        (["analyze"] + PAIR + CODE, ["--seed", "5"]), (SWEEP, ["--seed", "40"]),
+        (CELLPLAN, ["--seed", "9"]), (CELLPLAN, ["--format", "csv"]),
+        (CELLPLAN, ["--n-hat", "2"]),
     ], ids=["sweep-scenario", "sweep-users", "sweep-slots", "sweep-episodes",
-            "sweep-warmup", "sweep-n-hat", "simulate-n-hat"])
-    def test_removed_simulation_flags_rejected(self, args):
-        # each value was accepted and left the rows unchanged
+            "sweep-warmup", "sweep-n-hat", "simulate-n-hat", "analyze-seed",
+            "sweep-seed", "cellplan-seed", "cellplan-format", "cellplan-n-hat"])
+    def test_removed_simulation_flags_rejected(self, command, removed):
+        # each flag changed no number of the output: it was ignored, or its
+        # one accepted value was the ratio count
+        assert cli.build_parser().parse_args(command).command == command[0]
         with pytest.raises(SystemExit) as exc:
-            main(args + self.PAIR + self.CODE)
+            main(command + removed)
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--crossover-rate", "--mutation-rate",

@@ -79,6 +79,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(system=ANCHOR_CFG, episodes=3)
 
+    def test_coordinated_plan_size_checked(self):
+        # a coordinated run and its OMA baseline reported any n_hat given
+        with pytest.raises(ValueError, match="system.alphas, 3, got 7"):
+            SimConfig(system=ANCHOR_CFG, slots=5000, warmup=100, n_hat=7)
+
     @pytest.mark.parametrize("field", ["n_actual", "n_hat"])
     def test_user_counts_positive(self, field):
         with pytest.raises(ValueError, match="at least 1"):
@@ -353,7 +358,7 @@ class TestUncoordinated:
         cfg = SimConfig(system=five, slots=2 * episode_slots, seed=seed,
                         scenario="uncoordinated", warmup=100, episodes=2)
         res = simulate_uncoordinated(cfg)
-        plan = build_plan(5, CELL_RADIUS, five.alphas)
+        plan = build_plan(CELL_RADIUS, five.alphas)
         grids = np.stack([plan.rotated(r).assignment for r in range(5)])
         tx = np.zeros(5)
         uniform = np.zeros(5)

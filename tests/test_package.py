@@ -18,6 +18,7 @@ REMOVED = ["per_ir", "initial_sinr", "transition_prob", "per_user", "success_pro
 # attributes and parameters removed from names that remain
 REMOVED_MEMBERS = {
     "cellplan.CellPlan": ["ratio_index", "ratio", "to_json"],
+    "cellplan.build_plan": ["n_hat"],
     "montecarlo.SimConfig": ["path_loss_exp", "r_outer", "power_cap_factor"],
     "montecarlo.disk_positions": ["r_outer"],
     "markov.oma_received_power": ["iterations"],
