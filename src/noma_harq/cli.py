@@ -24,12 +24,12 @@ from . import __version__
 from .cellplan import CELL_RADIUS, build_plan
 from .errors import NomaHarqError
 from .fbl import CodeParams
-from .markov import MAX_USERS, analyze, build_transition_matrix, oma_metrics, \
-    stationary_distribution
+from .markov import MAX_USERS, _state_digits, analyze, build_transition_matrix, \
+    oma_metrics, stationary_distribution
 from .montecarlo import SimConfig, SimResult, simulate_coordinated, \
     simulate_oma_baseline, simulate_uncoordinated
 from .optimizer import GaParams, min_blocklength, pareto_front
-from .sic import SystemConfig, SystemState
+from .sic import Phase, SystemConfig
 
 SCHEMA_VERSION = 1
 
@@ -308,10 +308,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(state_table, "w") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "phases", "probability"])
+            digits = _state_digits(cfg.n_users)
             for idx, prob in enumerate(stat.probs):
-                phases = "".join(
-                    p.name for p in SystemState.from_index(idx, cfg.n_users).phases
-                )
+                phases = "".join(Phase(d).name for d in digits[idx])
                 writer.writerow([idx, phases, repr(float(prob))])
 
     emit(records, fields, _meta("analyze", res), out, fmt)
@@ -426,6 +425,8 @@ def cmd_cellplan(args: argparse.Namespace) -> int:
     r_outer = res.get("r_outer", CELL_RADIUS, cast=float)
     rotation = res.get("rotation", 0, cast=int)
     out = res.get("out")
+    if not alphas:
+        raise UsageError("a plan needs at least one ratio")
     try:
         plan = build_plan(r_outer, alphas, rotation=rotation)
     except ValueError as exc:

@@ -48,13 +48,13 @@ loop over lists.  Each slot makes the move a slot-by-slot walk of the
 same uniforms makes, so every result is bit-identical to that walk (kept
 as run_chain in tests/oracle.py).
 
-Seeding: each episode splits its np.random.SeedSequence with spawn(3)
-into independent child streams (dynamics, placement, fading), so every
-run is reproducible bit for bit and the streams never alias.  The
-fading stream is spawned but never drawn.  The coordinated episode's
-sequence is SeedSequence(seed); uncoordinated episode i takes
+Seeding: each episode splits its np.random.SeedSequence with spawn(2)
+into independent child streams (dynamics, placement), so every run is
+reproducible bit for bit and the streams never alias.  The coordinated
+episode's sequence is SeedSequence(seed); uncoordinated episode i takes
 SeedSequence(seed, spawn_key=(i,)), the i-th child of
-SeedSequence(seed).spawn(episodes), built one episode at a time.
+SeedSequence(seed).spawn(episodes), built one episode at a time.  The
+orthogonal baseline draws from the two children of SeedSequence(seed).
 """
 
 import functools
@@ -68,8 +68,6 @@ from scipy.special import exp1
 from .cellplan import CELL_RADIUS, build_plan, locate_segment
 from .fbl import CodeParams, per_cc_batch
 from .markov import (
-    _F,
-    _R,
     _check_user_count,
     _fallback_successors,
     _move_sums,
@@ -344,10 +342,10 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     return counts.reshape(n_rot, m, n1)
 
 
-def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
-    """One episode from the seed sequence seq: place n users, read their
-    (rotations x users) ratio matrix ratios(distances, angles), build the
-    decode tables of every rotation at once, and run the chain.
+def _episode(seq, cfg: SimConfig, ratios, visits_thin=None):
+    """One episode from the seed sequence seq: place cfg.n_actual users,
+    read their (rotations x users) ratio matrix ratios(distances, angles),
+    build the decode tables of every rotation at once, and run the chain.
 
     Returns (state visits, e_i numerators, p_s numerators, per-user
     expected transmit power summed over the slots).  Slot t uses rotation
@@ -356,8 +354,8 @@ def _episode(seq, cfg: SimConfig, n: int, ratios, visits_thin=None):
     probabilities: e_i counts slots already in F plus R slots about to
     fail, p_s fresh packets that decode at the first try.
     """
-    dyn_rng, place_rng = map(np.random.default_rng, seq.spawn(3)[:2])
-    distances, angles = disk_positions(place_rng, n)
+    dyn_rng, place_rng = map(np.random.default_rng, seq.spawn(2))
+    distances, angles = disk_positions(place_rng, cfg.n_actual)
     matrix = np.asarray(ratios(distances, angles), dtype=float)
     p0 = cfg.system.p0
     orders, eps, succ = _decode_tables(matrix * p0, cfg.system.code)
@@ -376,7 +374,7 @@ def _simulate(cfg: SimConfig, ratios, seqs, visits_thin=None) -> SimResult:
     state visits are reported when visits_thin collects thinned ones."""
     visits, f_hits, s_hits, tx = functools.reduce(
         lambda acc, ep: [a + b for a, b in zip(acc, ep)],
-        (_episode(seq, cfg, cfg.n_actual, ratios, visits_thin) for seq in seqs))
+        (_episode(seq, cfg, ratios, visits_thin) for seq in seqs))
     total = int(visits.sum())
     code = cfg.system.code
     per, p_s = f_hits / total, s_hits / total
@@ -448,8 +446,8 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     one retransmission allowed, at the power matched so the average total
     received power per information packet equals the NOMA cluster's.
 
-    Rounds are independent, so no warmup applies.  PER and p_s are the
-    _move_sums of each user's own slots, tallied as single-user moves.
+    Rounds are independent, so no warmup applies.  PER and p_s are
+    tallies over each user's own slots, counted from its draws.
     Throughput divides by the full schedule: every user waits out the
     other users' slots, retransmissions included.
     """
@@ -462,7 +460,7 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     (eps1, eps2), _ = per_cc_batch(np.array([p_oma, 2.0 * p_oma]), code)
 
     dyn_rng, place_rng = map(np.random.default_rng,
-                             np.random.SeedSequence(cfg.seed).spawn(3)[:2])
+                             np.random.SeedSequence(cfg.seed).spawn(2))
     rounds = max(2, cfg.slots // n)
     per = np.empty(n)
     p_s = np.empty(n)
@@ -470,18 +468,10 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     for i in range(n):
         first_fail = dyn_rng.random(rounds) < eps1
         second_fail = first_fail & (dyn_rng.random(rounds) < eps2)
-        # own slots as moves (state, w), w = 0 a failure: a round's first
-        # slot leaves S (0), or F after a failed retransmission; its
-        # retransmission slot leaves R
-        after_f = np.r_[False, second_fail[:-1]]
-        counts = np.zeros((1, 3, 2), dtype=np.int64)
-        for state, sel, fail in ((0, ~after_f, first_fail), (_F, after_f, first_fail),
-                                 (_R, first_fail, second_fail)):
-            counts[0, state] = np.count_nonzero(sel & fail), np.count_nonzero(sel & ~fail)
-        to_f, to_s = _move_sums(np.zeros((1, 3, 1), dtype=np.intp), counts)
-        own_slots[i] = counts.sum()
-        per[i] = to_f.sum() / own_slots[i]
-        p_s[i] = to_s.sum() / own_slots[i]
+        own_slots[i] = rounds + np.count_nonzero(first_fail)
+        # as in e_i, a loss counts in its failing R slot and the next F slot, if any
+        per[i] = (2 * np.count_nonzero(second_fail) - second_fail[-1]) / own_slots[i]
+        p_s[i] = np.count_nonzero(~first_fail) / own_slots[i]
     per_se = _binomial_se(per, own_slots)
     ps_se = _binomial_se(p_s, own_slots)
 

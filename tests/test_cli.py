@@ -15,7 +15,7 @@ from noma_harq.cli import main
 from noma_harq.fbl import CodeParams
 from noma_harq.montecarlo import SimConfig, simulate_coordinated, \
     simulate_oma_baseline, simulate_uncoordinated
-from noma_harq.sic import SystemConfig
+from noma_harq.sic import SystemConfig, SystemState
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 ANCHOR_ARGS = ["--alphas", "0.29,0.35,0.36", "--snr-db", "-2.02",
@@ -92,6 +92,17 @@ class TestAnalyze:
         probs = [float(r[2]) for r in rows[1:]]
         assert len(probs) == 27
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_state_table_names_phases_as_the_scalar_oracle(self, tmp_path):
+        table_path = tmp_path / "states.csv"
+        main(["analyze"] + ANCHOR_ARGS + [
+            "--state-table", str(table_path), "--out", str(tmp_path / "a.csv"),
+        ])
+        with open(table_path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(int(r[0]), r[1]) for r in rows] == [
+            (s, "".join(p.name for p in SystemState.from_index(s, 3).phases))
+            for s in range(27)]
 
     def test_matrix_built_once_for_both_dumps(self, tmp_path, monkeypatch):
         built = []
@@ -302,6 +313,12 @@ class TestCellplanCommand:
         for ring in range(4):
             assert set(grid[ring]) == {0, 1, 2, 3}
         assert payload["meta"]["config"]["out"] == str(out)
+
+    def test_empty_ratio_list_refused(self, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        assert main(["cellplan", "--alphas", ",", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: a plan needs at least one ratio\n"
+        assert not out.exists()
 
     def test_config_with_removed_n_hat(self, tmp_path):
         # a header of an earlier version holds n_hat, which was the ratio

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import noma_harq.montecarlo as montecarlo
-from noma_harq.fbl import CodeParams
+from noma_harq.fbl import CodeParams, per_cc_batch
 from noma_harq.markov import (analyze, build_transition_matrix, oma_received_power,
                                stationary_distribution)
 from noma_harq.cellplan import CELL_RADIUS, build_plan, locate_segment
@@ -210,6 +210,24 @@ class TestEpisodeSeeds:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("spawn_key", [(), (0,), (7,)])
+    def test_two_children_are_the_first_two_of_three(self, spawn_key):
+        # a child depends only on its index, so spawn(2) gives the streams
+        # spawn(3)[:2] gave while a third (fading) child was spawned
+        two = np.random.SeedSequence(2024, spawn_key=spawn_key).spawn(2)
+        three = np.random.SeedSequence(2024, spawn_key=spawn_key).spawn(3)[:2]
+        for a, b in zip(two, three, strict=True):
+            np.testing.assert_array_equal(a.generate_state(4), b.generate_state(4))
+
+    def test_coordinated_chain_draws_from_the_first_child(self):
+        cfg = SimConfig(system=ANCHOR_CFG, slots=30_000, seed=31, warmup=500)
+        _, eps, succ = _decode_tables(
+            np.asarray([ANCHOR_CFG.alphas]) * ANCHOR_CFG.p0, CODE)
+        dyn_rng = np.random.default_rng(np.random.SeedSequence(31).spawn(2)[0])
+        counts = _run_chain(dyn_rng, eps, succ, cfg.slots, cfg.warmup)
+        np.testing.assert_array_equal(simulate_coordinated(cfg).state_visits,
+                                      counts.sum(axis=(0, 2)))
 
 
 class TestCoordinated:
@@ -418,6 +436,42 @@ class TestOmaBaseline:
         cfg = SimConfig(system=ANCHOR_CFG, slots=60_000, seed=29)
         assert sim_result_equal(simulate_oma_baseline(cfg),
                                 simulate_oma_baseline(cfg))
+
+    def test_tally_matches_slot_by_slot_walk(self):
+        # eps1 = 0.71, eps2 = 0.11: many retransmissions and losses.  Each
+        # user's rounds are walked from its regenerated draws; a lost
+        # packet counts in its failing R slot and in the F slot after it
+        system = SystemConfig(alphas=(0.5, 0.5), p0=10 ** (-10 / 10), code=CODE)
+        (eps1, eps2), _ = per_cc_batch(
+            np.array([1.0, 2.0]) * oma_received_power(system), CODE)
+        ends = set()
+        for seed in range(1, 13):
+            cfg = SimConfig(system=system, slots=4000, seed=seed)
+            res = simulate_oma_baseline(cfg)
+            dyn_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+            own_total = 0
+            for user in range(2):
+                first, second = dyn_rng.random(2000), dyn_rng.random(2000)
+                own = f_slots = r_fails = fresh_ok = 0
+                after_loss = False
+                for u1, u2 in zip(first, second):
+                    own += 1
+                    f_slots += after_loss
+                    after_loss = False
+                    if u1 >= eps1:
+                        fresh_ok += 1
+                        continue
+                    own += 1
+                    if u2 < eps2:
+                        r_fails += 1
+                        after_loss = True
+                ends.add(after_loss)
+                assert res.per[user] == (f_slots + r_fails) / own
+                assert res.success_prob[user] == fresh_ok / own
+                own_total += own
+            assert res.slots_counted == own_total
+        # some user lost its last packet, whose F slot lies past the run
+        assert ends == {False, True}
 
 
 class TestEnergyLedger:

@@ -81,6 +81,24 @@ def test_every_import_is_used():
         assert sorted(imported - used) == [], path.name
 
 
+def test_scalar_sic_path_is_a_test_oracle_only():
+    # production code reads the vectorized tables; the package's public
+    # names re-export the scalar path for the tests and the benchmark
+    scalar = {"SystemState", "DecodingOrder", "decoding_order", "stage_sinr"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem in ("sic", "__init__"):
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        assert sorted(names & scalar) == [], path.name
+
+
 def test_no_module_reads_the_environment():
     # every setting comes from arguments, config files or module constants
     for path in sorted(PACKAGE.glob("*.py")):
