@@ -28,13 +28,18 @@ from every state takes the regenerative solve: the expected visits x per
 excursion from state 0 solve (I - Q)^T x = P[0, 1:] over the other
 states and pi = [1, x] / (1 + sum x).  Systems up to 81 states (N <= 4)
 are factored dense with LAPACK, larger ones with SuperLU on the N+1
-entries per row, with no 3^N x 3^N array.  The LU pivots are the
-only place a subtraction enters.  Every other chain goes to
-subtraction-free Grassmann-Taksar-Heyman elimination on the whole dense
-chain: one with a pivot below PIVOT_FLOOR (a chain that rarely returns
-to state 0: short blocks, low SNR, a nearly silenced user), a SuperLU
-failure or a vector that is not finite, and one in which some state
-cannot move to state 0 (a silenced user).  It holds 3^N x 3^N doubles:
+entries per row, with no 3^N x 3^N array.  SuperLU eliminates the states
+in one fixed order per user count (_elimination_order: more F digits
+first, then fewer S digits), not a minimum-degree order computed per
+chain: on the benchmark's N = 8 chain at 14 dB the factorization holds
+163k nonzeros against 75k but takes 5 ms against 31 ms, and analyze
+15 ms against 41 ms.  The LU pivots are the only place a subtraction
+enters.  Every other chain goes to subtraction-free
+Grassmann-Taksar-Heyman elimination on the whole dense chain: one with
+a pivot below PIVOT_FLOOR (a chain that rarely returns to state 0: short
+blocks, low SNR, a nearly silenced user), a SuperLU failure or a vector
+that is not finite, and one in which some state cannot move to state 0
+(a silenced user).  It holds 3^N x 3^N doubles:
 0.6 s and 342 MiB at N = 8 (k = 50, n = 60, 0 dB).  Per-user metrics are
 closed-form sums over the table (_move_sums, which also turns the
 simulator's slot counts into its tallies): P(next F | R) is a forward
@@ -60,6 +65,7 @@ are off by 3.7e-12, all of it from that tail.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional
@@ -77,7 +83,7 @@ from .fbl import CodeParams, per_cc_batch
 from .sic import Phase, SystemConfig
 
 _log = logging.getLogger(__name__)
-_R, _F = int(Phase.R), int(Phase.F)
+_S, _R, _F = int(Phase.S), int(Phase.R), int(Phase.F)
 # row-sum drift beyond this signals a transition-enumeration bug
 ROW_SUM_TOL = 1e-6
 # required residual of the stationary solve, ||Pi^T p - p||_inf
@@ -85,11 +91,14 @@ STATIONARY_TOL = 1e-10
 # largest cluster analysed or simulated: 3^8 = 6561 states
 MAX_USERS = 8
 # regenerative systems up to this many states (N <= 4) are factored dense,
-# and GTH updates whole rows; SuperLU is faster from 243 states on
+# and GTH updates whole rows; SuperLU is faster from 243 states on (one
+# regenerative solve: 0.04 ms dense and 0.15 ms sparse at 81 states, 0.68
+# and 0.30 ms at 243)
 DENSE_SOLVE_STATES = 81
-# smallest LU pivot trusted: over 3742 regenerative LUs from GA runs the
-# metrics were within 5e-14 relative above this floor and up to 1e-7
-# below; a chain with a smaller pivot goes to whole-chain GTH
+# smallest LU pivot trusted: over 19582 sparse regenerative LUs from two
+# N = 5 GA runs the metrics were within 1.3e-13 relative of GTH above this
+# floor (19404 LUs) and up to 1.9e-4 below (178); a chain with a smaller
+# pivot goes to whole-chain GTH
 PIVOT_FLOOR = 1e-2
 # fixed-point iterations of the matched orthogonal-baseline power
 OMA_ITERATIONS = 30
@@ -157,6 +166,27 @@ def _state_digits(n_users: int) -> np.ndarray:
         digits[:, i] = (idx // 3**i) % 3
     digits.setflags(write=False)
     return digits
+
+
+@lru_cache(maxsize=16)
+def _elimination_order(n_users: int):
+    """The sparse LU's elimination order of the non-root states 1..3^N-1,
+    and rank, each state's position in it (rank[0] is unused).
+
+    States with more F digits come first, then states with fewer S
+    digits; ties keep index order.  An F digit only follows an R digit,
+    so states with many F digits have few predecessors; eliminating them
+    first keeps the fill within 2.2x of a minimum-degree order's on the
+    benchmark's N = 5..8 chains, with no ordering pass per chain.
+    """
+    digits = _state_digits(n_users)[1:]
+    # the last key sorts first; lexsort is stable, so ties keep index order
+    order = 1 + np.lexsort(((digits == _S).sum(axis=1), -(digits == _F).sum(axis=1)))
+    rank = np.zeros(3**n_users, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    order.setflags(write=False)
+    rank.setflags(write=False)
+    return order, rank
 
 
 def _stage_tables(digits: np.ndarray, powers: np.ndarray):
@@ -347,25 +377,28 @@ def _regenerative_lu(src, dst, prob, m: int):
 
 def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
     """The regenerative solve of _regenerative_lu for one chain, by SuperLU
-    on the N+1 entries per row; NaN when a pivot falls below PIVOT_FLOOR
-    or cancels to exactly 0."""
+    on the N+1 entries per row in the fixed order of _elimination_order;
+    NaN when a pivot falls below PIVOT_FLOOR or cancels to exactly 0."""
+    order, rank = _elimination_order(round(math.log(m, 3)))
     from_0, into_0 = src == 0, dst == 0
-    rhs = np.bincount(dst[from_0], weights=prob[from_0], minlength=m)[1:]
+    rhs = np.bincount(dst[from_0], weights=prob[from_0], minlength=m)[order]
     inner = ~from_0 & ~into_0
-    # (I - Q)^T: row = destination, column = source
+    # (I - Q)^T in elimination order: row = destination, column = source
     diag = np.arange(m - 1)
     a = csc_matrix((np.concatenate([np.ones(m - 1), -prob[inner]]),
-                    (np.concatenate([diag, dst[inner] - 1]),
-                     np.concatenate([diag, src[inner] - 1]))), shape=(m - 1, m - 1))
+                    (np.concatenate([diag, rank[dst[inner]]]),
+                     np.concatenate([diag, rank[src[inner]]]))), shape=(m - 1, m - 1))
     try:
-        # minimum degree on A^T + A: 3-8x less fill than the default
-        # COLAMD on these chains, and the fastest at N = 5..7
-        lu = splu(a, permc_spec="MMD_AT_PLUS_A")
+        # the rows and columns are already in elimination order; a
+        # minimum-degree pass per chain (MMD on A^T + A) halves the fill
+        # but costs more than the factorization it saves
+        lu = splu(a, permc_spec="NATURAL")
     except RuntimeError:  # a pivot cancelled to exactly 0
         return np.full(m, np.nan)
     if (np.abs(lu.U.diagonal()) < PIVOT_FLOOR).any():
         return np.full(m, np.nan)
-    p = np.concatenate([[1.0], lu.solve(rhs)])
+    p = np.ones(m)
+    p[order] = lu.solve(rhs)
     return p / p.sum()
 
 
@@ -602,23 +635,47 @@ def oma_received_power(cfg: SystemConfig,
     p_s + 2*(1 - p_s).  t_oma depends on P_oma; the fixed point is found
     by at most OMA_ITERATIONS steps upward from P0, which selects the
     branch that coincides with the NOMA chain when there is a single user.
-    metrics, when given, is analyze(cfg), which is otherwise computed here.
+    The steps climb to the smallest fixed point above P0, slowly where the
+    step map's slope nears 1 (0.76 at -9 dB, N = 2, k = 25, n = 100); when
+    they have not settled, bisection finishes on the first sign change of
+    p - step(p) above the last iterate.  metrics, when given, is
+    analyze(cfg), which is otherwise computed here.
     """
     if metrics is None:
         metrics = analyze(cfg)
     t_noma = float(np.mean([2.0 - m.success_prob for m in metrics]))
+
+    def step_from(q):
+        _, p_s = _single_user(q, cfg.code)
+        return cfg.p0 * t_noma / (2.0 - float(p_s))
+
     p = cfg.p0
     for _ in range(OMA_ITERATIONS):
-        _, p_s = _single_user(p, cfg.code)
-        p_new = cfg.p0 * t_noma / (2.0 - float(p_s))
+        p_new = step_from(p)
         step, prev = abs(p_new - p), p
         p = p_new
         if step <= 1e-12 * prev:
-            break
-    else:
-        _log.warning("oma_received_power: no fixed point after %d iterations, "
-                     "last step %.3e relative", OMA_ITERATIONS, step / prev)
-    return p
+            return p
+    # bracket upward from the last iterate with doubling widths; p_s <= 1
+    # caps every step at P0 t_noma, where p - step(p) >= 0
+    cap = cfg.p0 * t_noma
+    lo, hi, width = p, min(p + step, cap), step
+    while hi < cap and hi < step_from(hi):
+        lo, width = hi, 2.0 * width
+        hi = min(lo + width, cap)
+    # lo < step(lo) and hi >= step(hi) hold while the bracket shrinks
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if mid < step_from(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    residual = abs(hi - step_from(hi)) / hi
+    if not residual <= 1e-12:
+        _log.warning("oma_received_power: no fixed point after %d iterations and "
+                     "bisection, residual %.3e relative", OMA_ITERATIONS, residual)
+    return hi
 
 
 def oma_metrics(cfg: SystemConfig,

@@ -348,6 +348,72 @@ class TestStationary:
         assert np.allclose(stationary_distribution(tm).probs, p, atol=1e-10)
 
 
+@st.composite
+def sparse_stacks(draw):
+    """(B, N) ratio stack at N = 5 or 6, P0 and code: positive ratios over
+    SNRs and block lengths that reach both sides of PIVOT_FLOOR."""
+    n = draw(st.integers(5, 6))
+    b = draw(st.integers(1, 3))
+    rows = np.array([[draw(st.integers(1, 100)) for _ in range(n)] for _ in range(b)],
+                    dtype=float)
+    k = draw(st.sampled_from([25, 50, 75]))
+    code = CodeParams(k=k, n=k + draw(st.integers(1, 150)))
+    return _normalized(rows), 10 ** (draw(st.floats(-10.0, 12.0)) / 10), code
+
+
+class TestEliminationOrder:
+    @pytest.mark.parametrize("n_users", [5, 6, 7, 8])
+    def test_order_is_a_permutation_of_the_non_root_states(self, n_users):
+        order, rank = markov._elimination_order(n_users)
+        np.testing.assert_array_equal(np.sort(order), np.arange(1, 3**n_users))
+        np.testing.assert_array_equal(rank[order], np.arange(3**n_users - 1))
+        # more F digits first, then fewer S digits, then index order
+        digits = markov._state_digits(n_users)[order]
+        key = np.stack([-(digits == Phase.F).sum(axis=1), (digits == Phase.S).sum(axis=1),
+                        order], axis=1)
+        assert all(tuple(a) < tuple(b) for a, b in zip(key[:-1], key[1:]))
+
+    @pytest.mark.parametrize("snr_db", [10.0, 14.0])
+    def test_fill_stays_near_minimum_degree(self, snr_db, monkeypatch):
+        # the N = 7 sweep points of the coordinated-analysis benchmark,
+        # without its seed's jitter: L + U under the production order hold
+        # at most 3x the nonzeros of a minimum-degree order of that matrix
+        factored = []
+        splu = markov.splu
+
+        def spy(a, **kwargs):
+            lu = splu(a, **kwargs)
+            factored.append((a, lu))
+            return lu
+
+        monkeypatch.setattr(markov, "splu", spy)
+        raw = np.arange(1.0, 8.0)
+        analyze(SystemConfig(alphas=tuple(raw / raw.sum()), p0=10 ** (snr_db / 10),
+                             code=CODE))
+        ((a, lu),) = factored
+        mmd = splu(a, permc_spec="MMD_AT_PLUS_A")
+        assert lu.L.nnz + lu.U.nnz <= 3 * (mmd.L.nnz + mmd.U.nnz)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sparse_stacks())
+    def test_sparse_lu_matches_gth_above_the_pivot_floor(self, case):
+        alphas, p0, code = case
+        _, succ, prob = markov._chain_table(alphas * p0, code)
+        n_chains, m, moves = succ.shape
+        src = np.repeat(np.arange(m), moves)
+        for b in range(n_chains):
+            # the regenerative solve holds for chains that reach state 0
+            # from every state
+            if not (prob[b, :, -1] > 0.0).all():
+                continue
+            dst, weights = succ[b].ravel(), prob[b].ravel()
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                got = markov._regenerative_splu(src, dst, weights, m)
+            if np.isfinite(got).all():
+                want = markov._gth(src, dst, weights, m)
+                assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 class TestUserMetrics:
     def test_error_free_chain(self):
         stat = stationary_distribution(single_user_chain(0.0, 0.0))
@@ -611,6 +677,28 @@ class TestStackedEngine:
         records = [r for r in caplog.records if r.name == "noma_harq.markov"]
         assert [r.levelno for r in records] == [logging.WARNING]
         assert f"after {markov.OMA_ITERATIONS} iterations" in records[0].getMessage()
+
+
+class TestOmaReceivedPower:
+    @pytest.mark.parametrize("snr_db", [-9.5, -9.0, -8.5])
+    def test_slow_fixed_point_is_reached(self, snr_db, caplog):
+        # the step map's slope nears 1 here, so 30 plain steps stop short
+        cfg = SystemConfig(alphas=(0.5, 0.5), p0=10 ** (snr_db / 10), code=CODE)
+        metrics = analyze(cfg)
+        with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
+            p = markov.oma_received_power(cfg, metrics)
+        assert not caplog.records
+        t_noma = np.mean([2.0 - m.success_prob for m in metrics])
+
+        def step_from(q):
+            return cfg.p0 * t_noma / (2.0 - markov._single_user(q, CODE)[1])
+
+        assert_relative(p, step_from(p))
+        # the fixed point the plain steps from P0 approach
+        q = cfg.p0
+        for _ in range(500):
+            q = step_from(q)
+        assert_relative(p, q)
 
 
 class TestMoveSums:
