@@ -5,7 +5,7 @@ and slot-level simulation."""
 __version__ = "0.1.0"
 
 from .cellplan import CellPlan, build_plan, locate_segment, ring_radii
-from .errors import ConsistencyError, InfeasibleError, NomaHarqError, NumericalError
+from .errors import InfeasibleError, NomaHarqError, NumericalError
 from .fbl import CodeParams
 from .markov import (
     StationaryDistribution,
@@ -41,7 +41,7 @@ from .sic import (
 __all__ = [
     "__version__",
     "CellPlan", "build_plan", "locate_segment", "ring_radii",
-    "ConsistencyError", "InfeasibleError", "NomaHarqError", "NumericalError",
+    "InfeasibleError", "NomaHarqError", "NumericalError",
     "CodeParams",
     "StationaryDistribution", "TransitionMatrix", "UserMetrics", "analyze",
     "build_transition_matrix", "delay_pmf", "max_user_per", "oma_metrics",

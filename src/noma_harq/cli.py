@@ -1,7 +1,9 @@
 """Command-line front end: configuration, dispatch, CSV/JSON emission.
 
-All dB <-> linear conversion happens here; the library modules work in
-linear scale throughout.  Every emission carries a reproducibility
+The library modules work in linear scale, except that the optimizer's
+optimize_power_split, pareto_front and min_blocklength take their power
+in dB and convert it themselves; every other dB <-> linear conversion
+happens here.  Every emission carries a reproducibility
 header (tool version, command, resolved parameters) that can be fed
 back through --config to reproduce the run; each command offers only
 the options it reads, and every one it reads lands in that header.

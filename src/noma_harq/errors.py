@@ -5,10 +5,6 @@ class NomaHarqError(Exception):
     """Base class for all package errors."""
 
 
-class ConsistencyError(NomaHarqError):
-    """An internal invariant was violated (e.g. transition rows not stochastic)."""
-
-
 class NumericalError(NomaHarqError):
     """A numerical solve failed to reach the required residual."""
 

@@ -22,39 +22,38 @@ slot with probability p_s, else two.
 Production path.  One move table (the N+1 successors of every state and
 their probabilities, column w < N for the first SIC failure at stage w,
 column N for all-success) feeds the solve, the metrics, the dense
-matrix and the simulator.  The stationary vector comes from one of two
-solves.  A chain that moves to state 0 (the only state with a self-loop)
-from every state takes the regenerative solve: the expected visits x per
-excursion from state 0 solve (I - Q)^T x = P[0, 1:] over the other
-states and pi = [1, x] / (1 + sum x).  Systems up to 81 states (N <= 4)
-are factored dense with LAPACK, larger ones with SuperLU on the N+1
-entries per row, with no 3^N x 3^N array.  SuperLU eliminates the states
-in one fixed order per user count (_elimination_order: more F digits
-first, then fewer S digits), not a minimum-degree order computed per
-chain: on the benchmark's N = 8 chain at 14 dB the factorization holds
-163k nonzeros against 75k but takes 5 ms against 31 ms, and analyze
-15 ms against 41 ms.  The LU pivots are the only place a subtraction
-enters.  Every other chain goes to subtraction-free
-Grassmann-Taksar-Heyman elimination on the whole dense chain: one with
-a pivot below PIVOT_FLOOR (a chain that rarely returns to state 0: short
-blocks, low SNR, a nearly silenced user), a SuperLU failure or a vector
-that is not finite, and one in which some state cannot move to state 0
-(a silenced user).  It holds 3^N x 3^N doubles:
-0.6 s and 342 MiB at N = 8 (k = 50, n = 60, 0 dB).  Per-user metrics are
-closed-form sums over the table (_move_sums, which also turns the
-simulator's slot counts into its tallies): P(next F | R) is a forward
-cumulative sum of first-failure probabilities and P(next S | S or F) a
-reverse one, never 1 - q.
+matrix and the simulator.  Every chain first takes the regenerative
+solve: the expected visits x per excursion from state 0 (the only state
+with a self-loop) solve (I - Q)^T x = P[0, 1:] over the other states and
+pi = [1, x] / (1 + sum x).  Systems up to 81 states (N <= 4) are
+factored dense with LAPACK, larger ones with SuperLU on the N+1 entries
+per row, with no 3^N x 3^N array.  SuperLU eliminates the states in one
+fixed order per user count (_elimination_order: more F digits first,
+then fewer S digits), not a minimum-degree order computed per chain: on
+the benchmark's N = 8 chain at 14 dB the factorization holds 163k
+nonzeros against 75k but takes 5 ms against 31 ms, and analyze 15 ms
+against 41 ms.  The LU pivots are the only place a subtraction enters.
+A chain whose LU has a pivot below PIVOT_FLOOR (most chains that rarely
+return to state 0: short blocks, low SNR, a nearly silenced user), a
+SuperLU failure or a vector that is not finite goes to subtraction-free
+Grassmann-Taksar-Heyman elimination on the whole dense chain.  The floor
+also routes the chains in which some state cannot move to state 0 in
+one slot (a silenced user): among 100000 random chains at N = 2..5 and
+-25..+20 dB it rejected all 28658 of those.  GTH holds 3^N x 3^N
+doubles: 0.6 s and 342 MiB at N = 8 (k = 50, n = 60, 0 dB).  Per-user
+metrics are closed-form sums over the table (_move_sums, which also
+turns the simulator's slot counts into its tallies): P(next F | R) is a
+forward cumulative sum of first-failure probabilities and P(next S | S
+or F) a reverse one, never 1 - q.
 
 Stacks.  The engine has a leading batch axis: the tables, the stationary
 solve and the metrics take a (B, N) stack of received-power vectors, so
 max_user_per evaluates a whole GA generation in one call (in chunks of
 at most STACK_STATES chain states); analyze runs it on a stack of one.
-The regenerative chains up to 81 states are assembled by one bincount
-and factored one by one; larger ones, and every chain that goes to GTH,
-are solved one by one.  Every floating-point operation is the one a
-chain sees alone, so a row's result does not depend on the stack around
-it.
+The chains up to 81 states are assembled by one bincount and factored
+one by one; larger ones, and every chain that goes to GTH, are solved
+one by one.  Every floating-point operation is the one a chain sees
+alone, so a row's result does not depend on the stack around it.
 
 Accuracy.  Against an exact 400-digit chain (N <= 3, -10..+14 dB, rates
 1/4 and 1/2) every PER and p_s above 1e-300 agrees to 2.3e-13 relative or
@@ -78,14 +77,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 from scipy.special import gammaln, xlog1py, xlogy
 
-from .errors import ConsistencyError, NumericalError, ReducibleChainError
+from .errors import NumericalError, ReducibleChainError
 from .fbl import CodeParams, per_cc_batch
 from .sic import Phase, SystemConfig
 
 _log = logging.getLogger(__name__)
 _S, _R, _F = int(Phase.S), int(Phase.R), int(Phase.F)
-# row-sum drift beyond this signals a transition-enumeration bug
-ROW_SUM_TOL = 1e-6
 # required residual of the stationary solve, ||Pi^T p - p||_inf
 STATIONARY_TOL = 1e-10
 # largest cluster analysed or simulated: 3^8 = 6561 states
@@ -249,8 +246,9 @@ def _chain_table(powers: np.ndarray, code: CodeParams):
     N+1), hold the moves: column w < N is the move when the first SIC
     failure is at stage position w (decoded users go to S, everyone from
     w onward falls back: fresh packets to R, retransmissions to F), column
-    N the all-success move to state 0.  Rows are renormalized when their
-    drift is within ROW_SUM_TOL; anything larger raises ConsistencyError.
+    N the all-success move to state 0.  Each row sums to 1 within a few
+    ulps as computed, since per_cc_batch returns every stage's failure and
+    success probabilities as a complementary pair; it is not renormalized.
     """
     powers = np.asarray(powers, dtype=float)
     digits = _state_digits(powers.shape[-1])
@@ -260,13 +258,7 @@ def _chain_table(powers: np.ndarray, code: CodeParams):
     # first failure at stage w: stages before w succeed, w fails
     prob = np.concatenate([eps, q_succ[..., -1:]], axis=-1)
     prob[..., 1:-1] *= q_succ[..., :-1]
-    sums = prob[..., :-1].sum(axis=-1) + prob[..., -1]
-    drift = np.abs(sums - 1.0).max()
-    if drift > ROW_SUM_TOL:
-        raise ConsistencyError(
-            f"transition rows deviate from stochasticity by {drift:.3e}"
-        )
-    return orders, _fallback_successors(digits, orders), prob / sums[..., None]
+    return orders, _fallback_successors(digits, orders), prob
 
 
 def _regeneration_state(src, dst, prob, m: int) -> int:
@@ -299,34 +291,29 @@ def _stationary(src, dst, prob, m: int):
     solve holds, else the ReducibleChainError or NumericalError that chain
     raises on its own.  Every chain is solved exactly as it would be alone.
 
-    Two solves.  A chain that moves to state 0 from every state (the
-    common case, tested here for the whole stack) takes the regenerative
-    LU: _regenerative_lu for the dense stack, _regenerative_splu one by
-    one above DENSE_SOLVE_STATES.  Its vector is right to a few ulps
-    relative wherever the pivots stay away from 0, as only the pivots
-    involve a subtraction.  Every other chain goes to whole-chain GTH
-    (_gth): one with a pivot below PIVOT_FLOOR, a SuperLU failure or a
-    vector that is not finite (a divisor underflowed to 0), and one with a
-    state that cannot move to state 0.  A NumericalError is a residual
-    ||P^T p - p||_inf above STATIONARY_TOL (one bincount for the whole
-    stack) or a negative mass; NaN fails every comparison, so an all-NaN
-    vector is one too.
+    Two solves.  Every chain takes the regenerative LU: _regenerative_lu
+    for the dense stack, _regenerative_splu one by one above
+    DENSE_SOLVE_STATES.  Only its pivots involve a subtraction; above
+    PIVOT_FLOOR its vector stayed within 1e-10 relative of GTH's on
+    random N = 2..4 chains down to -25 dB, but for the mass of a state 0
+    the chain rarely returns to (1e-13 absolute).  A chain with a pivot below
+    PIVOT_FLOOR (as were all the measured chains with a state that cannot
+    move to state 0 in one slot), a SuperLU failure or a vector that is
+    not finite (a divisor underflowed to 0) goes to whole-chain GTH
+    (_gth).  A NumericalError is a residual ||P^T p - p||_inf above
+    STATIONARY_TOL (one bincount for the whole stack) or a negative mass;
+    NaN fails every comparison, so an all-NaN vector is one too.
     The numpy warnings of a solve that underflows are silenced: the
     residual test turns its vector into NumericalError.
     """
     n_chains = len(prob)
-    # NaN marks a chain no LU has solved
-    p = np.full((n_chains, m), np.nan)
     errors = [None] * n_chains
-    chains, moves = np.nonzero((prob > 0.0) & (dst == 0))
-    to_zero = np.zeros((n_chains, m), dtype=bool)
-    to_zero[chains, src[moves]] = True
-    regen = np.flatnonzero(to_zero.all(axis=1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if m <= DENSE_SOLVE_STATES:
-            p[regen] = _regenerative_lu(src, dst[regen], prob[regen], m)
+            p = _regenerative_lu(src, dst, prob, m)
         else:
-            for b in regen:
+            p = np.empty((n_chains, m))
+            for b in range(n_chains):
                 p[b] = _regenerative_splu(src, dst[b], prob[b], m)
         for b in np.flatnonzero(~np.isfinite(p).all(axis=1)):
             try:
@@ -349,15 +336,17 @@ def _stationary(src, dst, prob, m: int):
 
 
 def _regenerative_lu(src, dst, prob, m: int):
-    """Stationary vectors of a stack of chains that all move to state 0
-    from every state, by dense LAPACK: with Q the chain over the other
-    states, the expected visits x per excursion from state 0 solve
-    (I - Q)^T x = P[0, 1:], and pi = [1, x] / (1 + sum x).  One bincount
-    assembles every chain's matrix; each is factored on its own.  The
-    diagonal of I - Q is exactly 1 (no state but 0 has a self-loop), so no
-    near-1 entry enters as in a replaced-row solve; its transpose is
-    column diagonally dominant, so the LU pivots are its diagonal.  A
-    chain with a pivot below PIVOT_FLOOR reads NaN.
+    """Stationary vectors of a stack of chains by dense LAPACK: with Q the
+    chain over the states other than 0, the expected visits x per
+    excursion from state 0 solve (I - Q)^T x = P[0, 1:], and
+    pi = [1, x] / (1 + sum x).  One bincount assembles every chain's
+    matrix; each is factored on its own.  The diagonal of I - Q is exactly
+    1 (no state but 0 has a self-loop), so no near-1 entry enters as in a
+    replaced-row solve.  Each column of the transpose sums to its state's
+    probability of moving to state 0 in one slot, so the transpose is
+    column diagonally dominant (strictly where that probability is
+    positive) and the LU pivots stay on its diagonal.  A chain with a
+    pivot below PIVOT_FLOOR reads NaN.
     """
     n_chains = len(prob)
     at = (np.arange(n_chains)[:, None] * m + src) * m + dst
@@ -493,11 +482,8 @@ def _check_user_count(n_users: int) -> None:
 
 def build_transition_matrix(cfg: SystemConfig) -> TransitionMatrix:
     """Dense 3^N x 3^N transition matrix for the configured cluster: the
-    move table scattered into rows.
-
-    Rows are renormalized when the enumeration drift is within 1e-6;
-    anything larger raises ConsistencyError.
-    """
+    move table scattered into rows, each of which sums to 1 within a few
+    ulps (see _chain_table)."""
     _check_user_count(cfg.n_users)
     _, succ, prob = _chain_table(cfg.powers, cfg.code)
     m = len(succ)

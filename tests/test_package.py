@@ -14,7 +14,7 @@ import noma_harq
 README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED = ["per_ir", "initial_sinr", "transition_prob", "per_user", "success_prob",
            "UserPosition", "per_cc", "q_function", "channel_dispersion",
-           "chi_square_state_fit"]
+           "chi_square_state_fit", "ConsistencyError", "ROW_SUM_TOL"]
 # attributes and parameters removed from names that remain
 REMOVED_MEMBERS = {
     "cellplan.CellPlan": ["ratio_index", "ratio", "to_json"],
@@ -43,7 +43,7 @@ def test_star_import():
 
 def test_removed_names_are_gone_and_listed_in_readme():
     modules = [importlib.import_module(f"noma_harq.{m}")
-               for m in ("fbl", "sic", "markov", "montecarlo", "cellplan")]
+               for m in ("fbl", "sic", "markov", "montecarlo", "cellplan", "errors")]
     for name in REMOVED:
         assert name not in noma_harq.__all__
         assert not any(hasattr(m, name) for m in modules), name
