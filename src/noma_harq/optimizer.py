@@ -30,9 +30,8 @@ _log = logging.getLogger(__name__)
 
 # floor for chromosome genes; keeps projected ratios strictly positive
 GENE_FLOOR = 1e-6
-# blocklength step of min_blocklength's coarse scan; it changes only the
-# search's speed, as the stride window is rechecked one by one
-COARSE_STRIDE = 8
+# largest step of min_blocklength's expanding search, in channel uses
+MAX_STEP = 64
 # GA operators: the crossover probability of a parent pair, the per-gene
 # mutation probability and standard deviation, and the elites carried
 # into the next generation with their fitness
@@ -251,14 +250,23 @@ def min_blocklength(
     InfeasibleError is raised before any GA run, carrying the smallest
     bound value, a lower bound on any split's worst PER.
 
-    From the start, a coarse pass with stride COARSE_STRIDE finds the
-    first feasible stretch, then the stride window is rechecked one by
-    one so the answer matches a stride-1 scan (the optimized worst PER
-    decreases in n).  Optimized ratios are carried from one n to the next
-    as GA warm starts.  Raises InfeasibleError (carrying the best PER
-    found) if the cap is reached without meeting the target.  The answer
-    is logged as one INFO record on the noma_harq.optimizer logger, with
-    the start and the blocklengths tried in order.
+    From the start, the search brackets the answer and then shrinks the
+    bracket, on f(n) = log(PER(n) / target_per), which is smooth in n
+    under the normal approximation (Polyanskiy, Poor & Verdu, IEEE Trans.
+    IT 2010).  Expand: each step goes to where the secant of f through
+    the last two probes crosses 0, at least 1 and at most MAX_STEP ahead;
+    the first step takes its slope from the single-user bound at start
+    and start + 1.  It stops at the first probe that meets the target.
+    Shrink: Illinois regula falsi (Dowell & Jarratt, BIT 1971) inside
+    [infeasible, feasible] until the ends are adjacent; after two probes
+    in a row that each leave more than half the bracket, the next one
+    bisects it.  The answer is the feasible end, so it matches a stride-1
+    scan wherever the optimized worst PER decreases in n.  The GA at n
+    runs with seed params.seed + n, warm-started from the last probe's
+    ratios.  Raises InfeasibleError (carrying the best PER found) if the
+    cap is reached without meeting the target.  The answer is logged as
+    one INFO record on the noma_harq.optimizer logger, with the start and
+    the blocklengths tried in order.
     """
     if not 0.0 < target_per < 1.0:
         raise ValueError(f"target_per must lie in (0, 1), got {target_per!r}")
@@ -285,46 +293,72 @@ def min_blocklength(
             best_value=lowest,
         )
 
-    cache: dict[int, Tuple[np.ndarray, float]] = {}
+    tried: dict[int, Tuple[np.ndarray, float]] = {}
     warm: Optional[List[Sequence[float]]] = None
-    best_seen = math.inf
+    log_target = math.log(target_per)
 
-    def optimized(n: int) -> Tuple[np.ndarray, float]:
-        nonlocal warm, best_seen
-        if n not in cache:
-            point_params = replace(params, seed=params.seed + n)
-            alphas, val = optimize_power_split(
-                n_users, snr_db, CodeParams(k=k, n=n), point_params,
-                initial=warm, trace=trace,
+    def probe(n: int) -> Tuple[bool, float]:
+        """Whether the GA optimum at n meets the target, and its f(n):
+        -inf at PER 0, +inf where every split fails."""
+        nonlocal warm
+        point_params = replace(params, seed=params.seed + n)
+        alphas, val = optimize_power_split(n_users, snr_db, CodeParams(k=k, n=n),
+                                           point_params, initial=warm, trace=trace)
+        warm = [alphas]
+        tried[n] = alphas, val
+        return val <= target_per, _log_per(val) - log_target
+
+    def step(f: float, slope: float) -> int:
+        """Channel uses from a probe f > 0 to the secant's crossing of 0."""
+        dist = f / -slope if slope < 0.0 else math.inf
+        return max(1, math.ceil(dist)) if dist < MAX_STEP else MAX_STEP
+
+    lo, f_lo = None, math.nan
+    hi = start
+    met, f_hi = probe(start)
+    slope = (_log_per(_single_user(share, CodeParams(k=k, n=start + 1))[0])
+             - _log_per(_single_user(share, CodeParams(k=k, n=start))[0]))
+    while not met:
+        if hi == n_cap:
+            best = min(val for _, val in tried.values())
+            raise InfeasibleError(
+                f"no blocklength up to {n_cap} meets PER {target_per:g} "
+                f"at {snr_db:g} dB (best {best:.3e})",
+                best_value=best,
             )
-            warm = [alphas]
-            best_seen = min(best_seen, val)
-            cache[n] = (alphas, val)
-        return cache[n]
+        lo, f_lo = hi, f_hi
+        hi = min(hi + step(f_hi, slope), n_cap)
+        met, f_hi = probe(hi)
+        slope = (f_hi - f_lo) / (hi - lo)
 
-    feasible_n = None
-    n = start
-    while n <= n_cap:
-        _, val = optimized(n)
-        if val <= target_per:
-            feasible_n = n
-            break
-        n += COARSE_STRIDE
-    if feasible_n is None:
-        raise InfeasibleError(
-            f"no blocklength up to {n_cap} meets PER {target_per:g} "
-            f"at {snr_db:g} dB (best {best_seen:.3e})",
-            best_value=best_seen,
-        )
-
-    # walk the preceding stride window to find the exact crossing
-    for m in range(max(start, feasible_n - COARSE_STRIDE + 1), feasible_n):
-        _, val = optimized(m)
-        if val <= target_per:
-            feasible_n = m
-            break
+    kept = None    # the end the last probe left in place
+    slow = 0       # probes in a row that each left more than half the bracket
+    while lo is not None and hi - lo > 1:
+        width = hi - lo
+        x = hi - f_hi * width / (f_hi - f_lo) if f_lo > f_hi else math.nan
+        if slow == 2 or not lo < x < hi:
+            n, slow = (lo + hi) // 2, 0
+        else:
+            n = min(max(math.ceil(x), lo + 1), hi - 1)
+        met, f = probe(n)
+        if met:
+            hi, f_hi = n, f
+            if kept == "lo":
+                f_lo /= 2.0
+            kept = "lo"
+        else:
+            lo, f_lo = n, f
+            if kept == "hi":
+                f_hi /= 2.0
+            kept = "hi"
+        slow = slow + 1 if 2 * (hi - lo) > width else 0
 
     _log.info("min_blocklength: bound start n=%d, tried n=%s, answer n=%d",
-              start, list(cache), feasible_n)
-    alphas, _ = cache[feasible_n]
-    return feasible_n, tuple(float(a) for a in alphas)
+              start, list(tried), hi)
+    alphas, _ = tried[hi]
+    return hi, tuple(float(a) for a in alphas)
+
+
+def _log_per(x: float) -> float:
+    """Natural log of a PER, -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf

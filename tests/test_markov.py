@@ -586,6 +586,11 @@ class TestUserMetrics:
             assert max_user_per(np.array([0.0, 1.0]), 10.0, CODE) == 1.0
         assert not caplog.records
 
+    def test_silenced_user_among_others_reads_exactly_one(self):
+        # user 0 fails every decode but the chain keeps one closed class,
+        # whose R and F mass can sum to one ulp below 1
+        assert max_user_per(np.array([0.0, 0.5, 0.5]), 10.0, CODE) == 1.0
+
     def test_several_closed_classes_read_one_and_are_logged(self, caplog):
         # two silenced users fail every decode, so their relative R/F
         # parity never changes and the chain has two closed classes
@@ -645,6 +650,12 @@ SHORT_BLOCKS = (_normalized([[0.3, 0.33, 0.37], [0.1, 0.3, 0.6], [0.0, 1.0, 1.0]
                              [1.0, 1.0, 1.0]]), 1.0, CodeParams(k=50, n=74))
 
 
+# three N = 6 chains on a short block, 3 dB, k = 50 bits in 120 channel
+# uses: the third one's LU has pivots below PIVOT_FLOOR, so it goes to GTH
+N6_SHORT_BLOCKS = (_normalized([np.ones(6), np.arange(1.0, 7.0), 2.0 ** np.arange(6)]),
+                   2.0, CodeParams(k=50, n=120))
+
+
 @st.composite
 def ratio_stacks(draw):
     """(B, N) ratio stack, P0 and code: random rows, sometimes a silenced
@@ -686,6 +697,50 @@ class TestStackedEngine:
         # bit for bit, NaN rows included
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(chunked, want)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(case=sparse_stacks(), marked=st.sets(st.integers(0, 2), min_size=1))
+    @example(case=N6_SHORT_BLOCKS, marked={0})
+    def test_failed_block_retries_chain_by_chain(self, case, marked):
+        # SuperLU fails every block of several chains that holds a marked
+        # chain, as on a pivot that cancels to exactly 0; each chain then
+        # solves as a stack of one
+        alphas, p0, code = case
+        splu, gth = markov.splu, markov._gth
+        alone, failed, gth_sizes = [], [], []
+
+        def record(a, **kwargs):
+            alone.append(a)
+            return splu(a, **kwargs)
+
+        def fail_marked_blocks(a, **kwargs):
+            size = alone[0].shape[0]
+            blocks = [a[i:i + size, i:i + size] for i in range(0, a.shape[0], size)]
+            if len(blocks) > 1 and any((block != chain).nnz == 0
+                                       for block in blocks for chain in alone):
+                failed.append(len(blocks))
+                raise RuntimeError("Factor is exactly singular")
+            return splu(a, **kwargs)
+
+        def gth_spy(src, dst, prob, m):
+            gth_sizes.append(m)
+            return gth(src, dst, prob, m)
+
+        want = [max_user_per(row, p0, code) for row in alphas]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(markov, "splu", record)
+            for b in {b % len(alphas) for b in marked}:
+                max_user_per(alphas[b], p0, code)
+            mp.setattr(markov, "splu", fail_marked_blocks)
+            mp.setattr(markov, "_gth", gth_spy)
+            got = max_user_per(alphas, p0, code)
+        # bit for bit, NaN rows included
+        np.testing.assert_array_equal(got, want)
+        assert failed == ([len(alphas)] if len(alphas) > 1 else [])
+        if case is N6_SHORT_BLOCKS:
+            # 729-state chains; the third one goes to whole-chain GTH
+            assert gth_sizes == [729]
+            assert np.isfinite(got).all()
 
     @pytest.mark.parametrize("case", [_nan_stack("N4"), _nan_stack("N5"), SHORT_BLOCKS],
                              ids=["N4", "N5", "short-blocks"])

@@ -1,5 +1,6 @@
 """GA mechanics, simplex feasibility, and the blocklength search."""
 
+import itertools
 import logging
 import math
 
@@ -147,6 +148,19 @@ def single_user_bound(n_users, p0, code):
     return 2 * eps1 * eps2 / (1 + eps1)
 
 
+@st.composite
+def log_per_curves(draw):
+    """log(PER / target) at start, start + 1, ...: non-increasing and
+    piecewise linear, with random log-slopes, kinks between the pieces and
+    flat pieces (plateaus); and its piece count."""
+    # log-slopes log-uniform in [-3.2, -1e-3] per channel use, or 0
+    log_slopes = st.one_of(st.just(0.0), st.floats(-3.0, 0.5).map(lambda e: -10.0 ** e))
+    pieces = draw(st.lists(st.tuples(st.integers(1, 200), log_slopes), min_size=1, max_size=6))
+    slopes = np.concatenate([np.full(length, slope) for length, slope in pieces])
+    head = draw(st.floats(-1.0, 12.0))
+    return head + np.concatenate([[0.0], np.cumsum(slopes)]), len(pieces)
+
+
 def search_record(caplog):
     """(start, blocklengths tried, answer) of the one search log record."""
     records = [r for r in caplog.records if r.name == "noma_harq.optimizer"]
@@ -238,11 +252,40 @@ class TestMinBlocklength:
             got, _ = min_blocklength(50, snr_db, 1, target, FAST)
             assert got == expect
 
-    def test_single_user_stride_invariant(self, monkeypatch):
-        a, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST)
-        monkeypatch.setattr(optimizer, "COARSE_STRIDE", 1)
-        b, _ = min_blocklength(50, -3.0, 1, 1e-3, FAST)
-        assert a == b
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(curve=log_per_curves(), target=st.sampled_from([1e-2, 1e-3, 1e-5]))
+    def test_matches_stride_one_scan(self, curve, target):
+        # a synthetic optimized PER in place of the GA, over start..n_cap
+        log_excess, pieces = curve
+        start = next(n for n in itertools.count(51)
+                     if single_user_bound(3, 1.0, CodeParams(k=50, n=n)) <= target)
+        n_cap = start + len(log_excess) - 1
+        per = target * np.exp(log_excess)
+        probes = []
+
+        def synthetic(n_users, p0_db, code, params, initial=None, trace=None):
+            probes.append(code.n)
+            return np.full(n_users, 1.0 / n_users), float(per[code.n - start])
+
+        feasible = np.flatnonzero(per <= target)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "optimize_power_split", synthetic)
+            if len(feasible):
+                got, _ = min_blocklength(50, 0.0, 3, target, FAST, n_cap=n_cap)
+                assert got == start + feasible[0]
+            else:
+                with pytest.raises(InfeasibleError) as exc:
+                    min_blocklength(50, 0.0, 3, target, FAST, n_cap=n_cap)
+                assert exc.value.best_value == min(per[n - start] for n in probes)
+        assert probes[0] == start
+        assert all(start <= n <= n_cap for n in probes)
+        assert len(set(probes)) == len(probes)
+        # expanding takes at most two probes per linear piece of log PER,
+        # plus one per MAX_STEP channel uses; shrinking the last step's
+        # bracket (at most MAX_STEP = 2^6 wide) halves it at least every
+        # third probe
+        assert len(probes) <= (2 * pieces + 1 + (n_cap - start) // optimizer.MAX_STEP
+                               + 3 * 6)
 
     def test_logs_start_tries_and_answer(self, caplog):
         contexts = []
