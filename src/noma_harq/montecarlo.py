@@ -30,15 +30,15 @@ grids of the n_hat rotations give the whole matrix in one array lookup.
 Both the placed users and the n_hat planned ratios are capped at
 markov.MAX_USERS.
 
-Decode tables come from the analysis's vectorized engine
-(markov._stage_tables and the successors of the chain's move table),
-all 3^N states at once, as numpy arrays; the scalar sic path is a test
-oracle only.  The chain tallies slots by rotation, state and
-first-failure stage, in the layout of the move table.  markov._move_sums
-turns those counts into the e_i and p_s tallies, the same sums the
-analysis takes over the move probabilities, and the state visits follow
-from the counts, so memory is O(n_hat * 3^N * N) with no 3^N x 3^N
-array.
+Decode tables are the analysis's move table (markov._chain_table), all
+3^N states at once, as numpy arrays: markov alone maps SINRs to error
+rates, for the chain and for the orthogonal baseline's draws alike, and
+the scalar sic path is a test oracle only.  The chain tallies slots by
+rotation, state and first-failure stage, in the layout of the move
+table.  markov._move_sums turns those counts into the e_i and p_s
+tallies, the same sums the analysis takes over the move probabilities,
+and the state visits follow from the counts, so memory is
+O(n_hat * 3^N * N) with no 3^N x 3^N array.
 
 The chain steps in numpy wherever it can.  A slot whose uniforms clear
 every stage's largest failure probability decodes every stage from any
@@ -66,16 +66,8 @@ import numpy as np
 from scipy.special import exp1
 
 from .cellplan import CELL_RADIUS, build_plan, locate_segment
-from .fbl import CodeParams, per_cc_batch
-from .markov import (
-    _check_user_count,
-    _fallback_successors,
-    _move_sums,
-    _stage_tables,
-    _state_digits,
-    oma_received_power,
-    throughput,
-)
+from .fbl import CodeParams
+from .markov import _chain_table, _check_user_count, _move_sums, oma_received_power, throughput
 from .sic import SystemConfig
 
 # decimation stride for the goodness-of-fit visit counts; the chain
@@ -129,8 +121,8 @@ class SimConfig:
         if self.n_actual < 1 or self.n_hat < 1:
             raise ValueError(f"n_actual and n_hat must be at least 1, got "
                              f"{self.n_actual} and {self.n_hat}")
-        if self.episodes < 1 or self.slots < 1 or self.warmup < 0:
-            raise ValueError("slots and episodes must be positive, warmup >= 0")
+        if self.episodes < 1 or self.slots < 1 or self.warmup < 0 or self.seed < 0:
+            raise ValueError("slots and episodes must be positive, warmup and seed >= 0")
         if self.slots // self.episodes <= self.warmup:
             raise ValueError("each episode needs more slots than the warmup")
         if self.n_hat != self.system.n_users:
@@ -194,23 +186,17 @@ def disk_positions(rng: np.random.Generator, n: int):
 
 
 def _decode_tables(powers: np.ndarray, code: CodeParams):
-    """Decode order, per-state stage failure probabilities and
-    successors, for all 3^N states of every row of the (R, N)
-    received-power stack powers at once, from the vectorized SIC engine of
-    the analysis (one (N,) vector gives one table without the leading
-    axis).
+    """Decode order, per-state stage failure probabilities and successors,
+    for all 3^N states of every row of the (R, N) received-power stack
+    powers at once (one (N,) vector gives one table without the leading
+    axis): the arrays (orders, eps, succ), (R, 3^N, N), (R, 3^N, N) and
+    (R, 3^N, N+1), read from markov._chain_table.
 
-    Returns the arrays (orders, eps, succ), (R, 3^N, N), (R, 3^N, N) and
-    (R, 3^N, N+1).  orders is markov._stage_tables' decode order.
-    eps[r, s, w] is the failure probability of stage w in state s for row
-    r, from the Chase-combining finite-blocklength formula.  succ[r, s]
-    holds the N+1 successors of the chain's move table: entry w < N is the
-    next state when the first SIC failure hits stage w, entry N = 0 the
-    all-success one.
+    A function of its own only so that the benchmark's layer tracer,
+    which finds the simulator's table builds by this name, counts them.
     """
-    digits = _state_digits(powers.shape[-1])
-    orders, gammas = _stage_tables(digits, powers)
-    return orders, per_cc_batch(gammas, code)[0], _fallback_successors(digits, orders)
+    orders, succ, _, eps = _chain_table(powers, code)
+    return orders, eps, succ
 
 
 def _episode_seeds(seed: int, episodes: int):
@@ -457,7 +443,8 @@ def simulate_oma_baseline(cfg: SimConfig) -> SimResult:
     n = sys_cfg.n_users
     code = sys_cfg.code
     p_oma = oma_received_power(sys_cfg)
-    (eps1, eps2), _ = per_cc_batch(np.array([p_oma, 2.0 * p_oma]), code)
+    # the one-user table's states S and R: SINR P, and P + P Chase-combined
+    eps1, eps2 = _decode_tables(np.array([p_oma]), code)[1][:2, 0]
 
     dyn_rng, place_rng = map(np.random.default_rng,
                              np.random.SeedSequence(cfg.seed).spawn(2))

@@ -56,6 +56,9 @@ class GaParams:
     def __post_init__(self):
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
+        if self.generations < 0 or self.seed < 0:
+            raise ValueError(f"need generations >= 0 and seed >= 0, got "
+                             f"{self.generations} and {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -520,6 +520,29 @@ class TestInputChecks:
         assert main([str(tmp_path / a) if a in configs else a for a in args]) == 2
         assert named in capsys.readouterr().err
 
+    PARETO = ["optimize-pareto", "--snr-db", "0"] + CODE
+    BLOCKLENGTH = ["min-blocklength", "--bits", "50", "--snr-db", "0", "--target-per", "0.01"]
+
+    @pytest.mark.parametrize("args", [
+        PARETO + GA + ["--seed", "-1"],
+        ["simulate", "--seed", "-1"] + PAIR + CODE,
+        BLOCKLENGTH + GA + ["--seed", "-1"],
+        PARETO + ["--users", "2", "--population", "8", "--generations", "-1"],
+        BLOCKLENGTH + ["--users", "2", "--population", "8", "--generations", "-1"],
+    ], ids=["pareto-seed", "simulate-seed", "min-blocklength-seed", "pareto-generations",
+            "min-blocklength-generations"])
+    def test_negative_seed_or_generations_usage_error(self, args, capsys):
+        # numpy refuses a negative seed with a traceback, and a negative
+        # generation count ran no generation at all
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed >= 0" in err
+
+    def test_zero_generations_runs(self, tmp_path):
+        payload = run_json(tmp_path, self.PARETO + ["--users", "2", "--population", "8",
+                                                    "--generations", "0"])
+        assert len(payload["results"]) == 1
+
     SWEEP = ["sweep"] + PAIR + CODE
     CELLPLAN = ["cellplan", "--alphas", "0.5,0.5"]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import noma_harq.markov as markov
 import noma_harq.montecarlo as montecarlo
 from noma_harq.fbl import CodeParams, per_cc_batch
 from noma_harq.markov import (analyze, build_transition_matrix, oma_received_power,
@@ -88,6 +89,11 @@ class TestSimConfig:
     def test_user_counts_positive(self, field):
         with pytest.raises(ValueError, match="at least 1"):
             SimConfig(system=ANCHOR_CFG, scenario="uncoordinated", **{field: 0})
+
+    def test_negative_seed_rejected(self):
+        # numpy's seeding refuses it only once the run starts
+        with pytest.raises(ValueError, match="seed >= 0"):
+            SimConfig(system=ANCHOR_CFG, seed=-1)
 
 
 @st.composite
@@ -242,7 +248,7 @@ class TestCoordinated:
 
     def test_forced_success_hook(self, monkeypatch):
         cfg = SimConfig(system=ANCHOR_CFG, slots=20_000, seed=3, warmup=100)
-        monkeypatch.setattr(montecarlo, "per_cc_batch", never_fails)
+        monkeypatch.setattr(markov, "per_cc_batch", never_fails)
         res = simulate_coordinated(cfg)
         assert np.all(res.per == 0.0)
         assert np.all(res.success_prob == 1.0)
@@ -251,7 +257,7 @@ class TestCoordinated:
 
     def test_forced_failure_hook(self, monkeypatch):
         cfg = SimConfig(system=ANCHOR_CFG, slots=20_000, seed=3, warmup=100)
-        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        monkeypatch.setattr(markov, "per_cc_batch", always_fails)
         res = simulate_coordinated(cfg)
         assert np.all(res.per == 1.0)
         assert np.all(res.success_prob == 0.0)
@@ -306,7 +312,7 @@ class TestCoordinated:
         cfg = SimConfig(system=SystemConfig(alphas=tuple(ratios / ratios.sum()),
                                             p0=0.1, code=CODE),
                         slots=20_000, seed=13, warmup=100)
-        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        monkeypatch.setattr(markov, "per_cc_batch", always_fails)
         res = simulate_coordinated(cfg)
         assert np.all(res.per == 1.0)
         assert np.all(res.success_prob == 0.0)
@@ -320,7 +326,7 @@ class TestCoordinated:
         ratios = np.arange(1.0, 9.0)
         system = SystemConfig(alphas=tuple(ratios / ratios.sum()), p0=0.1, code=CODE)
         monkeypatch.setattr(montecarlo, "_CHAIN_CHUNK", 2048)
-        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        monkeypatch.setattr(markov, "per_cc_batch", always_fails)
         peaks = []
         for slots in (4096, 40_960):
             tracemalloc.start()
@@ -364,7 +370,7 @@ class TestUncoordinated:
         assert res.avg_per >= coord_avg
 
     def test_forced_failure_hook(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "per_cc_batch", always_fails)
+        monkeypatch.setattr(markov, "per_cc_batch", always_fails)
         res = simulate_uncoordinated(self.UNCOORD)
         assert np.all(res.per == 1.0)
 
@@ -436,6 +442,15 @@ class TestOmaBaseline:
         cfg = SimConfig(system=ANCHOR_CFG, slots=60_000, seed=29)
         assert sim_result_equal(simulate_oma_baseline(cfg),
                                 simulate_oma_baseline(cfg))
+
+    def test_forced_success_hook(self, monkeypatch):
+        # the draws read the same error rates as the matched power; at
+        # -10 dB the real formula fails most first transmissions
+        monkeypatch.setattr(markov, "per_cc_batch", never_fails)
+        system = SystemConfig(alphas=(0.5, 0.5), p0=0.1, code=CODE)
+        res = simulate_oma_baseline(SimConfig(system=system, slots=20_000, seed=3))
+        assert np.all(res.per == 0.0)
+        assert np.all(res.success_prob == 1.0)
 
     def test_tally_matches_slot_by_slot_walk(self):
         # eps1 = 0.71, eps2 = 0.11: many retransmissions and losses.  Each

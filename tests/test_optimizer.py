@@ -29,6 +29,11 @@ class TestGaParams:
         with pytest.raises(ValueError):
             GaParams(population_size=2)
 
+    @pytest.mark.parametrize("field", ["generations", "seed"])
+    def test_negative_generations_or_seed_rejected(self, field):
+        with pytest.raises(ValueError, match="generations >= 0 and seed >= 0"):
+            GaParams(**{field: -1})
+
 
 class TestGaMinimize:
     def test_one_variable_returns_unit(self):
