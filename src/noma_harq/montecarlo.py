@@ -46,7 +46,15 @@ state, so the chain is in state 0 after it; the stretches between such
 slots step in lockstep, and the few long ones left finish in a Python
 loop over lists.  Each slot makes the move a slot-by-slot walk of the
 same uniforms makes, so every result is bit-identical to that walk (kept
-as run_chain in tests/oracle.py).
+as run_chain in tests/oracle.py).  The per-stage data are stage
+columns: a chunk's uniforms (N, slots), the error rates (N, R * 3^N) and
+their bounds per rotation (N, R).  A test across a slot's N stages is
+then N one-dimensional numpy operations, an &= or a masked store per
+stage column; the same test as a reduction along the short stage axis
+of a (slots, N) array runs numpy's inner loop once per slot.  On an
+8192-slot chunk at N = 2..5 the reset test took 200-220 us as
+all(axis=1) against 10-25 us by columns, and a lockstep step over 4000
+segments 92-98 us as argmax(axis=1) against 20-49 us.
 
 Seeding: each episode splits its np.random.SeedSequence with spawn(2)
 into independent child streams (dynamics, placement), so every run is
@@ -83,7 +91,8 @@ _MEAN_INVERSION = (exp1(1.0 / POWER_CAP_FACTOR)
 _CAP_PROB = -np.expm1(-1.0 / POWER_CAP_FACTOR)
 
 # slots per chunk of the chain; its per-chunk arrays grow with it (at
-# 1 << 16 they raised coordinated-simulation's peak RSS by ~6 MiB)
+# 1 << 16 they raised coordinated-simulation's peak RSS by ~6 MiB), and
+# its segment lengths are sorted as int16, so it stays below 2^15
 _CHAIN_CHUNK = 1 << 13
 # fewer unfinished segments than this step one slot at a time in Python,
 # where a numpy step per slot position would cost more
@@ -210,46 +219,49 @@ def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
 
 
-def _walk(uni, rot, starts, stops, states, low, tables, keys):
+def _walk(u, rot, starts, stops, rows, low, tables, keys):
     """Step the chain one slot at a time over the segments [starts[i],
-    stops[i]) of the chunk, segment i from states[i], writing each slot's
-    move into keys.
+    stops[i]) of the chunk, segment i from row rows[i] (rotation * 3^N +
+    state), writing each slot's move into keys.
 
-    uni holds the chunk's uniforms with a sentinel column of zeros and rot
-    the rotation of every slot.  tables holds the rows of eps by rotation
-    and state and the flat succ as lists, so the loop reads Python floats
-    and ints.  low[r, w] = min_s eps[r, s, w], then a sentinel 1: a uniform
-    below it fails stage w from any state, so the first such stage caps a
-    slot's search, and a slot capped at stage 0 reads no uniform at all.
+    u holds the chunk's uniforms as stage columns, (N, slots), and rot the
+    rotation of every slot.  tables holds the rows of eps and the flat
+    successor rows as lists, so the loop reads Python floats and ints.
+    low[w, r] = min_s eps[r, s, w]: a uniform below it fails stage w from
+    any state, so the first such stage caps a slot's search, a slot capped
+    at stage 0 reads no uniform at all, and a slot that no stage caps
+    searches all N.  The caps are found one stage column at a time, from
+    the last stage back to the first.
     """
     eps_tab, succ_tab = tables
-    n1 = low.shape[1]
-    m = len(eps_tab) // len(low)
+    n = len(low)
     lengths = stops - starts
     offsets = np.cumsum(lengths) - lengths
     # the segments' slots one after another; init marks where each starts
     at = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
     init = np.full(len(at), -1, dtype=np.intp)
-    init[offsets] = states
-    caps = (uni[at] < low[rot[at]]).argmax(axis=1)
-    rows = iter(uni[at[caps > 0]].tolist())
+    init[offsets] = rows
+    rot_at = rot[at]
+    caps = np.full(len(at), n)
+    for w in range(n - 1, -1, -1):
+        caps[u[w][at] < low[w][rot_at]] = w
+    uniforms = iter(u[:, at[caps > 0]].T.tolist())
     moves = []
-    for base, cap, fresh in zip((rot[at] * m).tolist(), caps.tolist(), init.tolist()):
+    for cap, fresh in zip(caps.tolist(), init.tolist()):
         if fresh >= 0:
-            state = fresh
-        row = base + state
+            row = fresh
         if cap:
-            u, eps = next(rows), eps_tab[row]
+            u_row, eps = next(uniforms), eps_tab[row]
             for w in range(cap):
-                if u[w] < eps[w]:
+                if u_row[w] < eps[w]:
                     break
             else:
                 w = cap
         else:
             w = 0
-        key = row * n1 + w
+        key = row * (n + 1) + w
         moves.append(key)
-        state = succ_tab[key]
+        row = succ_tab[key]
     keys[at] = moves
 
 
@@ -275,55 +287,80 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     slot-by-slot walk of the same uniforms makes, so the counts are
     bit-identical to it.
 
-    A slot's move is its key (r * 3^N + state) * (N+1) + w, at once the
-    flat index of its count and of its successor.
+    The uniforms, eps and its per-rotation bounds are held as stage
+    columns, (N, slots), (N, R * 3^N) and (N, R), so that a test across
+    the N stages is N one-dimensional numpy operations (see the module
+    docstring for the measured cost of the short-axis reductions
+    all(axis=1) and argmax(axis=1) they replace): the reset test is an &=
+    over the columns, and a slot's first failure a masked store from the
+    last stage back to the first, which leaves the first failing stage.
+
+    The chain is carried as its row r * 3^N + state, which the successor
+    table maps to the row of the next slot's rotation.  A slot's move is
+    its key row * (N+1) + w, at once the flat index of its count and of
+    its successor.
     """
     n_rot, m, n = eps.shape
     n1 = n + 1
-    # a sentinel stage that every slot fails: uniform 0 < eps 1
-    sentinel = np.ones((n_rot * m, 1))
-    eps_rows = np.hstack((eps.reshape(-1, n), sentinel))
-    low = np.hstack((eps.min(axis=1), sentinel[:n_rot]))
-    clear = eps.max(axis=1)
-    succ_flat = succ.reshape(-1)
+    eps_cols = list(eps.reshape(-1, n).T.copy())
+    low = eps.min(axis=1).T.copy()
+    clear = eps.max(axis=1).T
+    # the row of the next slot: its rotation r + 1 (mod R) and the successor
+    succ_rows = (np.roll(np.arange(n_rot), -1)[:, None, None] * m + succ).reshape(-1)
+    # rotation, first row and reset bounds of every slot of a chunk that
+    # starts at a multiple of R; a chunk starting at slot t reads them
+    # from t % R on
+    chunk = min(_CHAIN_CHUNK, slots)
+    period = np.arange(chunk + n_rot - 1) % n_rot
+    row0_by_slot = period * m
+    clear_by_slot = clear[:, period]
+    # every stage decoded: the first failure of a slot that fails none
+    no_failure = np.full(chunk, n)
     counts = np.zeros(n_rot * m * n1, dtype=np.int64)
     tables = None
-    state = 0
+    row = 0
     done = 0
     while done < slots:
-        take = min(_CHAIN_CHUNK, slots - done)
-        uni = np.zeros((take, n1))
-        uni[:, :n] = dyn_rng.random((take, n))
-        rot = np.arange(done, done + take) % n_rot
-        reset = (uni[:, :n] >= clear[rot]).all(axis=1)
+        take = min(chunk, slots - done)
+        u = dyn_rng.random((take, n)).T.copy()
+        u_cols = list(u)
+        phase = done % n_rot
+        window = slice(phase, phase + take)
+        reset = u_cols[0] >= clear_by_slot[0, window]
+        for w in range(1, n):
+            reset &= u_cols[w] >= clear_by_slot[w, window]
         ends = np.append(np.flatnonzero(reset[:-1]) + 1, take)
         lengths = np.diff(ends, prepend=0)
         # longest first: the segments still running are always a prefix;
-        # the first segment goes on from the last chunk's state
-        order = np.argsort(-lengths, kind="stable")
+        # the first segment goes on from the last chunk's row, the others
+        # from state 0.  The stable sort runs on int16 (a chunk holds at
+        # most 2^15 - 1 slots), where it is a radix sort
+        order = np.argsort(-lengths.astype(np.int16), kind="stable")
         starts, lengths = ends[order] - lengths[order], lengths[order]
-        states = np.where(order == 0, state, 0)
+        rows = np.where(order == 0, row, row0_by_slot[window][starts])
         steps = int(lengths[_LOCKSTEP_MIN - 1]) if len(lengths) >= _LOCKSTEP_MIN else 0
         keys = np.empty(take, dtype=np.intp)
-        base = rot * m
         for j, k in enumerate(np.searchsorted(-lengths, -np.arange(steps))):
             t = starts[:k] + j
-            row = base[t] + states[:k]
-            key = row * n1 + (uni[t] < eps_rows[row]).argmax(axis=1)
+            now = rows[:k]
+            w = no_failure[:k].copy()
+            for s in range(n - 1, -1, -1):
+                w[u_cols[s][t] < eps_cols[s][now]] = s
+            key = now * n1 + w
             keys[t] = key
-            states[:k] = succ_flat[key]
+            rows[:k] = succ_rows[key]
         left = int(np.searchsorted(-lengths, -steps))
         if left:
             if tables is None:
-                tables = eps.reshape(-1, n).tolist(), succ_flat.tolist()
-            _walk(uni, rot, starts[:left] + steps, starts[:left] + lengths[:left],
-                  states[:left], low, tables, keys)
+                tables = eps.reshape(-1, n).tolist(), succ_rows.tolist()
+            _walk(u, period[window], starts[:left] + steps, starts[:left] + lengths[:left],
+                  rows[:left], low, tables, keys)
         lo = min(max(warmup - done, 0), take)
         counts += np.bincount(keys[lo:], minlength=counts.size)
         if visits_thin is not None:
             first = lo + (warmup - done - lo) % THIN_STRIDE
             visits_thin += np.bincount(keys[first::THIN_STRIDE] // n1 % m, minlength=m)
-        state = int(succ_flat[keys[-1]])
+        row = int(succ_rows[keys[-1]])
         done += take
     return counts.reshape(n_rot, m, n1)
 

@@ -39,6 +39,9 @@ CROSSOVER_RATE = 0.8
 MUTATION_RATE = 0.1
 MUTATION_SIGMA = 0.05
 ELITISM = 2
+# largest GA population: ga_minimize allocates the whole population before
+# its first evaluation, so an unbounded size is an unbounded allocation
+MAX_POPULATION = 10_000
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,9 @@ class GaParams:
     seed: int = 12345
 
     def __post_init__(self):
-        if self.population_size < 4:
-            raise ValueError("population_size must be at least 4")
+        if not 4 <= self.population_size <= MAX_POPULATION:
+            raise ValueError(f"population_size must be between 4 and {MAX_POPULATION}, "
+                             f"got {self.population_size}")
         if self.generations < 0 or self.seed < 0:
             raise ValueError(f"need generations >= 0 and seed >= 0, got "
                              f"{self.generations} and {self.seed}")

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +538,27 @@ class TestInputChecks:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed >= 0" in err
+
+    @pytest.mark.parametrize("command", [PARETO, BLOCKLENGTH],
+                             ids=["optimize-pareto", "min-blocklength"])
+    def test_huge_population_usage_error(self, command, capsys, monkeypatch):
+        # refused before the GA allocates its population; should the bound
+        # go, the searches fail here instead of asking for ~60 GiB
+        def unreached(*args, **kwargs):
+            raise AssertionError("the GA search started")
+
+        monkeypatch.setattr(cli, "pareto_front", unreached)
+        monkeypatch.setattr(cli, "min_blocklength", unreached)
+        tracemalloc.start()
+        try:
+            code = main(command + ["--users", "8", "--population", "1000000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "population_size" in err
 
     def test_zero_generations_runs(self, tmp_path):
         payload = run_json(tmp_path, self.PARETO + ["--users", "2", "--population", "8",

@@ -198,6 +198,52 @@ class TestSegmentedWalk:
         assert counts.sum() == slots - warmup
 
 
+class TestProductionChunk:
+    """_run_chain at its own _CHAIN_CHUNK and _LOCKSTEP_MIN over more than
+    three chunks, against the slot-by-slot oracle."""
+
+    SLOTS = 3 * montecarlo._CHAIN_CHUNK + 1000
+
+    @staticmethod
+    def run_both(eps, succ, seed, monkeypatch):
+        walked = []
+        walk = montecarlo._walk
+
+        def spy(u, rot, starts, stops, *rest):
+            walked.append(int((stops - starts).sum()))
+            return walk(u, rot, starts, stops, *rest)
+
+        monkeypatch.setattr(montecarlo, "_walk", spy)
+        m, n = eps.shape[1:]
+        thin, thin_oracle = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        counts = _run_chain(np.random.default_rng(seed), eps, succ, TestProductionChunk.SLOTS,
+                            300, thin)
+        expect = run_chain(np.random.default_rng(seed), list(zip(eps.tolist(), succ.tolist())),
+                           n, TestProductionChunk.SLOTS, 300, thin_oracle)
+        np.testing.assert_array_equal(counts, expect)
+        np.testing.assert_array_equal(thin, thin_oracle)
+        return sum(walked)
+
+    def test_chunk_fits_the_int16_length_sort(self):
+        # segment lengths up to a chunk are sorted as int16
+        assert 1 <= montecarlo._CHAIN_CHUNK <= np.iinfo(np.int16).max
+
+    def test_four_user_coordinated_chain(self, monkeypatch):
+        # long segments: both the lockstep and the slot-by-slot walk run
+        _, eps, succ = _decode_tables(
+            np.array([[0.2, 0.24, 0.27, 0.29]]) * 10 ** (-2.02 / 10), CODE)
+        walked = self.run_both(eps, succ, 2026, monkeypatch)
+        assert 0 < walked < self.SLOTS // 2
+
+    def test_five_rotation_uncoordinated_chain(self, monkeypatch):
+        # five users on the five rotations of the R = 1/2 plan reset the
+        # chain almost never, so every slot is walked
+        plan = np.array([0.11, 0.15, 0.2, 0.24, 0.3])
+        _, eps, succ = _decode_tables(np.array([np.roll(plan, r) for r in range(5)])
+                                      * 10 ** (3.5 / 10), CodeParams(k=50, n=100))
+        assert self.run_both(eps, succ, 77, monkeypatch) == self.SLOTS
+
+
 class TestEpisodeSeeds:
     def test_children_match_spawn(self):
         lazy = list(_episode_seeds(2024, 5))

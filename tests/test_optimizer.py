@@ -34,6 +34,14 @@ class TestGaParams:
         with pytest.raises(ValueError, match="generations >= 0 and seed >= 0"):
             GaParams(**{field: -1})
 
+    def test_population_capped(self):
+        # ga_minimize allocates the whole (population, N) array before its
+        # first evaluation; 10^9 rows at N = 8 would ask for ~60 GiB
+        GaParams(population_size=optimizer.MAX_POPULATION)
+        for size in (optimizer.MAX_POPULATION + 1, 10**9):
+            with pytest.raises(ValueError, match="population_size must be between 4 and"):
+                GaParams(population_size=size)
+
 
 class TestGaMinimize:
     def test_one_variable_returns_unit(self):
