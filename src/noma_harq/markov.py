@@ -50,10 +50,14 @@ Stacks.  The engine has a leading batch axis: the tables, the stationary
 solve and the metrics take a (B, N) stack of received-power vectors, so
 max_user_per evaluates a whole GA generation in one call (in chunks of
 at most STACK_STATES chain states); analyze runs it on a stack of one.
-The chains up to 81 states are assembled by one bincount and factored
-one by one.  Larger ones are factored together: one SuperLU of the
-block-diagonal matrix of the whole stack, whose pivots stay in their own
-blocks.  A GA generation of 30 chains at N = 5 (0 dB, k = 50, n = 228)
+The SIC stage tables are built stage-major, one row of B 3^N entries
+per user, so each stage's sums and argmax run along the long axis; the
+sums over users keep numpy's row-sum order (pairwise at N = 8), so the
+tables equal the row-wise ones bit for bit.  The chains up to 81 states
+are assembled by one bincount and factored and solved one by one, in
+one LAPACK dgesv call each.  Larger ones are factored together: one
+SuperLU of the block-diagonal matrix of the whole stack, whose pivots
+stay in their own blocks.  A GA generation of 30 chains at N = 5 (0 dB, k = 50, n = 228)
 solves in 4.6 ms as two such stacks against 8.9 ms one by one.  Every
 chain that goes to GTH is solved one by one.  Every floating-point
 operation is the one a chain sees alone, so a row's result does not
@@ -75,7 +79,7 @@ from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
@@ -192,39 +196,54 @@ def _elimination_order(n_users: int):
     return order, rank
 
 
+def _user_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the user axis 0 of a stage-major array, in the order
+    numpy's row sum adds N terms: one by one for N <= 7, pairwise at N = 8
+    (a sequential sum differs from it on about 40% of random rows there)."""
+    if len(x) == 8:
+        return ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+    return x.sum(axis=0)
+
+
 def _stage_tables(digits: np.ndarray, powers: np.ndarray):
     """Greedy SIC order and per-stage SINR for every state at once.
 
     powers is a (B, N) stack of received-power vectors, or one (N,)
-    vector.  Returns (orders, gammas), both (B, 3^N, N), or (3^N, N) for
-    one vector: column ell holds the user decoded at stage ell and the
-    SINR it is decoded at.
+    vector.  Returns (orders, gammas), both C-contiguous (B, 3^N, N), or
+    (3^N, N) for one vector: column ell holds the user decoded at stage
+    ell and the SINR it is decoded at.
+
+    The work is stage-major: one (N, B 3^N) row per user, so every sum,
+    argmax and mask acts along the long axis, not along rows N long.  The
+    sums over users add in the order of a row-wise numpy sum (_user_sum),
+    and argmax keeps ties on the lowest user, so the tables match the
+    row-wise form bit for bit.
     """
     m, n = digits.shape
     powers = np.asarray(powers, dtype=float)
     lead = powers.shape[:-1]
-    # one row per (configuration, state) pair
-    powers = np.repeat(powers.reshape(-1, n), m, axis=0)
-    is_r = np.tile(digits == _R, (len(powers) // m, 1))
-    is_f = np.tile(digits == _F, (len(powers) // m, 1))
+    # one column per (configuration, state) pair
+    powers = np.repeat(powers.reshape(-1, n).T, m, axis=1)
+    is_r = np.tile((digits == _R).T, powers.shape[1] // m)
+    is_f = np.tile((digits == _F).T, powers.shape[1] // m)
     undecoded = np.ones(powers.shape, dtype=bool)
-    orders = np.empty(powers.shape, dtype=np.int64)
-    gammas = np.empty(powers.shape, dtype=np.float64)
-    rows = np.arange(len(powers))
+    orders = np.empty(powers.shape[::-1], dtype=np.int64)
+    gammas = np.empty(powers.shape[::-1], dtype=np.float64)
+    cols = np.arange(powers.shape[1])
     for stage in range(n):
         undec_p = undecoded * powers
-        denom_new = undec_p.sum(axis=1, keepdims=True) - undec_p + 1.0
+        denom_new = _user_sum(undec_p) - undec_p + 1.0
         g = powers / denom_new
         # stored first copy of an R user: F users and undecoded R users interfere
         stored = is_f | (is_r & undecoded)
         stored_p = stored * powers
-        denom_orig = stored_p.sum(axis=1, keepdims=True) - stored_p + 1.0
+        denom_orig = _user_sum(stored_p) - stored_p + 1.0
         g = g + np.where(is_r, powers / denom_orig, 0.0)
         g = np.where(undecoded, g, -np.inf)
-        pick = g.argmax(axis=1)  # ties resolve to the lowest user index
+        pick = g.argmax(axis=0)  # ties resolve to the lowest user index
         orders[:, stage] = pick
-        gammas[:, stage] = g[rows, pick]
-        undecoded[rows, pick] = False
+        gammas[:, stage] = g[pick, cols]
+        undecoded[pick, cols] = False
     return orders.reshape(lead + (m, n)), gammas.reshape(lead + (m, n))
 
 
@@ -351,7 +370,9 @@ def _regenerative_lu(src, dst, prob, m: int):
     replaced-row solve.  Each column of the transpose sums to its state's
     probability of moving to state 0 in one slot, so the transpose is
     column diagonally dominant (strictly where that probability is
-    positive) and the LU pivots stay on its diagonal.  A chain with a
+    positive) and the LU pivots stay on its diagonal.  Each chain takes
+    one dgesv call, which factors and solves at once; the pivots of the
+    whole stack are kept and tested after the loop, and a chain with a
     pivot below PIVOT_FLOOR reads NaN.
     """
     n_chains = len(prob)
@@ -361,12 +382,12 @@ def _regenerative_lu(src, dst, prob, m: int):
     # (I - Q)^T of every chain, handed to LAPACK in Fortran order with no copy
     a = np.eye(m - 1) - pm[:, 1:, 1:]
     p = np.ones((n_chains, m))
+    pivots = np.empty((n_chains, m - 1))
     for b in range(n_chains):
-        lu, piv, _ = dgetrf(a[b].T, overwrite_a=True)
-        if (np.abs(lu.diagonal()) < PIVOT_FLOOR).any():
-            p[b] = np.nan
-        else:
-            p[b, 1:] = dgetrs(lu, piv, pm[b, 0, 1:])[0]
+        lu, _, x, _ = dgesv(a[b].T, pm[b, 0, 1:], overwrite_a=True)
+        pivots[b] = lu.diagonal()
+        p[b, 1:] = x
+    p[(np.abs(pivots) < PIVOT_FLOOR).any(axis=1)] = np.nan
     return p / p.sum(axis=1, keepdims=True)
 
 

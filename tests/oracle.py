@@ -3,7 +3,8 @@ rate one SINR at a time, one transition probability at a time from the
 scalar SIC order, and per-user metrics as loops over the dense
 transition matrix.  The package computes the same quantities with its
 vectorized per_cc_batch and successor table; the tests compare the two.
-Also the simulator's chain one slot at a time, and the chi-square fit the
+Also the SIC stage tables one (configuration, state) row at a time, the
+simulator's chain one slot at a time, and the chi-square fit the
 simulator tests apply to state visits."""
 
 import math
@@ -88,6 +89,43 @@ def _success_all_users(digits: np.ndarray, pi: np.ndarray, p: np.ndarray) -> np.
         to_s = pi[:, in_s].sum(axis=1)
         out[i] = float(p[fresh] @ to_s[fresh])
     return out
+
+
+def stage_tables(digits: np.ndarray, powers: np.ndarray):
+    """Greedy SIC order and per-stage SINR for every state, one row per
+    (configuration, state) pair: the row-wise form of
+    markov._stage_tables, whose stage-major tables must match it bit for
+    bit.  Row sums are numpy's, so at N = 8 they add the terms pairwise.
+
+    powers is a (B, N) stack of received-power vectors, or one (N,)
+    vector.  Returns (orders, gammas), both (B, 3^N, N), or (3^N, N) for
+    one vector.
+    """
+    m, n = digits.shape
+    powers = np.asarray(powers, dtype=float)
+    lead = powers.shape[:-1]
+    powers = np.repeat(powers.reshape(-1, n), m, axis=0)
+    is_r = np.tile(digits == Phase.R, (len(powers) // m, 1))
+    is_f = np.tile(digits == Phase.F, (len(powers) // m, 1))
+    undecoded = np.ones(powers.shape, dtype=bool)
+    orders = np.empty(powers.shape, dtype=np.int64)
+    gammas = np.empty(powers.shape, dtype=np.float64)
+    rows = np.arange(len(powers))
+    for stage in range(n):
+        undec_p = undecoded * powers
+        denom_new = undec_p.sum(axis=1, keepdims=True) - undec_p + 1.0
+        g = powers / denom_new
+        # stored first copy of an R user: F users and undecoded R users interfere
+        stored = is_f | (is_r & undecoded)
+        stored_p = stored * powers
+        denom_orig = stored_p.sum(axis=1, keepdims=True) - stored_p + 1.0
+        g = g + np.where(is_r, powers / denom_orig, 0.0)
+        g = np.where(undecoded, g, -np.inf)
+        pick = g.argmax(axis=1)  # ties resolve to the lowest user index
+        orders[:, stage] = pick
+        gammas[:, stage] = g[rows, pick]
+        undecoded[rows, pick] = False
+    return orders.reshape(lead + (m, n)), gammas.reshape(lead + (m, n))
 
 
 def transition_prob(state: SystemState, next_state: SystemState,

@@ -25,7 +25,7 @@ from noma_harq.markov import (
 )
 from noma_harq.montecarlo import SimConfig, simulate_coordinated, simulate_uncoordinated
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
-from oracle import per_cc, per_user, success_prob, transition_prob
+from oracle import per_cc, per_user, stage_tables, success_prob, transition_prob
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -253,6 +253,41 @@ class TestTransitionMatrix:
                         if banned:
                             assert tm.matrix[a, b] == 0.0
                             break
+
+
+def stage_table_stacks(n_users: int):
+    """Random (B, N) received-power stacks of 1 to 40 chains (at most
+    2^16 states in all): small integer ratios, whose equal users tie at
+    some stage, and continuous ones, at -10..+15 dB."""
+    rng = np.random.default_rng(n_users)
+    most = min(40, 2 ** 16 // 3 ** n_users)
+    for ties in (True, False, True, False):
+        size = (int(rng.integers(1, most + 1)), n_users)
+        raw = rng.integers(1, 4, size=size) if ties else rng.uniform(0.01, 1.0, size=size)
+        yield _normalized(raw) * 10 ** rng.uniform(-1.0, 1.5, size=(size[0], 1))
+
+
+class TestStageTables:
+    # at N = 8 numpy's row sum adds these powers pairwise, and a sequential
+    # sum of them differs from it in the last bit
+    N8_PAIRWISE = np.arange(1.0, 9.0) / 36 * 0.3
+
+    @pytest.mark.parametrize("n_users", range(1, markov.MAX_USERS + 1))
+    def test_stage_major_tables_match_row_wise_oracle(self, n_users):
+        digits = markov._state_digits(n_users)
+        stacks = list(stage_table_stacks(n_users))
+        if n_users == 8:
+            sequential = 0.0
+            for power in self.N8_PAIRWISE:
+                sequential += power
+            assert sequential != self.N8_PAIRWISE.sum()
+            stacks.append(self.N8_PAIRWISE)
+        for powers in stacks:
+            got = markov._stage_tables(digits, powers)
+            for table, want in zip(got, stage_tables(digits, powers)):
+                assert table.flags.c_contiguous
+                assert table.dtype == want.dtype
+                np.testing.assert_array_equal(table, want)
 
 
 class TestUserCap:

@@ -94,11 +94,50 @@ class TestGaMinimize:
         monkeypatch.setattr(optimizer, "ELITISM", 3)
         params = GaParams(population_size=10, generations=7, seed=5)
         alphas, val = ga_minimize(objective, 3, params)
-        assert len(calls) == 10 + 7 * (10 - 3)
-        # one call for the initial population, then one per generation
-        assert batches == [10] + [10 - 3] * 7
+        # the initial population, then per generation at most the
+        # 10 - 3 children that are not elites: those that crossover or
+        # mutation changed (44 of 49 at this seed)
+        assert batches[0] == 10
+        assert all(1 <= b <= 10 - 3 for b in batches[1:])
+        assert len(calls) == sum(batches) == 10 + 44
+        # elites and unchanged children are never evaluated again
+        assert len({tuple(a) for a in calls}) == len(calls)
         # the carried fitness is the value at the returned vector
         assert objective(alphas[None])[0] == val
+
+    def test_copies_keep_their_parents_fitness(self, monkeypatch):
+        # with no crossover and no mutation every child is a copy of its
+        # parent, so only the initial population is evaluated
+        batches = []
+
+        def objective(a):
+            batches.append(len(a))
+            return ((a - np.array([0.2, 0.3, 0.5])) ** 2).sum(axis=1)
+
+        monkeypatch.setattr(optimizer, "CROSSOVER_RATE", 0.0)
+        monkeypatch.setattr(optimizer, "MUTATION_RATE", 0.0)
+        params = GaParams(population_size=12, generations=9, seed=4)
+        alphas, val = ga_minimize(objective, 3, params)
+        assert batches == [12]
+        assert objective(alphas[None])[0] == val
+
+    def test_logs_evaluations_and_kept_children(self, caplog):
+        batches = []
+
+        def objective(a):
+            batches.append(len(a))
+            return a.max(axis=1)
+
+        params = GaParams(population_size=16, generations=10, seed=8)
+        with caplog.at_level(logging.DEBUG, logger="noma_harq.optimizer"):
+            ga_minimize(objective, 3, params)
+        records = [r for r in caplog.records if r.name == "noma_harq.optimizer"]
+        assert [r.levelno for r in records] == [logging.DEBUG]
+        evaluated, kept = records[0].args
+        assert evaluated == sum(batches)
+        # every generation's children are either evaluated or kept
+        assert evaluated + kept == 16 + 10 * (16 - optimizer.ELITISM)
+        assert kept > 0
 
     def test_non_finite_objective_ranked_worst(self):
         def objective(a):
@@ -131,6 +170,25 @@ class TestGaMinimize:
 
 
 class TestOptimizePowerSplit:
+    @pytest.mark.parametrize("n_users, p0_db, code, params, want_alphas, want_val", [
+        (3, -2.02, CodeParams(k=25, n=100),
+         GaParams(population_size=60, generations=100, seed=2024),
+         ["0x1.58d060ffd6de3p-2", "0x1.31614790472ebp-2", "0x1.75ce576fe1f33p-2"],
+         "0x1.603e3ff504caap-7"),
+        (5, 0.0, CodeParams(k=50, n=228),
+         GaParams(population_size=32, generations=20, seed=2025),
+         ["0x1.72ec4cd06aa95p-3", "0x1.9d22621ac9414p-3", "0x1.e30b4b33ec433p-3",
+          "0x1.c3e697d0e603fp-3", "0x1.48ff6e0ff9ce6p-3"],
+         "0x1.f4b0e5d0c136fp-8"),
+    ])
+    def test_golden_optimum(self, n_users, p0_db, code, params, want_alphas, want_val):
+        # the searches as the benchmark's power-optimization round runs
+        # them, pinned bit for bit: the GA's random stream, its fitness
+        # bookkeeping and the stacked objective must all stay as they are
+        alphas, val = optimize_power_split(n_users, p0_db, code, params)
+        assert [a.hex() for a in alphas] == want_alphas
+        assert val.hex() == want_val
+
     def test_matches_anchor_neighborhood(self):
         code = CodeParams(k=25, n=100)
         alphas, val = optimize_power_split(
