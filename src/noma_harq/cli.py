@@ -9,13 +9,16 @@ back through --config to reproduce the run; each command offers only
 the options it reads, and every one it reads lands in that header.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
-The sweep command analyses an SNR grid and simulate simulates one; each
-runs its grid points in order in one process, once every point has
-validated.
+The sweep command analyses an SNR grid as one stack, in a single analyze
+call whose first failing point, in grid order, sets the error; simulate
+runs its grid points in order.  Each starts once every point has
+validated.  The parser is built once per process (build_parser caches
+it) and reused by every main call, so in-process callers pay for it once.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -328,8 +331,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid, systems = _grid_systems(res)
     oma = bool(res.get("oma", False))
     rows = []
-    for snr, system in zip(grid, systems):
-        metrics = analyze(system)
+    for snr, system, metrics in zip(grid, systems, analyze(systems)):
         rows += _analysis_rows("coordinated", metrics, snr, system.code)
         if oma:
             rows += _analysis_rows("oma", oma_metrics(system, metrics), snr,
@@ -471,7 +473,10 @@ def _add_ga(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="GA seed (default 12345)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every main call reuses it."""
     parser = argparse.ArgumentParser(
         prog="noma-harq",
         description="Uplink NOMA with one Chase-combining retransmission: "

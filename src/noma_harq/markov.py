@@ -47,9 +47,11 @@ forward cumulative sum of first-failure probabilities and P(next S | S
 or F) a reverse one, never 1 - q.
 
 Stacks.  The engine has a leading batch axis: the tables, the stationary
-solve and the metrics take a (B, N) stack of received-power vectors, so
-max_user_per evaluates a whole GA generation in one call (in chunks of
-at most STACK_STATES chain states); analyze runs it on a stack of one.
+solve and the metrics take a (B, N) stack of received-power vectors, in
+chunks of at most STACK_STATES chain states (_table_analysis), so
+max_user_per evaluates a whole GA generation in one call and analyze a
+whole SNR grid (a sequence of configs that share user count and code;
+one config is a stack of one).
 The SIC stage tables are built stage-major, one row of B 3^N entries
 per user, so each stage's sums and argmax run along the long axis; the
 sums over users keep numpy's row-sum order (pairwise at N = 8), so the
@@ -75,7 +77,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -107,7 +109,7 @@ DENSE_SOLVE_STATES = 81
 PIVOT_FLOOR = 1e-2
 # fixed-point iterations of the matched orthogonal-baseline power
 OMA_ITERATIONS = 30
-# max_user_per solves its stack in chunks of at most this many chain states
+# _table_analysis solves a stack in chunks of at most this many chain states
 # (at least one chain), so the engine's (B, 3^N, N) temporaries stay near
 # 0.25 MB each whatever the GA population, and SuperLU's workspace (about
 # 0.5 kB per unknown) near 2 MB; at 16384 states the benchmark's N = 5 GA
@@ -501,8 +503,21 @@ def _move_sums(orders: np.ndarray, weights: np.ndarray):
 def _table_analysis(powers: np.ndarray, code: CodeParams):
     """(PER, p_s) arrays, both (B, N), of the chains of a (B, N) stack of
     received powers, and the B errors of their stationary solves (see
-    _stationary); a chain whose solve failed has meaningless metrics.  A
-    user that no move delivers (a silenced one) has a PER of exactly 1."""
+    _stationary); a chain whose solve failed has meaningless metrics.  The
+    stack is solved in chunks of at most STACK_STATES chain states (at
+    least one chain), each row exactly as it would be alone."""
+    size = max(1, STACK_STATES // 3 ** powers.shape[1])
+    pers, succ_prob, errors = np.empty(powers.shape), np.empty(powers.shape), []
+    for start in range(0, len(powers), size):
+        chunk = np.s_[start:start + size]
+        pers[chunk], succ_prob[chunk], chunk_errors = _chunk_analysis(powers[chunk], code)
+        errors += chunk_errors
+    return pers, succ_prob, errors
+
+
+def _chunk_analysis(powers: np.ndarray, code: CodeParams):
+    """_table_analysis of one chunk.  A user that no move delivers (a
+    silenced one) has a PER of exactly 1."""
     orders, succ, prob = _chain_table(powers, code)[:3]
     n_chains, m, moves = succ.shape
     p, errors = _stationary(np.repeat(np.arange(m), moves), succ.reshape(n_chains, -1),
@@ -584,21 +599,42 @@ def throughput(per: float, success_prob: float, code: CodeParams) -> float:
     return code.rate * (1.0 - per) / (success_prob + 2.0 * (1.0 - success_prob))
 
 
-def analyze(cfg: SystemConfig) -> List[UserMetrics]:
-    """Full analysis pipeline: move table, stationary vector,
-    per-user metrics (the stacked engine on a stack of one)."""
-    (pers,), (succ,), (error,) = _table_analysis(cfg.powers[None], cfg.code)
-    if error is not None:
-        raise error
-    return [
-        UserMetrics(
-            user=i,
-            per=float(pers[i]),
-            success_prob=float(succ[i]),
-            throughput=throughput(float(pers[i]), float(succ[i]), cfg.code),
-        )
-        for i in range(cfg.n_users)
+def analyze(cfg: Union[SystemConfig, Sequence[SystemConfig]]
+            ) -> Union[List[UserMetrics], List[List[UserMetrics]]]:
+    """Full analysis pipeline: move table, stationary vector, per-user
+    metrics.
+
+    cfg is one SystemConfig, whose per-user metrics are returned, or a
+    sequence of configs that share user count and code, which returns one
+    list of metrics per config.  A sequence runs the stacked engine once
+    (see _table_analysis; one config is a stack of one), and each of its
+    lists equals that config analysed alone.  The first config in the
+    sequence whose stationary solve fails raises its error.
+    """
+    single = isinstance(cfg, SystemConfig)
+    configs = [cfg] if single else list(cfg)
+    if not configs:
+        return []
+    code, n_users = configs[0].code, configs[0].n_users
+    if any(c.code != code or c.n_users != n_users for c in configs):
+        raise ValueError("a stack of configurations must share user count and code")
+    pers, succ, errors = _table_analysis(np.array([c.powers for c in configs]), code)
+    for error in errors:
+        if error is not None:
+            raise error
+    metrics = [
+        [
+            UserMetrics(
+                user=i,
+                per=float(per[i]),
+                success_prob=float(p_s[i]),
+                throughput=throughput(float(per[i]), float(p_s[i]), code),
+            )
+            for i in range(n_users)
+        ]
+        for per, p_s in zip(pers, succ)
     ]
+    return metrics[0] if single else metrics
 
 
 def max_user_per(alphas, p0: float, code: CodeParams):
@@ -606,9 +642,9 @@ def max_user_per(alphas, p0: float, code: CodeParams):
     Skips the dataclass layers for speed.
 
     alphas is a (B, N) stack of ratio vectors, one chain per row, and the
-    result the B worst PERs; the rows are solved as stacks of at most
-    STACK_STATES chain states, each exactly as it would be alone.  A
-    single (N,) vector returns a float.
+    result the B worst PERs; the rows are solved in chunks of at most
+    STACK_STATES chain states (_table_analysis), each exactly as it would
+    be alone.  A single (N,) vector returns a float.
 
     Ratio vectors that silence users (stage failure probability exactly 1)
     can leave the chain with several closed classes: the dead users cycle
@@ -622,14 +658,8 @@ def max_user_per(alphas, p0: float, code: CodeParams):
     rows of several closed classes logs both counts as one INFO record.
     """
     alphas = np.asarray(alphas, dtype=float)
-    powers = np.atleast_2d(alphas) * p0
-    size = max(1, STACK_STATES // 3 ** powers.shape[1])
-    worst = np.empty(len(powers))
-    errors = []
-    for start in range(0, len(powers), size):
-        pers, _, chunk_errors = _table_analysis(powers[start:start + size], code)
-        worst[start:start + size] = pers.max(axis=1)
-        errors += chunk_errors
+    pers, _, errors = _table_analysis(np.atleast_2d(alphas) * p0, code)
+    worst = pers.max(axis=1)
     failed = reducible = 0
     for b, error in enumerate(errors):
         if isinstance(error, ReducibleChainError):

@@ -13,6 +13,7 @@ import pytest
 import noma_harq.cli as cli
 import noma_harq.markov as markov
 from noma_harq.cli import main
+from noma_harq.errors import NumericalError
 from noma_harq.fbl import CodeParams
 from noma_harq.montecarlo import SimConfig, simulate_coordinated, \
     simulate_oma_baseline, simulate_uncoordinated
@@ -32,12 +33,13 @@ def readme_cli_examples():
 
 @pytest.fixture
 def analyzed_sizes(monkeypatch):
-    """Cluster sizes of the analyze calls a command makes, in order."""
+    """Cluster sizes of the configs a command analyses, in order: one
+    entry per config, whether it went to analyze alone or in a stack."""
     sizes = []
     real = markov.analyze
 
     def counting(cfg):
-        sizes.append(cfg.n_users)
+        sizes.extend(c.n_users for c in ([cfg] if isinstance(cfg, SystemConfig) else cfg))
         return real(cfg)
 
     monkeypatch.setattr(cli, "analyze", counting)
@@ -179,6 +181,51 @@ class TestSweep:
         top = max(r["snr_db"] for r in rows)
         worst_at_top = max(r["per"] for r in rows if r["snr_db"] == top)
         assert worst_at_top > 1e-5
+
+    @pytest.mark.parametrize("alphas, grid, rate, n", [
+        ("0.4,0.6", "-16:4:11", "0.25", "100"),
+        ("0.16,0.18,0.2,0.22,0.24", "-10:4:8", "0.25", "200"),
+    ], ids=["N2", "N5"])
+    def test_rows_equal_per_point_analysis(self, alphas, grid, rate, n, tmp_path,
+                                           monkeypatch):
+        # the grid is analysed as one stack; each row must still be the
+        # point's own analysis, bit for bit, on both sides of PIVOT_FLOOR
+        gth_chains = []
+        gth = markov._gth
+
+        def spy(src, dst, prob, m):
+            gth_chains.append(m)
+            return gth(src, dst, prob, m)
+
+        monkeypatch.setattr(markov, "_gth", spy)
+        rows = run_json(tmp_path, ["sweep", "--alphas", alphas, f"--snr-db={grid}",
+                                   "--rate", rate, "--blocklength", n, "--oma"])["results"]
+        points = sorted({r["snr_db"] for r in rows})
+        assert 0 < len(gth_chains) < len(points)
+        code = CodeParams(k=round(float(rate) * int(n)), n=int(n))
+        for snr in points:
+            cfg = SystemConfig(alphas=cli._parse_alphas(alphas),
+                               p0=cli.db_to_linear(snr), code=code)
+            metrics = markov.analyze(cfg)
+            want = {"coordinated": metrics, "oma": markov.oma_metrics(cfg, metrics)}
+            for r in (r for r in rows if r["snr_db"] == snr):
+                m = want[r["scenario"]][r["user"] - 1]
+                assert (r["per"], r["p_s"], r["eta"]) == \
+                    (m.per, m.success_prob, m.throughput)
+        assert len(rows) == 2 * len(points) * len(cli._parse_alphas(alphas))
+
+    def test_first_failing_point_sets_the_error(self, capsys):
+        # -14, -10 and -13 dB all fail, each with its own message
+        args = ["--alphas", "0.0888,0.072,0.0312,0.634,0.174", "--rate", "0.5",
+                "--blocklength", "100"]
+        with np.errstate(all="ignore"):
+            code = CodeParams(k=50, n=100)
+            with pytest.raises(NumericalError) as alone:
+                markov.analyze(SystemConfig(alphas=cli._parse_alphas(args[1]),
+                                            p0=cli.db_to_linear(-14.0), code=code))
+            assert main(["sweep", "--snr-db=-11,-14,-10,-13"] + args) == 3
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
+        assert "4 closed classes" in str(alone.value)
 
 
 class TestOptimizeAndBlocklength:
@@ -407,6 +454,47 @@ class TestErrorsAndRoundTrip:
             "simulate", "--config", str(tmp_path / "sim1.json"),
         ], "sim2.json")
         assert first["results"] == second["results"]
+
+
+class TestParserReuse:
+    SWEEP = ["sweep", "--alphas", "0.4,0.6", "--snr-db=0,2", "--rate", "0.25",
+             "--blocklength", "100"]
+
+    @staticmethod
+    def fresh_output(argv, capsys):
+        """Standard output of argv run on a newly built parser."""
+        cli.build_parser.cache_clear()
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (SWEEP + ["--oma"], SWEEP),
+        (["analyze"] + ANCHOR_ARGS + ["--format", "json"], ["analyze"] + ANCHOR_ARGS),
+    ], ids=["sweep-oma", "analyze-format"])
+    def test_consecutive_calls_leak_no_state(self, first, second, capsys):
+        want = [self.fresh_output(argv, capsys) for argv in (first, second)]
+        cli.build_parser.cache_clear()
+        got = []
+        for argv in (first, second):
+            assert main(argv) == 0
+            got.append(capsys.readouterr().out)
+        assert got == want
+
+    def test_usage_error_leaks_no_state(self, capsys):
+        want = self.fresh_output(self.SWEEP, capsys)
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        # --oma parses before the unknown flag stops the run
+        with pytest.raises(SystemExit) as exc:
+            main(self.SWEEP + ["--oma", "--format", "json", "--users", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --users 3" in capsys.readouterr().err
+        assert main(self.SWEEP) == 0
+        assert capsys.readouterr().out == want
+        assert cli.build_parser() is parser
 
 
 def subcommands() -> dict:

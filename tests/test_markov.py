@@ -808,6 +808,40 @@ class TestStackedEngine:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_large_grid_memory_is_bounded(self):
+        # a 20-point grid of 6561-state chains: 97 MiB as one stack,
+        # ~5.4 MiB in chunks of STACK_STATES states (one chain each)
+        configs = [SystemConfig(alphas=tuple(np.arange(1, 9) / 36), p0=10 ** (db / 10),
+                                code=CODE) for db in np.linspace(10.0, 24.0, 20)]
+        tracemalloc.start()
+        try:
+            metrics = analyze(configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(metrics) == 20
+        assert peak < 16 * 2**20
+
+    def test_analyze_stack_equals_configs_alone(self, monkeypatch):
+        # -8 dB and below go to whole-chain GTH, the rest take the LU
+        configs = [SystemConfig(alphas=ANCHOR_CFG.alphas, p0=10 ** (db / 10), code=CODE)
+                   for db in range(-16, 15, 2)]
+        want = [analyze(cfg) for cfg in configs]
+        assert analyze(configs) == want
+        assert analyze(tuple(configs)) == want
+        # chunks of 3 chains
+        monkeypatch.setattr(markov, "STACK_STATES", 81)
+        assert analyze(configs) == want
+        assert analyze([]) == []
+
+    @pytest.mark.parametrize("other", [
+        SystemConfig(alphas=(0.5, 0.5), p0=1.0, code=CODE),
+        SystemConfig(alphas=ANCHOR_CFG.alphas, p0=1.0, code=CodeParams(k=25, n=101)),
+    ], ids=["user-count", "code"])
+    def test_analyze_stack_must_share_users_and_code(self, other):
+        with pytest.raises(ValueError, match="share user count and code"):
+            analyze([ANCHOR_CFG, other])
+
     def test_failed_rows_logged_once(self, caplog):
         alphas, p0, code = _nan_stack("N4")
         with caplog.at_level(logging.INFO, logger="noma_harq.markov"):
