@@ -46,15 +46,17 @@ state, so the chain is in state 0 after it; the stretches between such
 slots step in lockstep, and the few long ones left finish in a Python
 loop over lists.  Each slot makes the move a slot-by-slot walk of the
 same uniforms makes, so every result is bit-identical to that walk (kept
-as run_chain in tests/oracle.py).  The per-stage data are stage
-columns: a chunk's uniforms (N, slots), the error rates (N, R * 3^N) and
-their bounds per rotation (N, R).  A test across a slot's N stages is
-then N one-dimensional numpy operations, an &= or a masked store per
-stage column; the same test as a reduction along the short stage axis
-of a (slots, N) array runs numpy's inner loop once per slot.  On an
-8192-slot chunk at N = 2..5 the reset test took 200-220 us as
-all(axis=1) against 10-25 us by columns, and a lockstep step over 4000
-segments 92-98 us as argmax(axis=1) against 20-49 us.
+as run_chain in tests/oracle.py).  A chunk keeps its uniforms as drawn,
+(slots, N), and each slot's move, but no per-slot array of rotations,
+first rows or reset bounds.  A test across a slot's N stages reads the
+uniforms one stage at a time, through the column views u[:, w], against
+the error rates as stage columns, (N, R * 3^N), and their bounds per
+rotation, (N, R).  It is then N one-dimensional numpy operations, an &=
+or a masked store per stage; the same test as a reduction along the
+short stage axis runs numpy's inner loop once per slot.  On a 32767-slot
+chunk at N = 2..5 the reset test took 56-171 us by column views against
+820-1100 us as all(axis=1), and a lockstep step over 4000 segments 29-76
+us by columns against 210-250 us as argmax(axis=1).
 
 Seeding: each episode splits its np.random.SeedSequence with spawn(2)
 into independent child streams (dynamics, placement), so every run is
@@ -90,10 +92,12 @@ _MEAN_INVERSION = (exp1(1.0 / POWER_CAP_FACTOR)
                    - POWER_CAP_FACTOR * np.expm1(-1.0 / POWER_CAP_FACTOR))
 _CAP_PROB = -np.expm1(-1.0 / POWER_CAP_FACTOR)
 
-# slots per chunk of the chain; its per-chunk arrays grow with it (at
-# 1 << 16 they raised coordinated-simulation's peak RSS by ~6 MiB), and
-# its segment lengths are sorted as int16, so it stays below 2^15
-_CHAIN_CHUNK = 1 << 13
+# slots per chunk of the chain: the longest whose segment lengths still
+# sort as int16.  A longer chunk holds more segments per lockstep step and
+# sends fewer slots to _walk.  Most of what grows with it is the chunk's
+# uniforms and moves, 8N + 8 bytes a slot: the benchmark's N = 4 run of
+# 200k slots peaks at 2.6 MiB under tracemalloc
+_CHAIN_CHUNK = (1 << 15) - 1
 # fewer unfinished segments than this step one slot at a time in Python,
 # where a numpy step per slot position would cost more
 _LOCKSTEP_MIN = 32
@@ -219,21 +223,22 @@ def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
 
 
-def _walk(u, rot, starts, stops, rows, low, tables, keys):
+def _walk(u, rotation, starts, stops, rows, low, tables, keys):
     """Step the chain one slot at a time over the segments [starts[i],
     stops[i]) of the chunk, segment i from row rows[i] (rotation * 3^N +
     state), writing each slot's move into keys.
 
-    u holds the chunk's uniforms as stage columns, (N, slots), and rot the
-    rotation of every slot.  tables holds the rows of eps and the flat
-    successor rows as lists, so the loop reads Python floats and ints.
-    low[w, r] = min_s eps[r, s, w]: a uniform below it fails stage w from
-    any state, so the first such stage caps a slot's search, a slot capped
-    at stage 0 reads no uniform at all, and a slot that no stage caps
-    searches all N.  The caps are found one stage column at a time, from
-    the last stage back to the first.
+    u holds the chunk's uniforms as drawn, (slots, N), and rotation is
+    (phase, R): slot t of the chunk uses rotation (t + phase) % R.  tables
+    holds the rows of eps and the flat successor rows as lists, so the
+    loop reads Python floats and ints.  low[w, r] = min_s eps[r, s, w]: a
+    uniform below it fails stage w from any state, so the first such stage
+    caps a slot's search, a slot capped at stage 0 reads no uniform at
+    all, and a slot that no stage caps searches all N.  The caps are found
+    one stage at a time, from the last stage back to the first.
     """
     eps_tab, succ_tab = tables
+    phase, n_rot = rotation
     n = len(low)
     lengths = stops - starts
     offsets = np.cumsum(lengths) - lengths
@@ -241,11 +246,11 @@ def _walk(u, rot, starts, stops, rows, low, tables, keys):
     at = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
     init = np.full(len(at), -1, dtype=np.intp)
     init[offsets] = rows
-    rot_at = rot[at]
+    rot_at = (at + phase) % n_rot
     caps = np.full(len(at), n)
     for w in range(n - 1, -1, -1):
-        caps[u[w][at] < low[w][rot_at]] = w
-    uniforms = iter(u[:, at[caps > 0]].T.tolist())
+        caps[u[at, w] < low[w][rot_at]] = w
+    uniforms = iter(u[at[caps > 0]].tolist())
     moves = []
     for cap, fresh in zip(caps.tolist(), init.tolist()):
         if fresh >= 0:
@@ -287,13 +292,19 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     slot-by-slot walk of the same uniforms makes, so the counts are
     bit-identical to it.
 
-    The uniforms, eps and its per-rotation bounds are held as stage
-    columns, (N, slots), (N, R * 3^N) and (N, R), so that a test across
-    the N stages is N one-dimensional numpy operations (see the module
+    A chunk's uniforms stay as drawn, (slots, N), and are read one stage
+    at a time through the column views u[:, w]; eps and its per-rotation
+    bounds are stage columns, (N, R * 3^N) and (N, R).  A test across the
+    N stages is then N one-dimensional numpy operations (see the module
     docstring for the measured cost of the short-axis reductions
-    all(axis=1) and argmax(axis=1) they replace): the reset test is an &=
-    over the columns, and a slot's first failure a masked store from the
-    last stage back to the first, which leaves the first failing stage.
+    all(axis=1) and argmax(axis=1) they replace).  The reset test runs
+    once per rotation residue: slots r, r + R, ... of a chunk that starts
+    at slot t all use rotation (t + r) % R, so the strided views u[r::R,
+    w] meet one scalar bound each.  A slot's first failure is a masked
+    store from the last stage back to the first, which leaves the first
+    failing stage.  No array of the chunk's rotations is kept: a segment
+    starting at chunk slot j starts in row (j + t % R) % R * 3^N, and
+    _walk computes each slot's rotation from (t % R, R).
 
     The chain is carried as its row r * 3^N + state, which the successor
     table maps to the row of the next slot's rotation.  A slot's move is
@@ -307,13 +318,7 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     clear = eps.max(axis=1).T
     # the row of the next slot: its rotation r + 1 (mod R) and the successor
     succ_rows = (np.roll(np.arange(n_rot), -1)[:, None, None] * m + succ).reshape(-1)
-    # rotation, first row and reset bounds of every slot of a chunk that
-    # starts at a multiple of R; a chunk starting at slot t reads them
-    # from t % R on
     chunk = min(_CHAIN_CHUNK, slots)
-    period = np.arange(chunk + n_rot - 1) % n_rot
-    row0_by_slot = period * m
-    clear_by_slot = clear[:, period]
     # every stage decoded: the first failure of a slot that fails none
     no_failure = np.full(chunk, n)
     counts = np.zeros(n_rot * m * n1, dtype=np.int64)
@@ -322,13 +327,17 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     done = 0
     while done < slots:
         take = min(chunk, slots - done)
-        u = dyn_rng.random((take, n)).T.copy()
-        u_cols = list(u)
+        u = dyn_rng.random((take, n))
+        u_cols = [u[:, w] for w in range(n)]
+        # slot t of the chunk uses rotation (t + phase) % R
         phase = done % n_rot
-        window = slice(phase, phase + take)
-        reset = u_cols[0] >= clear_by_slot[0, window]
-        for w in range(1, n):
-            reset &= u_cols[w] >= clear_by_slot[w, window]
+        reset = np.empty(take, dtype=bool)
+        for r in range(n_rot):
+            bound = clear[:, (phase + r) % n_rot]
+            test = reset[r::n_rot]
+            np.greater_equal(u[r::n_rot, 0], bound[0], out=test)
+            for w in range(1, n):
+                test &= u[r::n_rot, w] >= bound[w]
         ends = np.append(np.flatnonzero(reset[:-1]) + 1, take)
         lengths = np.diff(ends, prepend=0)
         # longest first: the segments still running are always a prefix;
@@ -337,7 +346,7 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
         # most 2^15 - 1 slots), where it is a radix sort
         order = np.argsort(-lengths.astype(np.int16), kind="stable")
         starts, lengths = ends[order] - lengths[order], lengths[order]
-        rows = np.where(order == 0, row, row0_by_slot[window][starts])
+        rows = np.where(order == 0, row, (starts + phase) % n_rot * m)
         steps = int(lengths[_LOCKSTEP_MIN - 1]) if len(lengths) >= _LOCKSTEP_MIN else 0
         keys = np.empty(take, dtype=np.intp)
         for j, k in enumerate(np.searchsorted(-lengths, -np.arange(steps))):
@@ -353,7 +362,7 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
         if left:
             if tables is None:
                 tables = eps.reshape(-1, n).tolist(), succ_rows.tolist()
-            _walk(u, period[window], starts[:left] + steps, starts[:left] + lengths[:left],
+            _walk(u, (phase, n_rot), starts[:left] + steps, starts[:left] + lengths[:left],
                   rows[:left], low, tables, keys)
         lo = min(max(warmup - done, 0), take)
         counts += np.bincount(keys[lo:], minlength=counts.size)

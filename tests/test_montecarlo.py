@@ -157,20 +157,26 @@ class TestDecodeTables:
 def chains(draw):
     """Decode tables of 1..N rotations of a random 1..5-user cluster, or
     forced ones: every stage fails (no slot resets the chain), none fails
-    (every slot resets it), or only the last stage fails (no resets, but
-    the earlier stages still read their uniforms)."""
+    (every slot resets it), only the last stage fails (no resets, but
+    the earlier stages still read their uniforms), or mixed: the even
+    rotations fail no stage and the odd ones every stage, so whether a
+    slot resets the chain depends on its rotation alone."""
     n = draw(st.integers(1, 5))
     rotations = draw(st.integers(1, n))
     powers = np.array([[draw(st.floats(0.05, 1.0)) for _ in range(n)]
                        for _ in range(rotations)]) * 10 ** (draw(st.floats(-1.0, 1.5)) / 10)
     _, eps, succ = _decode_tables(powers, CodeParams(k=draw(st.sampled_from([25, 50])), n=100))
-    kind = draw(st.sampled_from(["decode", "always_fails", "never_fails", "last_fails"]))
+    kind = draw(st.sampled_from(["decode", "always_fails", "never_fails", "last_fails",
+                                 "mixed"]))
     if kind == "always_fails":
         eps = np.ones_like(eps)
     elif kind == "never_fails":
         eps = np.zeros_like(eps)
     elif kind == "last_fails":
         eps[..., -1] = 1.0
+    elif kind == "mixed":
+        eps = np.zeros_like(eps)
+        eps[1::2] = 1.0
     return eps, succ
 
 
@@ -382,6 +388,21 @@ class TestCoordinated:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < peaks[0] + (64 << 10)
+
+    def test_production_chunk_memory(self):
+        # the chain holds a chunk's uniforms and moves, no per-slot array of
+        # rotations, first rows or reset bounds: the benchmark's N = 4 call
+        # peaked at 2.6 MiB, 5.1 MiB with those arrays at the same chunk
+        system = SystemConfig(alphas=(0.2, 0.24, 0.27, 0.29), p0=10 ** (-2.02 / 10),
+                              code=CODE)
+        cfg = SimConfig(system=system, slots=200_000, seed=1, warmup=2000)
+        tracemalloc.start()
+        try:
+            simulate_coordinated(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_state_frequencies_normalized(self):
         cfg = SimConfig(system=ANCHOR_CFG, slots=30_000, seed=5, warmup=700)
