@@ -43,20 +43,34 @@ O(n_hat * 3^N * N) with no 3^N x 3^N array.
 The chain steps in numpy wherever it can.  A slot whose uniforms clear
 every stage's largest failure probability decodes every stage from any
 state, so the chain is in state 0 after it; the stretches between such
-slots step in lockstep, and the few long ones left finish in a Python
-loop over lists.  Each slot makes the move a slot-by-slot walk of the
-same uniforms makes, so every result is bit-identical to that walk (kept
-as run_chain in tests/oracle.py).  A chunk keeps its uniforms as drawn,
-(slots, N), and each slot's move, but no per-slot array of rotations,
-first rows or reset bounds.  A test across a slot's N stages reads the
-uniforms one stage at a time, through the column views u[:, w], against
-the error rates as stage columns, (N, R * 3^N), and their bounds per
-rotation, (N, R).  It is then N one-dimensional numpy operations, an &=
-or a masked store per stage; the same test as a reduction along the
-short stage axis runs numpy's inner loop once per slot.  On a 32767-slot
-chunk at N = 2..5 the reset test took 56-171 us by column views against
-820-1100 us as all(axis=1), and a lockstep step over 4000 segments 29-76
-us by columns against 210-250 us as argmax(axis=1).
+slots step in lockstep, and the few long ones left are walked one slot
+at a time in Python.  Each slot makes the move a slot-by-slot walk of
+the same uniforms makes, so every result is bit-identical to that walk
+(kept as run_chain in tests/oracle.py).  A chunk keeps its uniforms as
+drawn, (slots, N), and each slot's move, but no per-slot array of
+rotations, first rows or reset bounds.  A test across a slot's N stages
+reads the uniforms one stage at a time, through the column views
+u[:, w], against the error rates as stage columns, (N, R * 3^N), and
+their bounds per rotation, (N, R).  It is then N one-dimensional numpy
+operations, an &= or a masked store per stage; the same test as a
+reduction along the short stage axis runs numpy's inner loop once per
+slot.  On a 32767-slot chunk at N = 2..5 the reset test took 56-171 us
+by column views against 820-1100 us as all(axis=1), and a lockstep step
+over 4000 segments 29-76 us by columns against 210-250 us as
+argmax(axis=1).
+
+The walk compares integers, not floats.  A stage's error rates, over
+every row of every rotation, and a slot's uniform are both replaced by
+their ranks in that stage's sorted distinct rates, which keep the order
+of u < eps exactly, ties included.  Each row's N ranks pack into one
+integer with a guard bit per stage (Lamport, CACM 1975), and so do each
+walked slot's, so a slot's first failing stage is one subtraction, one
+mask and one bit_length.  The N = 5 episodes of the uncoordinated
+benchmark, 2200 slots on five rotations, are walked whole: on 2 x86-64
+cores with numpy 2.4 the walk took 0.71-0.76 ms an episode against
+1.29-1.41 ms for the loop over float lists it replaced, which also read
+each slot's uniforms as a nested list.  Its table costs more to build,
+0.39-0.41 ms an episode against 0.27-0.30 ms for the float lists.
 
 Seeding: each episode splits its np.random.SeedSequence with spawn(2)
 into independent child streams (dynamics, placement), so every run is
@@ -68,6 +82,7 @@ orthogonal baseline draws from the two children of SeedSequence(seed).
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -99,7 +114,9 @@ _CAP_PROB = -np.expm1(-1.0 / POWER_CAP_FACTOR)
 # 200k slots peaks at 2.6 MiB under tracemalloc
 _CHAIN_CHUNK = (1 << 15) - 1
 # fewer unfinished segments than this step one slot at a time in Python,
-# where a numpy step per slot position would cost more
+# where a numpy step per slot position would cost more.  With the walk on
+# packed ranks, 64 and 128 walked 2x and 4x the slots of a 200k-slot
+# coordinated call and ran no faster than 32
 _LOCKSTEP_MIN = 32
 
 
@@ -223,50 +240,74 @@ def _binomial_se(p: np.ndarray, total: int) -> np.ndarray:
     return np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / total)
 
 
-def _walk(u, rotation, starts, stops, rows, low, tables, keys):
+def _rank_table(eps: np.ndarray, succ_rows: np.ndarray):
+    """The walk's table: each row's stage error rates as packed ranks.
+
+    eps is _decode_tables' (R, 3^N, N) array and succ_rows maps each move
+    key to the row of the next slot.  cols[w] holds the distinct error
+    rates of stage w over every row of every rotation, sorted.  With
+    pos(e) the count of cols[w] below e and k(u) the count at or below u,
+    u < e holds exactly when pos(e) >= k(u), ties and the rates 0.0 and
+    1.0 included.  A row's N positions pack into one integer, a lane of
+    `lane` bits per stage, stage 0 in the highest, with the top bit of
+    each lane set as a guard (Lamport, CACM 1975).  A query packed the
+    same way without the guards subtracts with no borrow across lanes,
+    as k(u) <= len(cols[w]) stays below the guard, and the guard of lane
+    w survives exactly when stage w fails.  Words wider than 63 bits stay
+    Python ints (dtype object).
+
+    Returns (cols, shifts, dtype, lane, guard, words, succ).  words and
+    succ are lists indexed by a row's base key row * (N+1) + N, the move
+    of a slot that fails no stage: words[base] is the row's packed word,
+    and succ[key] the base key of the successor row of move key.
+    """
+    n = eps.shape[-1]
+    flat = eps.reshape(-1, n)
+    cols, pos = zip(*(np.unique(flat[:, w], return_inverse=True) for w in range(n)))
+    lane = max(map(len, cols)).bit_length() + 1
+    dtype = np.int64 if lane * n <= 63 else object
+    shifts = [lane * (n - 1 - w) for w in range(n)]
+    guard = sum((1 << (lane - 1)) << s for s in shifts)
+    words = np.zeros(len(flat) * (n + 1), dtype=dtype)
+    words[n::n + 1] = sum(p.astype(dtype) << s for p, s in zip(pos, shifts)) + guard
+    return (cols, shifts, dtype, lane, guard, words.tolist(),
+            (succ_rows * (n + 1) + n).tolist())
+
+
+def _walk(u, table, starts, stops, rows, keys):
     """Step the chain one slot at a time over the segments [starts[i],
     stops[i]) of the chunk, segment i from row rows[i] (rotation * 3^N +
     state), writing each slot's move into keys.
 
-    u holds the chunk's uniforms as drawn, (slots, N), and rotation is
-    (phase, R): slot t of the chunk uses rotation (t + phase) % R.  tables
-    holds the rows of eps and the flat successor rows as lists, so the
-    loop reads Python floats and ints.  low[w, r] = min_s eps[r, s, w]: a
-    uniform below it fails stage w from any state, so the first such stage
-    caps a slot's search, a slot capped at stage 0 reads no uniform at
-    all, and a slot that no stage caps searches all N.  The caps are found
-    one stage at a time, from the last stage back to the first.
+    u holds the chunk's uniforms as drawn, (slots, N), and table is
+    _rank_table's.  Each walked slot's N uniforms become their ranks k(u)
+    in the stage columns, one searchsorted per stage, packed as the words
+    are; the row names its rotation, so the queries need none.  A slot is
+    then one integer test: the highest guard left in word - query marks
+    the first failing stage w, its bit_length is lane * (N - w), and none
+    left means every stage decoded.
     """
-    eps_tab, succ_tab = tables
-    phase, n_rot = rotation
-    n = len(low)
+    cols, shifts, dtype, lane, guard, words, succ = table
+    n = len(cols)
     lengths = stops - starts
     offsets = np.cumsum(lengths) - lengths
-    # the segments' slots one after another; init marks where each starts
+    # the segments' slots one after another
     at = np.repeat(starts - offsets, lengths) + np.arange(lengths.sum())
-    init = np.full(len(at), -1, dtype=np.intp)
-    init[offsets] = rows
-    rot_at = (at + phase) % n_rot
-    caps = np.full(len(at), n)
-    for w in range(n - 1, -1, -1):
-        caps[u[at, w] < low[w][rot_at]] = w
-    uniforms = iter(u[at[caps > 0]].tolist())
+    query = np.zeros(len(at), dtype=dtype)
+    rank = np.empty(len(at), dtype=dtype)
+    for w, (col, shift) in enumerate(zip(cols, shifts)):
+        # searchsorted runs about twice as fast on sorted queries
+        x = u[at, w]
+        order = np.argsort(x)
+        rank[order] = np.searchsorted(col, x[order], side="right")
+        query += rank << shift
+    query = iter(query.tolist())
     moves = []
-    for cap, fresh in zip(caps.tolist(), init.tolist()):
-        if fresh >= 0:
-            row = fresh
-        if cap:
-            u_row, eps = next(uniforms), eps_tab[row]
-            for w in range(cap):
-                if u_row[w] < eps[w]:
-                    break
-            else:
-                w = cap
-        else:
-            w = 0
-        key = row * (n + 1) + w
-        moves.append(key)
-        row = succ_tab[key]
+    for base, length in zip((rows * (n + 1) + n).tolist(), lengths.tolist()):
+        for k in itertools.islice(query, length):
+            key = base - ((words[base] - k) & guard).bit_length() // lane
+            moves.append(key)
+            base = succ[key]
     keys[at] = moves
 
 
@@ -288,9 +329,10 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     segments that end at reset slots; every segment but the first starts
     in state 0, so all of them step in lockstep, one numpy step per slot
     position.  Once fewer than _LOCKSTEP_MIN segments remain, _walk
-    finishes them one slot at a time.  Every slot makes the move a
-    slot-by-slot walk of the same uniforms makes, so the counts are
-    bit-identical to it.
+    finishes them one slot at a time on packed stage ranks, whose table
+    _rank_table builds once per call, when the first walk needs it.
+    Every slot makes the move a slot-by-slot walk of the same uniforms
+    makes, so the counts are bit-identical to it.
 
     A chunk's uniforms stay as drawn, (slots, N), and are read one stage
     at a time through the column views u[:, w]; eps and its per-rotation
@@ -303,8 +345,8 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     w] meet one scalar bound each.  A slot's first failure is a masked
     store from the last stage back to the first, which leaves the first
     failing stage.  No array of the chunk's rotations is kept: a segment
-    starting at chunk slot j starts in row (j + t % R) % R * 3^N, and
-    _walk computes each slot's rotation from (t % R, R).
+    starting at chunk slot j starts in row (j + t % R) % R * 3^N, and the
+    walk needs none, as the row it carries names its rotation.
 
     The chain is carried as its row r * 3^N + state, which the successor
     table maps to the row of the next slot's rotation.  A slot's move is
@@ -314,7 +356,6 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     n_rot, m, n = eps.shape
     n1 = n + 1
     eps_cols = list(eps.reshape(-1, n).T.copy())
-    low = eps.min(axis=1).T.copy()
     clear = eps.max(axis=1).T
     # the row of the next slot: its rotation r + 1 (mod R) and the successor
     succ_rows = (np.roll(np.arange(n_rot), -1)[:, None, None] * m + succ).reshape(-1)
@@ -322,7 +363,7 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     # every stage decoded: the first failure of a slot that fails none
     no_failure = np.full(chunk, n)
     counts = np.zeros(n_rot * m * n1, dtype=np.int64)
-    tables = None
+    table = None
     row = 0
     done = 0
     while done < slots:
@@ -360,10 +401,10 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
             rows[:k] = succ_rows[key]
         left = int(np.searchsorted(-lengths, -steps))
         if left:
-            if tables is None:
-                tables = eps.reshape(-1, n).tolist(), succ_rows.tolist()
-            _walk(u, (phase, n_rot), starts[:left] + steps, starts[:left] + lengths[:left],
-                  rows[:left], low, tables, keys)
+            if table is None:
+                table = _rank_table(eps, succ_rows)
+            _walk(u, table, starts[:left] + steps, starts[:left] + lengths[:left], rows[:left],
+                  keys)
         lo = min(max(warmup - done, 0), take)
         counts += np.bincount(keys[lo:], minlength=counts.size)
         if visits_thin is not None:

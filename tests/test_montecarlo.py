@@ -155,14 +155,15 @@ class TestDecodeTables:
 
 @st.composite
 def chains(draw):
-    """Decode tables of 1..N rotations of a random 1..5-user cluster, or
+    """Decode tables of 1..8 rotations of a random 1..8-user cluster, or
     forced ones: every stage fails (no slot resets the chain), none fails
     (every slot resets it), only the last stage fails (no resets, but
     the earlier stages still read their uniforms), or mixed: the even
     rotations fail no stage and the odd ones every stage, so whether a
-    slot resets the chain depends on its rotation alone."""
-    n = draw(st.integers(1, 5))
-    rotations = draw(st.integers(1, n))
+    slot resets the chain depends on its rotation alone.  From about six
+    users on, the walk's packed words are wider than 63 bits."""
+    n = draw(st.integers(1, 8))
+    rotations = draw(st.integers(1, 8))
     powers = np.array([[draw(st.floats(0.05, 1.0)) for _ in range(n)]
                        for _ in range(rotations)]) * 10 ** (draw(st.floats(-1.0, 1.5)) / 10)
     _, eps, succ = _decode_tables(powers, CodeParams(k=draw(st.sampled_from([25, 50])), n=100))
@@ -204,6 +205,51 @@ class TestSegmentedWalk:
         assert counts.sum() == slots - warmup
 
 
+class TestRankWalk:
+    """_walk's packed stage ranks decide each stage exactly as u < eps."""
+
+    @pytest.mark.parametrize("n, distinct, wide", [(3, 12, False), (7, 600, True)])
+    def test_ties_and_extreme_rates(self, n, distinct, wide):
+        # random uniforms never equal an error rate; these do, or sit one
+        # ulp on either side of one, or are 0.0.  Two rotations of rates
+        # from a small pool, so equal rates are common, and rows of 0.0
+        # and of 1.0 in every stage column
+        rng = np.random.default_rng(n)
+        pool = np.concatenate([[0.0, 1.0], rng.random(distinct)])
+        eps = rng.choice(pool, size=(2, 3**n, n))
+        eps[0, 0], eps[0, 1] = 0.0, 1.0
+        flat = eps.reshape(-1, n)
+        # every slot starts a segment of its own, so no successor is read
+        table = montecarlo._rank_table(eps, np.zeros(len(flat) * (n + 1), dtype=np.intp))
+        assert (table[2] is object) == wide
+        slots = 4000
+        near = np.stack([pool, np.nextafter(pool, 0.0), np.nextafter(pool, 1.0)])
+        u = rng.choice(near[near < 1.0], size=(slots, n))
+        u[rng.random((slots, n)) < 0.1] = 0.0
+        rows = rng.integers(0, len(flat), slots)
+        keys = np.empty(slots, dtype=np.intp)
+        montecarlo._walk(u, table, np.arange(slots), np.arange(1, slots + 1), rows, keys)
+        fails = u < flat[rows]
+        first = np.where(fails.any(axis=1), fails.argmax(axis=1), n)
+        np.testing.assert_array_equal(keys, rows * (n + 1) + first)
+        assert 0 < fails.mean() < 1 and (u == flat[rows]).any()
+
+    def test_wide_words_match_oracle(self):
+        # eight users on eight rotations: stage columns of thousands of
+        # rates, words of over 100 bits kept as Python ints
+        rng = np.random.default_rng(8)
+        _, eps, succ = _decode_tables(rng.uniform(0.05, 1.0, (8, 8)) * 10 ** 0.5,
+                                      CodeParams(k=50, n=100))
+        assert montecarlo._rank_table(eps, succ.reshape(-1))[2] is object
+        m = eps.shape[1]
+        thin, thin_oracle = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        counts = _run_chain(np.random.default_rng(5), eps, succ, 3000, 100, thin)
+        expect = run_chain(np.random.default_rng(5), list(zip(eps.tolist(), succ.tolist())),
+                           8, 3000, 100, thin_oracle)
+        np.testing.assert_array_equal(counts, expect)
+        np.testing.assert_array_equal(thin, thin_oracle)
+
+
 class TestProductionChunk:
     """_run_chain at its own _CHAIN_CHUNK and _LOCKSTEP_MIN over more than
     three chunks, against the slot-by-slot oracle."""
@@ -215,9 +261,9 @@ class TestProductionChunk:
         walked = []
         walk = montecarlo._walk
 
-        def spy(u, rot, starts, stops, *rest):
+        def spy(u, table, starts, stops, *rest):
             walked.append(int((stops - starts).sum()))
-            return walk(u, rot, starts, stops, *rest)
+            return walk(u, table, starts, stops, *rest)
 
         monkeypatch.setattr(montecarlo, "_walk", spy)
         m, n = eps.shape[1:]
