@@ -27,20 +27,27 @@ solve: the expected visits x per excursion from state 0 (the only state
 with a self-loop) solve (I - Q)^T x = P[0, 1:] over the other states and
 pi = [1, x] / (1 + sum x).  Systems up to 81 states (N <= 4) are
 factored dense with LAPACK, larger ones with SuperLU on the N+1 entries
-per row, with no 3^N x 3^N array.  SuperLU eliminates the states in one
-fixed order per user count (_elimination_order: more F digits first,
-then fewer S digits), not a minimum-degree order computed per chain: on
-the benchmark's N = 8 chain at 14 dB the factorization holds 163k
-nonzeros against 75k but takes 5 ms against 31 ms, and analyze 15 ms
-against 41 ms.  The LU pivots are the only place a subtraction enters.
-A chain whose LU has a pivot below PIVOT_FLOOR (most chains that rarely
-return to state 0: short blocks, low SNR, a nearly silenced user), a
-SuperLU failure or a vector that is not finite goes to subtraction-free
-Grassmann-Taksar-Heyman elimination on the whole dense chain.  The floor
-also routes the chains in which some state cannot move to state 0 in
-one slot (a silenced user): among 100000 random chains at N = 2..5 and
--25..+20 dB it rejected all 28658 of those.  GTH holds 3^N x 3^N
-doubles: 0.6 s and 342 MiB at N = 8 (k = 50, n = 60, 0 dB).  Per-user
+per row, with no 3^N x 3^N array.  A slot's successor has a prefix of
+the SIC order as its S users, so most states are entered from state 0
+alone or from no state at all; their x is P[0, t] exactly, and SuperLU
+factors only the states that a state other than 0 enters.  On the
+benchmark's sweeps that is 90-110 of 242 unknowns at N = 5, 216-252 of
+728 at N = 6, 530-568 of 2186 at N = 7 and about 1260 of 6560 at N = 8.
+SuperLU eliminates them in one fixed order per user count
+(_elimination_order: more F digits first, then fewer S digits), not a
+minimum-degree order computed per chain: on the benchmark's N = 8 chain
+at 14 dB the factorization holds 53k nonzeros against 21k but takes
+3.6 ms against 5.0 ms, and analyze 18 ms against 19 ms.  The LU pivots
+are the only place a subtraction enters.  A chain whose LU has a pivot
+below PIVOT_FLOOR (most chains that rarely return to state 0: short
+blocks, low SNR, a nearly silenced user), a SuperLU failure or a vector
+that is not finite goes to subtraction-free Grassmann-Taksar-Heyman
+elimination over the states that some move enters.  The floor also
+routes the chains in which some state cannot move to state 0 in one
+slot (a silenced user): among 100000 random chains at N = 2..5 and
+-25..+20 dB it rejected all 28658 of those.  GTH holds a dense matrix
+of the entered states: at N = 8 (k = 50, n = 60, 0 dB) 948 of 6561
+states; analyze takes 0.04 s, and its traced peak is 9.5 MiB.  Per-user
 metrics are closed-form sums over the table (_move_sums, which also
 turns the simulator's slot counts into its tallies): P(next F | R) is a
 forward cumulative sum of first-failure probabilities and P(next S | S
@@ -73,7 +80,10 @@ held for every chain:
   - against GTH, over the 19582 sparse regenerative LUs of two N = 5 GA
     runs, the metrics were within 1.3e-13 relative where every pivot
     passed PIVOT_FLOOR (19404 LUs), and up to 1.9e-4 off below it (178,
-    which go to GTH);
+    which go to GTH).  That LU factored all 242 states; on the 1094 rows
+    of two GA runs of the benchmark, the LU over the kept states is
+    within 2.8e-13 of GTH where it passes the floor (1088 rows), and the
+    all-states LU 3.0e-13;
   - against GTH, over 160000 random chains at N = 2..4 (-25..+20 dB,
     k = 5..119, n = k+1..3k+49) solved by the dense LU, PER and p_s were
     up to 1.5e-11 relative off in the 73570 that passed the floor, in a
@@ -110,14 +120,14 @@ STATIONARY_TOL = 1e-10
 # largest cluster analysed or simulated: 3^8 = 6561 states
 MAX_USERS = 8
 # regenerative systems up to this many states (N <= 4) are factored dense,
-# and GTH updates whole rows; SuperLU is faster from 243 states on (one
-# regenerative solve: 0.04 ms dense and 0.15 ms sparse at 81 states, 0.68
-# and 0.30 ms at 243)
+# and GTH updates whole rows on up to this many entered states; SuperLU is
+# faster from 243 states on (one regenerative solve: 0.04 ms dense and
+# 0.15 ms sparse at 81 states, 0.68 and 0.30 ms at 243)
 DENSE_SOLVE_STATES = 81
-# smallest LU pivot trusted; a chain with a smaller pivot goes to
-# whole-chain GTH.  Its measured accuracy, 1.3e-13 relative of GTH above
-# the floor on two N = 5 GA runs' sparse LUs and up to 1.5e-11 on random
-# dense N = 2..4 chains, is scoped in the module docstring's "Accuracy"
+# smallest LU pivot trusted; a chain with a smaller pivot goes to GTH.  Its
+# measured accuracy, 1.3e-13 relative of GTH above the floor on two N = 5
+# GA runs' sparse LUs and up to 1.5e-11 on random dense N = 2..4 chains, is
+# scoped in the module docstring's "Accuracy"
 PIVOT_FLOOR = 1e-2
 # fixed-point iterations of the matched orthogonal-baseline power
 OMA_ITERATIONS = 30
@@ -190,24 +200,21 @@ def _state_digits(n_users: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _elimination_order(n_users: int):
-    """The sparse LU's elimination order of the non-root states 1..3^N-1,
-    and rank, each state's position in it (rank[0] is unused).
+def _elimination_order(n_users: int) -> np.ndarray:
+    """The sparse LU's elimination order of the non-root states 1..3^N-1.
 
     States with more F digits come first, then states with fewer S
     digits; ties keep index order.  An F digit only follows an R digit,
     so states with many F digits have few predecessors; eliminating them
-    first keeps the fill within 2.2x of a minimum-degree order's on the
-    benchmark's N = 5..8 chains, with no ordering pass per chain.
+    first keeps the fill within 2.5x of a minimum-degree order's on the
+    benchmark's N = 5..8 chains (on the states _regenerative_splu keeps),
+    with no ordering pass per chain.
     """
     digits = _state_digits(n_users)[1:]
     # the last key sorts first; lexsort is stable, so ties keep index order
     order = 1 + np.lexsort(((digits == _S).sum(axis=1), -(digits == _F).sum(axis=1)))
-    rank = np.zeros(3**n_users, dtype=np.int64)
-    rank[order] = np.arange(len(order))
     order.setflags(write=False)
-    rank.setflags(write=False)
-    return order, rank
+    return order
 
 
 def _user_sum(x: np.ndarray) -> np.ndarray:
@@ -335,17 +342,18 @@ def _stationary(src, dst, prob, m: int):
 
     Two solves.  Every chain takes the regenerative LU, in one call for
     the whole stack: _regenerative_lu (dense) up to DENSE_SOLVE_STATES,
-    _regenerative_splu (one block-diagonal SuperLU) above.  Only its
-    pivots involve a subtraction; above PIVOT_FLOOR its vector stayed
-    within 1e-10 relative of GTH's on random N = 2..4 chains down to
-    -25 dB, but for the mass of a state 0 the chain rarely returns to
-    (1e-13 absolute).  A chain with a pivot below PIVOT_FLOOR (as were
-    all the measured chains with a state that cannot move to state 0 in
-    one slot), a SuperLU failure or a vector that is not finite (a
-    divisor underflowed to 0) goes to whole-chain GTH (_gth), one chain
-    at a time.  A NumericalError is a residual ||P^T p - p||_inf above
-    STATIONARY_TOL (one bincount for the whole stack) or a negative mass;
-    NaN fails every comparison, so an all-NaN vector is one too.
+    _regenerative_splu (one block-diagonal SuperLU over the states that
+    a state other than 0 enters) above.  Only its pivots involve a
+    subtraction; above PIVOT_FLOOR its vector stayed within 1e-10
+    relative of GTH's on random N = 2..4 chains down to -25 dB, but for
+    the mass of a state 0 the chain rarely returns to (1e-13 absolute).
+    A chain with a pivot below PIVOT_FLOOR (as were all the measured
+    chains with a state that cannot move to state 0 in one slot), a
+    SuperLU failure or a vector that is not finite (a divisor underflowed
+    to 0) goes to GTH (_gth) over the states that some move enters, one
+    chain at a time.  A NumericalError is a residual ||P^T p - p||_inf
+    above STATIONARY_TOL (one bincount for the whole stack) or a negative
+    mass; NaN fails every comparison, so an all-NaN vector is one too.
     The numpy warnings of a solve that underflows are silenced: the
     residual test turns its vector into NumericalError.
     """
@@ -408,33 +416,51 @@ def _regenerative_lu(src, dst, prob, m: int):
 def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
     """The regenerative solve of _regenerative_lu for a stack of chains by
     SuperLU, on the N+1 entries per row: dst and prob are (B, M), or (M,)
-    for one chain, and the result (B, m).  One block-diagonal (I - Q)^T
-    holds chain b's block at offset b (m - 1), each block in the fixed
-    order of _elimination_order; one factorization, one read of U's
-    diagonal and one solve replace B of each.  A block's pivots stay in
-    its own rows, so every row is bit-identical to its chain solved as a
-    stack of one.  A row reads NaN when a pivot of its block falls below
-    PIVOT_FLOOR.  A pivot that cancels to exactly 0 fails the whole
-    factorization; each chain then retries as a stack of one, and the
-    failing one reads NaN.
+    for one chain, and the result (B, m).
+
+    Only the states that some state other than 0 enters are unknowns.  A
+    state t that only state 0 enters is visited P[0, t] times per
+    excursion, exactly; its moves are carried into the right-hand side of
+    the states it enters.  Its row of (I - Q)^T is its unit diagonal
+    alone, so dropping it leaves the other pivots as they were.  One
+    block-diagonal (I - Q)^T holds each chain's block of kept states, in
+    the fixed order of _elimination_order; the blocks are as long as each
+    chain's kept states.  One factorization, one read of U's diagonal and
+    one solve replace B of each.  A block's pivots stay in its own rows,
+    so every row is bit-identical to its chain solved as a stack of one.
+    A row reads NaN when a pivot of its block falls below PIVOT_FLOOR.  A
+    pivot that cancels to exactly 0 fails the whole factorization; each
+    chain then retries as a stack of one, and the failing one reads NaN.
     """
     dst, prob = np.atleast_2d(dst, prob)
-    n_chains, size = len(prob), m - 1
-    order, rank = _elimination_order(round(math.log(m, 3)))
-    base = np.arange(n_chains)[:, None]
-    from_0 = np.flatnonzero(src == 0)
-    rhs = np.bincount((base * m + dst[:, from_0]).ravel(), weights=prob[:, from_0].ravel(),
-                      minlength=n_chains * m).reshape(n_chains, m)[:, order]
-    inner = (src != 0) & (dst != 0)
-    # (I - Q)^T in elimination order: row = destination, column = source
-    diag = np.arange(n_chains * size)
-    a = csc_matrix((np.concatenate([np.ones(n_chains * size), -prob[inner]]),
-                    (np.concatenate([diag, (base * size + rank[dst])[inner]]),
-                     np.concatenate([diag, (base * size + rank[src])[inner]]))),
-                   shape=(n_chains * size, n_chains * size))
+    n_chains = len(prob)
+    order = _elimination_order(round(math.log(m, 3)))
+    # every (chain, state) pair numbered b m + state, chain by chain
+    base = np.arange(n_chains)[:, None] * m
+    at_src, at_dst = base + src, base + dst
+    from_0 = src == 0
+    entered = np.bincount(at_dst[~from_0 & (prob > 0.0)], minlength=n_chains * m) > 0
+    # the kept states in elimination order, chain by chain, and their column
+    kept = (base + order)[entered.reshape(n_chains, m)[:, order]]
+    size = len(kept)
+    col = np.full(n_chains * m, -1)
+    col[kept] = np.arange(size)
+    is_kept = col >= 0
+    # P[0, t], the visits of every skipped state, then the moves they carry
+    x = np.bincount(at_dst[:, from_0].ravel(), weights=prob[:, from_0].ravel(),
+                    minlength=n_chains * m)
+    carried = ~from_0 & ~is_kept[at_src]
+    rhs = x + np.bincount(at_dst[carried], weights=x[at_src[carried]] * prob[carried],
+                          minlength=n_chains * m)
+    inner = is_kept[at_src] & is_kept[at_dst]
+    # (I - Q)^T over the kept states: row = destination, column = source
+    diag = np.arange(size)
+    a = csc_matrix((np.concatenate([np.ones(size), -prob[inner]]),
+                    (np.concatenate([diag, col[at_dst[inner]]]),
+                     np.concatenate([diag, col[at_src[inner]]]))), shape=(size, size))
     try:
         # the rows and columns are already in elimination order; a
-        # minimum-degree pass per chain (MMD on A^T + A) halves the fill
+        # minimum-degree pass per chain (MMD on A^T + A) cuts the fill
         # but costs more than the factorization it saves
         lu = splu(a, permc_spec="NATURAL")
     except RuntimeError:  # a pivot cancelled to exactly 0
@@ -442,17 +468,25 @@ def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
             return np.full((1, m), np.nan)
         return np.concatenate([_regenerative_splu(src, dst[b:b + 1], prob[b:b + 1], m)
                                for b in range(n_chains)])
-    p = np.ones((n_chains, m))
-    p[:, order] = lu.solve(rhs.ravel()).reshape(n_chains, size)
-    p[(np.abs(lu.U.diagonal()) < PIVOT_FLOOR).reshape(n_chains, size).any(axis=1)] = np.nan
+    x[kept] = lu.solve(rhs[kept])
+    bad = np.bincount(kept[np.abs(lu.U.diagonal()) < PIVOT_FLOOR] // m,
+                      minlength=n_chains) > 0
+    p = x.reshape(n_chains, m)
+    p[:, 0] = 1.0
+    p[bad] = np.nan
     return p / p.sum(axis=1, keepdims=True)
 
 
 def _gth(src, dst, prob, m: int) -> np.ndarray:
     """Stationary vector of one chain by Grassmann-Taksar-Heyman
-    elimination on the whole dense chain, rooted at _regeneration_state
-    (moved to position 0; ReducibleChainError if the chain has several
-    closed classes).
+    elimination, rooted at _regeneration_state (moved to position 0;
+    ReducibleChainError if the chain has several closed classes).
+
+    The dense matrix holds only the states that some move of positive
+    probability enters, the root among them: no such move leaves them, so
+    they form a closed sub-chain with the same stationary vector, and the
+    others read 0.  At N = 8 (k = 50, n = 60, 0 dB) that is 948 of 6561
+    states, 7 MiB instead of 328 MiB of doubles.
 
     States are censored out from the last position to position 1; each
     pivot is the sum of the eliminated state's remaining out-probabilities
@@ -462,22 +496,31 @@ def _gth(src, dst, prob, m: int) -> np.ndarray:
     is 0 unless it underflows, which leaves a vector that is not finite.
     """
     root = _regeneration_state(src, dst, prob, m)
-    # the root first, the other states after it in their order
-    pos = np.argsort(np.r_[root, np.delete(np.arange(m), root)])
-    a = np.bincount(pos[src] * m + pos[dst], weights=prob, minlength=m * m).reshape(m, m)
-    for n in range(m - 1, 0, -1):
+    # the states some move enters: the root first, the others in their order
+    entered = np.bincount(dst, weights=prob, minlength=m) > 0.0
+    states = np.flatnonzero(entered)
+    states = np.r_[root, states[states != root]]
+    size = len(states)
+    pos = np.zeros(m, dtype=np.int64)
+    pos[states] = np.arange(size)
+    inner = entered[src] & entered[dst]
+    a = np.bincount(pos[src[inner]] * size + pos[dst[inner]], weights=prob[inner],
+                    minlength=size * size).reshape(size, size)
+    for n in range(size - 1, 0, -1):
         # the rows into state n: all of them on small chains, where
         # whole-row slices cost less than finding the nonzero ones
-        into = np.s_[:n] if m <= DENSE_SOLVE_STATES else np.flatnonzero(a[:n, n])
+        into = np.s_[:n] if size <= DENSE_SOLVE_STATES else np.flatnonzero(a[:n, n])
         a[into, n] /= a[n, :n].sum()
         a[into, :n] += a[into, n, None] * a[n, :n]
     # x_j = sum_{i<j} x_i a_ij with x_0 = 1: a unit upper-triangular solve
     # whose terms are all of one sign
     np.negative(a, out=a)
-    e0 = np.zeros(m)
+    e0 = np.zeros(size)
     e0[0] = 1.0
-    p = solve_triangular(a, e0, trans="T", unit_diagonal=True, check_finite=False)[pos]
-    return p / p.sum()
+    x = solve_triangular(a, e0, trans="T", unit_diagonal=True, check_finite=False)
+    p = np.zeros(m)
+    p[states] = x / x.sum()
+    return p
 
 
 def _move_sums(orders: np.ndarray, weights: np.ndarray):

@@ -462,9 +462,8 @@ def sparse_stacks(draw):
 class TestEliminationOrder:
     @pytest.mark.parametrize("n_users", [5, 6, 7, 8])
     def test_order_is_a_permutation_of_the_non_root_states(self, n_users):
-        order, rank = markov._elimination_order(n_users)
+        order = markov._elimination_order(n_users)
         np.testing.assert_array_equal(np.sort(order), np.arange(1, 3**n_users))
-        np.testing.assert_array_equal(rank[order], np.arange(3**n_users - 1))
         # more F digits first, then fewer S digits, then index order
         digits = markov._state_digits(n_users)[order]
         key = np.stack([-(digits == Phase.F).sum(axis=1), (digits == Phase.S).sum(axis=1),
@@ -491,6 +490,63 @@ class TestEliminationOrder:
         ((a, lu),) = factored
         mmd = splu(a, permc_spec="MMD_AT_PLUS_A")
         assert lu.L.nnz + lu.U.nnz <= 3 * (mmd.L.nnz + mmd.U.nnz)
+
+    def test_only_states_entered_from_other_states_are_factored(self, monkeypatch):
+        # the N = 8 sweep point of the coordinated-analysis benchmark,
+        # without its seed's jitter: of its 6560 states other than 0, 1260
+        # are entered from a state other than 0, and only those are unknowns
+        sizes = []
+        splu = markov.splu
+
+        def spy(a, **kwargs):
+            sizes.append(a.shape[0])
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(markov, "splu", spy)
+        raw = np.arange(1.0, 9.0)
+        cfg = SystemConfig(alphas=tuple(raw / raw.sum()), p0=10 ** 1.4, code=CODE)
+        analyze(cfg)
+        _, succ, prob = markov._chain_table(cfg.powers, CODE)[:3]
+        entered = np.unique(succ[1:][prob[1:] > 0.0])
+        assert sizes == [1260] == [np.count_nonzero(entered)]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(sparse_stacks())
+    def test_states_entered_from_state_0_alone_carry_their_moves(self, case):
+        # each chain as drawn, and with state 0's first-failure move rerouted
+        # to a state that nothing enters: that state is then entered from
+        # state 0 alone, and its moves feed the right-hand side.  SuperLU
+        # factors only the states entered from a state other than 0, states
+        # that nothing enters read exactly 0.0, and the LU matches GTH
+        alphas, p0, code = case
+        _, succ, prob = markov._chain_table(alphas * p0, code)[:3]
+        n_chains, m, moves = succ.shape
+        src = np.repeat(np.arange(m), moves)
+        splu, sizes = markov.splu, []
+
+        def spy(a, **kwargs):
+            sizes.append(a.shape[0])
+            return splu(a, **kwargs)
+
+        for b in range(n_chains):
+            weights = prob[b].ravel()
+            unentered = np.bincount(succ[b].ravel(), weights=weights, minlength=m) == 0.0
+            rerouted = succ[b].ravel().copy()
+            rerouted[0] = np.flatnonzero(unentered)[0]
+            for dst in (succ[b].ravel(), rerouted):
+                entered = np.unique(dst[(src != 0) & (dst != 0) & (weights > 0.0)])
+                sizes.clear()
+                with pytest.MonkeyPatch.context() as mp, \
+                        np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    mp.setattr(markov, "splu", spy)
+                    got = markov._regenerative_splu(src, dst, weights, m)[0]
+                    (p,), _ = markov._stationary(src, dst[None], weights[None], m)
+                assert set(sizes) == {len(entered)}
+                nothing = np.bincount(dst, weights=weights, minlength=m) == 0.0
+                assert nothing.any() and np.all(p[nothing] == 0.0)
+                if np.isfinite(got).all():
+                    want = markov._gth(src, dst, weights, m)
+                    assert np.all(np.abs(got - want) <= 1e-12 * want)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(sparse_stacks())
@@ -739,16 +795,19 @@ class TestStackedEngine:
         alphas, p0, code = case
         splu, gth = markov.splu, markov._gth
         alone, failed, gth_sizes = [], [], []
+        marked = {b % len(alphas) for b in marked}
 
         def record(a, **kwargs):
             alone.append(a)
             return splu(a, **kwargs)
 
         def fail_marked_blocks(a, **kwargs):
-            size = alone[0].shape[0]
-            blocks = [a[i:i + size, i:i + size] for i in range(0, a.shape[0], size)]
-            if len(blocks) > 1 and any((block != chain).nnz == 0
-                                       for block in blocks for chain in alone):
+            # the stack's blocks, each as long as its chain's own matrix
+            sizes = [chain.shape[0] for chain in alone]
+            ends = np.cumsum(sizes)
+            blocks = ([a[end - size:end, end - size:end] for size, end in zip(sizes, ends)]
+                      if a.shape[0] == ends[-1] else [a])
+            if len(blocks) > 1 and any((blocks[b] != alone[b]).nnz == 0 for b in marked):
                 failed.append(len(blocks))
                 raise RuntimeError("Factor is exactly singular")
             return splu(a, **kwargs)
@@ -760,8 +819,8 @@ class TestStackedEngine:
         want = [max_user_per(row, p0, code) for row in alphas]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(markov, "splu", record)
-            for b in {b % len(alphas) for b in marked}:
-                max_user_per(alphas[b], p0, code)
+            for row in alphas:
+                max_user_per(row, p0, code)
             mp.setattr(markov, "splu", fail_marked_blocks)
             mp.setattr(markov, "_gth", gth_spy)
             got = max_user_per(alphas, p0, code)
