@@ -53,6 +53,7 @@ class CellPlan:
     rotation: int = 0
 
     def __post_init__(self):
+        ring_radii(self.n_hat, self.r_outer)  # validates the ratio count and r_outer
         if any(not (a > 0.0) for a in self.alphas):
             raise ValueError("ratios must be positive")
 
@@ -87,9 +88,8 @@ class CellPlan:
 def build_plan(r_outer: float, alphas: Sequence[float], rotation: int = 0) -> CellPlan:
     """Construct the plan of one ratio per estimated user; ratios are sorted
     ascending before the cyclic assignment so the mapping is reproducible."""
-    ratios = tuple(sorted(float(a) for a in alphas))
-    ring_radii(len(ratios), r_outer)  # validates the ratio count and r_outer
-    return CellPlan(r_outer=r_outer, alphas=ratios, rotation=rotation)
+    return CellPlan(r_outer=r_outer, alphas=tuple(sorted(float(a) for a in alphas)),
+                    rotation=rotation)
 
 
 def locate_segment(distances, angles, plan: CellPlan) -> Tuple[np.ndarray, np.ndarray]:

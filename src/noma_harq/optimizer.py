@@ -11,9 +11,11 @@ the feasible set.  The objective is row-wise: it receives a whole
 generation as one (B, n_vars) stack and returns B values, so the power
 searches evaluate a generation in one stacked max_user_per call.  Only the
 children that crossover or mutation changed are evaluated; the others
-keep their parent's fitness.
-Everything is driven by one seeded generator and the module's operator
-constants, so a given seed reproduces the run bit for bit.
+keep their parent's fitness.  The elites carry the best row forward, so
+the answer is the best row of the final population; a warm start is one
+ratio vector.  Everything is driven by one seeded generator and the
+module's operator constants, so a given seed reproduces the run bit for
+bit.
 """
 
 import functools
@@ -30,7 +32,7 @@ from .markov import _single_user, max_user_per
 
 _log = logging.getLogger(__name__)
 
-# floor for chromosome genes; keeps projected ratios strictly positive
+# floor for genes, applied where they are seeded or mutated; keeps ratios > 0
 GENE_FLOOR = 1e-6
 # largest step of min_blocklength's expanding search, in channel uses
 MAX_STEP = 64
@@ -40,7 +42,7 @@ MAX_STEP = 64
 CROSSOVER_RATE = 0.8
 MUTATION_RATE = 0.1
 MUTATION_SIGMA = 0.05
-ELITISM = 2
+ELITISM = 2  # >= 1: the answer is the final population's best row
 # largest GA population: ga_minimize allocates the whole population before
 # its first evaluation, so an unbounded size is an unbounded allocation
 MAX_POPULATION = 10_000
@@ -77,7 +79,6 @@ class ParetoPoint:
 
 
 def _project(genes: np.ndarray) -> np.ndarray:
-    genes = np.maximum(genes, GENE_FLOOR)
     return genes / genes.sum(axis=-1, keepdims=True)
 
 
@@ -85,7 +86,7 @@ def ga_minimize(
     objective: Callable[[np.ndarray], np.ndarray],
     n_vars: int,
     params: GaParams,
-    initial: Optional[Sequence[Sequence[float]]] = None,
+    initial: Optional[Sequence[float]] = None,
     trace: Optional[Callable[[int, float], None]] = None,
 ) -> Tuple[np.ndarray, float]:
     """Minimize objective(alphas) over the n_vars-simplex.
@@ -98,14 +99,15 @@ def ga_minimize(
     no call.  The elites carried into the next generation, and the
     children that neither crossover nor mutation changed (about 17% of
     them at the module's rates), keep their fitness.  Non-finite
-    objective values rank as worst.  Optional initial vectors are
-    injected into the starting population (warm start).  trace, when
-    given, receives (generation, best value so far) after every
-    generation.  A run over two or more variables logs one DEBUG record on
-    the noma_harq.optimizer logger with the rows the objective evaluated
-    and the children that kept their parent's fitness.
+    objective values rank as worst.  An optional initial ratio vector is
+    the starting population's first row (warm start).  trace, when given,
+    receives (generation, population's best value, which never rises)
+    after every generation.  A run over two or more variables logs one
+    DEBUG record on the noma_harq.optimizer logger with the rows the
+    objective evaluated and the children that kept their parent's fitness.
 
-    Returns (best ratio vector, best objective value).
+    Returns the final population's best row, projected, and its value:
+    the elites keep the earliest row that reached the minimum in slot 0.
     """
     if n_vars < 1:
         raise ValueError("n_vars must be at least 1")
@@ -116,18 +118,13 @@ def ga_minimize(
     rng = np.random.default_rng(params.seed)
     pop = rng.uniform(0.1, 1.0, size=(params.population_size, n_vars))
     if initial is not None:
-        seeds = np.atleast_2d(np.asarray(list(initial), dtype=float))
-        take = min(len(seeds), params.population_size)
-        pop[:take] = np.maximum(seeds[:take], GENE_FLOOR)
+        pop[0] = np.maximum(initial, GENE_FLOOR)
 
     def evaluate(genes: np.ndarray) -> np.ndarray:
         vals = np.asarray(objective(_project(genes)), dtype=float)
         return np.where(np.isfinite(vals), vals, np.inf)
 
     fitness = evaluate(pop)
-    best_idx = int(fitness.argmin())
-    best_genes = pop[best_idx].copy()
-    best_val = fitness[best_idx]
 
     pop_size = params.population_size
     evaluated, kept = pop_size, 0
@@ -172,16 +169,13 @@ def ga_minimize(
         evaluated += len(changed)
         kept += pop_size - ELITISM - len(changed)
         pop = children
-        gen_best = int(fitness.argmin())
-        if fitness[gen_best] < best_val:
-            best_val = fitness[gen_best]
-            best_genes = pop[gen_best].copy()
         if trace is not None:
-            trace(gen, float(best_val))
+            trace(gen, float(fitness.min()))
 
     _log.debug("ga_minimize: the objective evaluated %d rows; %d children kept "
                "their parent's fitness", evaluated, kept)
-    return _project(best_genes), float(best_val)
+    best = int(fitness.argmin())
+    return _project(pop[best]), float(fitness[best])
 
 
 # per-generation progress hook: (context label, generation, best value)
@@ -193,10 +187,11 @@ def optimize_power_split(
     p0_db: float,
     code: CodeParams,
     params: GaParams,
-    initial: Optional[Sequence[Sequence[float]]] = None,
+    initial: Optional[Sequence[float]] = None,
     trace: Optional[TraceFn] = None,
 ) -> Tuple[np.ndarray, float]:
-    """Minimize the worst per-user PER over the ratio simplex at one power."""
+    """Minimize the worst per-user PER over the ratio simplex at one power;
+    initial is one warm-start ratio vector, and the answer is ga_minimize's."""
     objective = functools.partial(max_user_per, p0=10.0 ** (p0_db / 10.0), code=code)
     label = f"P0={p0_db:g}dB n={code.n}"
     hook = None if trace is None else (lambda g, v: trace(label, g, v))
@@ -234,13 +229,13 @@ def pareto_front(
     if not grid:
         raise ValueError("p0_db_grid must be nonempty")
     points = []
-    warm: Optional[List[Sequence[float]]] = None
+    warm: Optional[np.ndarray] = None
     for idx, p0_db in enumerate(grid):
         point_params = replace(params, seed=params.seed + idx)
         alphas, val = optimize_power_split(
             n_users, p0_db, code, point_params, initial=warm, trace=trace
         )
-        warm = [alphas]
+        warm = alphas
         points.append(
             ParetoPoint(max_per=val, p0_db=p0_db, alphas=tuple(float(a) for a in alphas))
         )
@@ -324,7 +319,7 @@ def min_blocklength(
         )
 
     tried: dict[int, Tuple[np.ndarray, float]] = {}
-    warm: Optional[List[Sequence[float]]] = None
+    warm: Optional[np.ndarray] = None
     log_target = math.log(target_per)
 
     def probe(n: int) -> Tuple[bool, float]:
@@ -334,7 +329,7 @@ def min_blocklength(
         point_params = replace(params, seed=params.seed + n)
         alphas, val = optimize_power_split(n_users, snr_db, CodeParams(k=k, n=n),
                                            point_params, initial=warm, trace=trace)
-        warm = [alphas]
+        warm = alphas
         tried[n] = alphas, val
         return val <= target_per, _log_per(val) - log_target
 

@@ -55,6 +55,13 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match="positive integer"):
             build_plan(1500.0, ())
 
+    def test_plan_checked_where_made(self):
+        # a CellPlan built directly is checked as build_plan's is
+        with pytest.raises(ValueError, match="r_outer must be positive"):
+            CellPlan(r_outer=-1.0, alphas=(0.5, 0.5))
+        with pytest.raises(ValueError, match="positive integer"):
+            CellPlan(r_outer=1500.0, alphas=())
+
     def test_single_segment(self):
         plan = build_plan(1500.0, (1.0,))
         assert plan.assignment.tolist() == [[0]]

@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+import math
 import tracemalloc
 import warnings
 
@@ -204,6 +205,16 @@ def table_inputs(draw):
 
 
 class TestTransitionMatrix:
+    def test_nan_or_out_of_range_entries_rejected(self):
+        # a comparison with NaN is False, so a check written as x < 0 passes NaN
+        for bad in (math.nan, -0.5):
+            matrix = np.array([[0.5, 0.5, bad], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                TransitionMatrix(matrix=matrix, n_users=1)
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            TransitionMatrix(matrix=np.array([[0.5, 0.4, 0.0], [1.0, 0.0, 0.0],
+                                              [1.0, 0.0, 0.0]]), n_users=1)
+
     def test_single_user_structure(self):
         tm = build_transition_matrix(SystemConfig(alphas=(1.0,), p0=1.0, code=CODE))
         r_idx = SystemState((Phase.R,)).index
@@ -318,6 +329,12 @@ class TestUserCap:
 
 
 class TestStationary:
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5, 0.5], [-0.1, 0.6, 0.5],
+                                       [0.2, 0.5, 0.5]], ids=["nan", "negative", "sum"])
+    def test_non_distribution_rejected(self, probs):
+        with pytest.raises(ValueError, match="must be a probability distribution"):
+            StationaryDistribution(probs=np.array(probs))
+
     def test_high_power_concentrates_on_all_success(self):
         cfg = SystemConfig(alphas=(0.3, 0.7), p0=1e9, code=CODE)
         stat = stationary_distribution(build_transition_matrix(cfg))

@@ -156,6 +156,31 @@ class TestGaMinimize:
         bests = [v for _, v in calls]
         assert all(a >= b for a, b in zip(bests, bests[1:]))
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_answer_is_first_row_that_scored_the_minimum(self, seed):
+        # ga_minimize keeps no record of its best row beside the elites:
+        # this pins what they must carry for the final population to hold it
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(2, 4))
+        rows, vals, trace = [], [], []
+
+        def objective(a):
+            # rugged and rounded, so different rows tie; some rows read NaN
+            v = np.round(np.sin(30.0 * a @ w[0]) + np.sin(45.0 * a @ w[1]), 2)
+            v[np.sin(90.0 * a @ w[1]) > 0.7] = math.nan
+            rows.extend(a)
+            vals.extend(v)
+            return v
+
+        params = GaParams(population_size=16, generations=30, seed=seed)
+        alphas, val = ga_minimize(objective, 4, params, trace=lambda g, v: trace.append(v))
+        scored = np.where(np.isfinite(vals), vals, np.inf)
+        assert np.isnan(vals).any()
+        assert val == scored.min()
+        assert np.array_equal(alphas, rows[int(np.flatnonzero(scored == val)[0])])
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert trace[-1] == val
+
     def test_warm_start_injected(self):
         target = np.array([0.6, 0.3, 0.1])
 
@@ -164,9 +189,12 @@ class TestGaMinimize:
 
         params = GaParams(population_size=8, generations=0, seed=1)
         _, cold = ga_minimize(objective, 3, params)
-        _, warm = ga_minimize(objective, 3, params, initial=[target])
+        _, warm = ga_minimize(objective, 3, params, initial=target)
         assert warm <= cold
         assert warm <= 1e-12
+        # the warm start is one vector
+        with pytest.raises(ValueError):
+            ga_minimize(objective, 3, params, initial=[target, target])
 
 
 class TestOptimizePowerSplit:
