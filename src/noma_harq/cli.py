@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
 The sweep command analyses an SNR grid as one stack, in a single analyze
 call whose first failing point, in grid order, sets the error; simulate
 runs its grid points in order.  Each starts once every point has
-validated.  The parser is built once per process (build_parser caches
-it) and reused by every main call, so in-process callers pay for it once.
+validated.  Every command that emits checks its output format, flag or
+config value, where it resolves it, before any work.  The parser is
+built once per process (build_parser caches it) and reused by every
+main call, so in-process callers pay for it once.
 """
 
 import argparse
@@ -57,11 +59,11 @@ def db_to_linear(db: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _parse_alphas(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
     try:
+        if isinstance(value, (list, tuple)):
+            return tuple(float(v) for v in value)
         return tuple(float(v) for v in str(value).split(",") if v.strip())
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse power ratios from {value!r}") from exc
 
 
@@ -175,6 +177,15 @@ def _grid_systems(res: Resolver):
         raise UsageError(str(exc)) from exc
 
 
+def _format(res: Resolver) -> str:
+    """The output format, checked: argparse's choices cover the flag, not
+    a config file's value."""
+    fmt = res.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"unknown format {fmt!r}")
+    return fmt
+
+
 def _ga_trace(res: Resolver):
     if not res.get("verbose", False):
         return None
@@ -223,9 +234,11 @@ def _format_cell(value) -> str:
 
 def emit(records: List[dict], fields: List[str], meta: dict,
          out: Optional[str], fmt: str) -> None:
+    """Write the records as JSON, or as CSV for any other fmt (_format
+    admits only 'csv' and 'json')."""
     if fmt == "json":
         text = json.dumps({"meta": meta, "results": records}, indent=2)
-    elif fmt == "csv":
+    else:
         buf = io.StringIO()
         for key in ("tool", "version", "schema", "command"):
             buf.write(f"# {key}={meta[key]}\n")
@@ -235,8 +248,6 @@ def emit(records: List[dict], fields: List[str], meta: dict,
         for rec in records:
             writer.writerow([_format_cell(rec.get(f, "")) for f in fields])
         text = buf.getvalue().rstrip("\n")
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
     _write(text, out)
 
 
@@ -278,7 +289,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     res = Resolver(args, _load_config(args.config))
     cfg = _system_config(res)
     _check_users(cfg.n_users)
-    fmt = res.get("format", "csv")
+    fmt = _format(res)
     out = res.get("out")
     emit_matrix = res.get("emit_matrix")
     state_table = res.get("state_table")
@@ -330,14 +341,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                          f"{scenario!r}: simulate runs uncoordinated grids")
     grid, systems = _grid_systems(res)
     oma = bool(res.get("oma", False))
+    out, fmt = res.get("out"), _format(res)
     rows = []
     for snr, system, metrics in zip(grid, systems, analyze(systems)):
         rows += _analysis_rows("coordinated", metrics, snr, system.code)
         if oma:
             rows += _analysis_rows("oma", oma_metrics(system, metrics), snr,
                                    system.code)
-    emit(rows, SIM_FIELDS, _meta("sweep", res), res.get("out"),
-         res.get("format", "csv"))
+    emit(rows, SIM_FIELDS, _meta("sweep", res), out, fmt)
     return 0
 
 
@@ -348,7 +359,9 @@ def cmd_optimize_pareto(args: argparse.Namespace) -> int:
     code = _code_params(res)
     grid = _parse_grid(res.get("snr_db", required=True))
     params = _ga_params(res)
-    front = pareto_front(n_users, code, grid, params, trace=_ga_trace(res))
+    trace = _ga_trace(res)
+    out, fmt = res.get("out"), _format(res)
+    front = pareto_front(n_users, code, grid, params, trace=trace)
     fields = ["p0_db", "max_per"] + [f"alpha_{i+1}" for i in range(n_users)]
     records = []
     for pt in front:
@@ -356,8 +369,7 @@ def cmd_optimize_pareto(args: argparse.Namespace) -> int:
         for i, a in enumerate(sorted(pt.alphas)):
             rec[f"alpha_{i+1}"] = a
         records.append(rec)
-    emit(records, fields, _meta("optimize-pareto", res), res.get("out"),
-         res.get("format", "csv"))
+    emit(records, fields, _meta("optimize-pareto", res), out, fmt)
     return 0
 
 
@@ -370,10 +382,12 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
     target = res.get("target_per", required=True, cast=float)
     cap = res.get("max_n", 4096, cast=int)
     params = _ga_params(res)
+    trace = _ga_trace(res)
+    out, fmt = res.get("out"), _format(res)
     try:
         # the search checks the target and k before it starts
         n_min, alphas = min_blocklength(
-            k, snr_db, n_users, target, params, n_cap=cap, trace=_ga_trace(res),
+            k, snr_db, n_users, target, params, n_cap=cap, trace=trace,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -384,8 +398,7 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
            "users": n_users}
     for i, a in enumerate(sorted(alphas)):
         rec[f"alpha_{i+1}"] = a
-    emit([rec], fields, _meta("min-blocklength", res), res.get("out"),
-         res.get("format", "csv"))
+    emit([rec], fields, _meta("min-blocklength", res), out, fmt)
     return 0
 
 
@@ -401,6 +414,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     warmup = res.get("warmup", 1000, cast=int)
     episodes = res.get("episodes", 50 if scenario == "uncoordinated" else 1,
                        cast=int)
+    out, fmt = res.get("out"), _format(res)
     try:
         configs = [SimConfig(system=system, slots=slots, seed=seed + idx,
                              scenario=scenario, n_actual=users, warmup=warmup,
@@ -418,8 +432,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rows += _sim_rows(simulate_oma_baseline(SimConfig(
                 system=cfg.system, slots=slots, seed=cfg.seed, warmup=warmup,
             )), snr, cfg.system.code)
-    emit(rows, SIM_FIELDS, _meta("simulate", res), res.get("out"),
-         res.get("format", "csv"))
+    emit(rows, SIM_FIELDS, _meta("simulate", res), out, fmt)
     return 0
 
 
@@ -431,6 +444,10 @@ def cmd_cellplan(args: argparse.Namespace) -> int:
     out = res.get("out")
     if not alphas:
         raise UsageError("a plan needs at least one ratio")
+    # every simulator refuses a larger plan, and its assignment grid
+    # grows with the square of the ratio count
+    if len(alphas) > MAX_USERS:
+        raise UsageError(f"{len(alphas)} ratios exceeds the {MAX_USERS}-ratio cap")
     try:
         plan = build_plan(r_outer, alphas, rotation=rotation)
     except ValueError as exc:

@@ -99,18 +99,22 @@ def ga_minimize(
     no call.  The elites carried into the next generation, and the
     children that neither crossover nor mutation changed (about 17% of
     them at the module's rates), keep their fitness.  Non-finite
-    objective values rank as worst.  An optional initial ratio vector is
-    the starting population's first row (warm start).  trace, when given,
-    receives (generation, population's best value, which never rises)
-    after every generation.  A run over two or more variables logs one
-    DEBUG record on the noma_harq.optimizer logger with the rows the
-    objective evaluated and the children that kept their parent's fitness.
+    objective values rank as worst.  An optional initial ratio vector,
+    of shape (n_vars,), is the starting population's first row (warm
+    start).  trace, when given, receives (generation, population's best
+    value, which never rises) after every generation.  A run over two or
+    more variables logs one DEBUG record on the noma_harq.optimizer
+    logger with the rows the objective evaluated and the children that
+    kept their parent's fitness.
 
     Returns the final population's best row, projected, and its value:
     the elites keep the earliest row that reached the minimum in slot 0.
     """
     if n_vars < 1:
         raise ValueError("n_vars must be at least 1")
+    if initial is not None and np.shape(initial) != (n_vars,):
+        raise ValueError(f"initial has shape {np.shape(initial)}, "
+                         f"not (n_vars,) = ({n_vars},)")
     if n_vars == 1:
         alpha = np.array([1.0])
         return alpha, float(objective(alpha[None])[0])

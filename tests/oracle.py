@@ -8,6 +8,7 @@ simulator's chain one slot at a time, and the chi-square fit the
 simulator tests apply to state visits."""
 
 import math
+from functools import reduce
 from typing import Tuple
 
 import numpy as np
@@ -95,7 +96,8 @@ def stage_tables(digits: np.ndarray, powers: np.ndarray):
     """Greedy SIC order and per-stage SINR for every state, one row per
     (configuration, state) pair: the row-wise form of
     markov._stage_tables, whose stage-major tables must match it bit for
-    bit.  Row sums are numpy's, so at N = 8 they add the terms pairwise.
+    bit.  Each row sum adds the users one by one in index order, not in
+    numpy's row-sum order (pairwise at N = 8).
 
     powers is a (B, N) stack of received-power vectors, or one (N,)
     vector.  Returns (orders, gammas), both (B, 3^N, N), or (3^N, N) for
@@ -113,12 +115,12 @@ def stage_tables(digits: np.ndarray, powers: np.ndarray):
     rows = np.arange(len(powers))
     for stage in range(n):
         undec_p = undecoded * powers
-        denom_new = undec_p.sum(axis=1, keepdims=True) - undec_p + 1.0
+        denom_new = reduce(np.add, undec_p.T)[:, None] - undec_p + 1.0
         g = powers / denom_new
         # stored first copy of an R user: F users and undecoded R users interfere
         stored = is_f | (is_r & undecoded)
         stored_p = stored * powers
-        denom_orig = stored_p.sum(axis=1, keepdims=True) - stored_p + 1.0
+        denom_orig = reduce(np.add, stored_p.T)[:, None] - stored_p + 1.0
         g = g + np.where(is_r, powers / denom_orig, 0.0)
         g = np.where(undecoded, g, -np.inf)
         pick = g.argmax(axis=1)  # ties resolve to the lowest user index

@@ -61,6 +61,9 @@ class TestBuildPlan:
             CellPlan(r_outer=-1.0, alphas=(0.5, 0.5))
         with pytest.raises(ValueError, match="positive integer"):
             CellPlan(r_outer=1500.0, alphas=())
+        for bad in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="ratios must be positive"):
+                CellPlan(r_outer=1500.0, alphas=(0.5, bad))
 
     def test_single_segment(self):
         plan = build_plan(1500.0, (1.0,))

@@ -596,18 +596,105 @@ class TestInputChecks:
          "simulate runs uncoordinated grids"),
         # only a plain object or an emitted header is a config
         (["cellplan", "--config", "NESTED_CONFIG"], "--alphas"),
+        (["analyze", "--alphas", ",", "--snr-db", "0"] + CODE, "at least one user required"),
+        (["analyze", "--alphas", "0.5,x", "--snr-db", "0"] + CODE,
+         "cannot parse power ratios from '0.5,x'"),
+        (["analyze", "--config", "TEXT_RATIOS", "--snr-db", "0"] + CODE,
+         "cannot parse power ratios from ['x', 0.5]"),
+        (["analyze", "--rate", "0", "--blocklength", "100"] + PAIR,
+         "rate 0.0 at blocklength 100 leaves no information bits"),
+        (["sweep", "--alphas", "0.5,0.5", "--snr-db", "0,x"] + CODE,
+         "cannot parse SNR grid from '0,x'"),
+        (["sweep", "--alphas", "0.5,0.5", "--snr-db", "0:x:3"] + CODE,
+         "cannot parse SNR grid from '0:x:3'"),
+        (["sweep", "--alphas", "0.5,0.5", "--snr-db", "0:4"] + CODE,
+         "cannot parse SNR grid from '0:4'"),
+        (["sweep", "--alphas", "0.5,0.5", "--snr-db", "0:4:0"] + CODE,
+         "cannot parse SNR grid from '0:4:0'"),
+        (["sweep", "--config", "TEXT_GRID"] + CODE, "cannot parse SNR grid from [0, 'x']"),
+        (["analyze", "--config", "MISSING"] + PAIR + CODE, "cannot read config "),
+        (["analyze", "--config", "NOT_JSON"] + PAIR + CODE, "cannot read config "),
+        (["analyze", "--config", "LIST"] + PAIR + CODE, "must hold a JSON object"),
+        (["cellplan", "--alphas", "0.5,-0.5"], "ratios must be positive"),
+        (["cellplan", "--alphas", "0.5,0.5", "--r-outer=-1"],
+         "r_outer must be positive, got -1.0"),
     ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
             "snr-db", "config-cast", "simulate-users", "max-n", "negative-max-n",
             "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config",
-            "nested-config"])
+            "nested-config", "no-ratio", "alphas", "config-alphas", "zero-rate",
+            "grid-list", "grid-range", "grid-two-fields", "grid-count", "config-grid",
+            "missing-config", "unparsable-config", "list-config", "cellplan-ratio",
+            "cellplan-r-outer"])
     def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
         configs = {"BAD_CONFIG": {"blocklength": "abc"},
                    "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"},
-                   "NESTED_CONFIG": {"config": {"alphas": "0.5,0.5"}}}
+                   "NESTED_CONFIG": {"config": {"alphas": "0.5,0.5"}},
+                   "TEXT_RATIOS": {"alphas": ["x", 0.5]},
+                   "TEXT_GRID": {"alphas": [0.5, 0.5], "snr_db": [0, "x"]},
+                   "NOT_JSON": "{alphas: 0.5}", "LIST": [0.5, 0.5], "MISSING": None}
         for name, data in configs.items():
-            (tmp_path / name).write_text(json.dumps(data))
+            if data is not None:
+                (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
         assert main([str(tmp_path / a) if a in configs else a for a in args]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_list_valued_config(self, tmp_path):
+        # a config file may give the ratios and the grid as JSON lists
+        config = tmp_path / "lists.json"
+        config.write_text(json.dumps({"alphas": [0.4, 0.6], "snr_db": [0, 2]}))
+        listed = run_json(tmp_path, ["sweep", "--config", str(config)] + self.CODE,
+                          "listed.json")
+        flagged = run_json(tmp_path, ["sweep", "--alphas", "0.4,0.6", "--snr-db", "0,2"]
+                           + self.CODE, "flagged.json")
+        assert len(listed["results"]) == 4
+        assert listed["results"] == flagged["results"]
+
+    def test_bad_config_format_writes_no_dump(self, tmp_path, capsys):
+        config = tmp_path / "xml.json"
+        config.write_text(json.dumps({"format": "xml"}))
+        dumps = [tmp_path / name for name in ("pi.csv", "states.csv", "out.txt")]
+        assert main(["analyze"] + ANCHOR_ARGS + [
+            "--config", str(config), "--emit-matrix", str(dumps[0]),
+            "--state-table", str(dumps[1]), "--out", str(dumps[2])]) == 2
+        assert capsys.readouterr().err == "error: unknown format 'xml'\n"
+        assert not any(path.exists() for path in dumps)
+
+    @pytest.mark.parametrize("args", [
+        ["analyze"] + PAIR + CODE,
+        ["sweep"] + PAIR + CODE,
+        ["simulate", "--slots", "2000", "--warmup", "100"] + PAIR + CODE,
+        ["simulate", "--scenario", "uncoordinated", "--slots", "2000", "--warmup", "100",
+         "--episodes", "2"] + PAIR + CODE,
+        ["optimize-pareto", "--snr-db", "0"] + GA + CODE,
+        ["min-blocklength", "--bits", "50", "--snr-db", "0", "--target-per", "0.01"] + GA,
+    ], ids=["analyze", "sweep", "simulate", "simulate-uncoordinated", "optimize-pareto",
+            "min-blocklength"])
+    def test_bad_config_format_starts_no_work(self, args, tmp_path, capsys, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        for name in ("analyze", "simulate_coordinated", "simulate_uncoordinated",
+                     "simulate_oma_baseline", "pareto_front", "min_blocklength"):
+            monkeypatch.setattr(cli, name, unreached)
+        config = tmp_path / "xml.json"
+        config.write_text(json.dumps({"format": "xml"}))
+        assert main(args + ["--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: unknown format 'xml'\n"
+
+    def test_more_ratios_than_the_cap_refused_before_the_plan(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # every simulator refuses a plan of more than MAX_USERS ratios, and
+        # the plan's assignment grid grows with the square of their count
+        out = tmp_path / "plan.json"
+        assert main(["cellplan", "--alphas", ",".join(["0.125"] * 8),
+                     "--out", str(out)]) == 0
+        out.unlink()
+        monkeypatch.setattr(cli, "build_plan", lambda *args, **kwargs: pytest.fail(
+            "build_plan was called"))
+        assert main(["cellplan", "--alphas", self.NINE, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: 9 ratios exceeds the 8-ratio cap\n"
+        assert not out.exists()
 
     PARETO = ["optimize-pareto", "--snr-db", "0"] + CODE
     BLOCKLENGTH = ["min-blocklength", "--bits", "50", "--snr-db", "0", "--target-per", "0.01"]

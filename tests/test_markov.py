@@ -205,6 +205,10 @@ def table_inputs(draw):
 
 
 class TestTransitionMatrix:
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match 2 users"):
+            TransitionMatrix(matrix=np.eye(3), n_users=2)
+
     def test_nan_or_out_of_range_entries_rejected(self):
         # a comparison with NaN is False, so a check written as x < 0 passes NaN
         for bad in (math.nan, -0.5):
@@ -279,8 +283,8 @@ def stage_table_stacks(n_users: int):
 
 
 class TestStageTables:
-    # at N = 8 numpy's row sum adds these powers pairwise, and a sequential
-    # sum of them differs from it in the last bit
+    # at N = 8 numpy's row sum adds these powers pairwise, and the one by
+    # one sum of the engine and its oracle differs from it in the last bit
     N8_PAIRWISE = np.arange(1.0, 9.0) / 36 * 0.3
 
     @pytest.mark.parametrize("n_users", range(1, markov.MAX_USERS + 1))
@@ -1038,6 +1042,13 @@ class TestThroughput:
 
     def test_every_packet_needs_two_slots(self):
         assert throughput(0.0, 0.0, CODE) == pytest.approx(CODE.rate / 2)
+
+    @pytest.mark.parametrize("per, success_prob", [
+        (-0.1, 0.5), (1.1, 0.5), (0.1, -0.5), (0.1, 1.5), (math.nan, 0.5),
+    ])
+    def test_non_probability_rejected(self, per, success_prob):
+        with pytest.raises(ValueError, match="per and success_prob must be probabilities"):
+            throughput(per, success_prob, CODE)
 
     def test_metrics_identity(self):
         for m in analyze(ANCHOR_CFG):

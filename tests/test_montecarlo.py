@@ -514,6 +514,27 @@ class TestUncoordinated:
         assert not np.allclose(uniform * expect_inv / cfg.slots, expect, rtol=1e-6)
 
 
+class TestScenarioChecks:
+    COORD = SimConfig(system=ANCHOR_CFG, slots=2000, warmup=100)
+    UNCOORD = SimConfig(system=ANCHOR_CFG, slots=2000, warmup=100,
+                        scenario="uncoordinated")
+
+    @pytest.mark.parametrize("run, cfg, message", [
+        (simulate_coordinated, "UNCOORD", "scenario must be 'coordinated'"),
+        (simulate_oma_baseline, "UNCOORD", "compares coordinated clusters"),
+        (simulate_uncoordinated, "COORD", "scenario must be 'uncoordinated'"),
+    ], ids=["coordinated", "oma", "uncoordinated"])
+    def test_other_scenario_rejected(self, run, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            run(getattr(self, cfg))
+
+    def test_uncoordinated_result_has_no_state_frequencies(self):
+        # only the coordinated simulator counts state visits
+        res = simulate_uncoordinated(self.UNCOORD)
+        assert res.state_visits is None
+        assert res.state_freq is None
+
+
 class TestPlanCap:
     def test_nine_planned_ratios_rejected_before_allocating(self):
         # n_hat bounds the decode tables of an episode, one per rotation

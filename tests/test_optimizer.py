@@ -181,6 +181,11 @@ class TestGaMinimize:
         assert all(a >= b for a, b in zip(trace, trace[1:]))
         assert trace[-1] == val
 
+    @pytest.mark.parametrize("n_vars", [0, -1])
+    def test_no_variable_rejected(self, n_vars):
+        with pytest.raises(ValueError, match="n_vars must be at least 1"):
+            ga_minimize(lambda a: a.sum(axis=1), n_vars, GaParams(8, 0, 1))
+
     def test_warm_start_injected(self):
         target = np.array([0.6, 0.3, 0.1])
 
@@ -192,9 +197,11 @@ class TestGaMinimize:
         _, warm = ga_minimize(objective, 3, params, initial=target)
         assert warm <= cold
         assert warm <= 1e-12
-        # the warm start is one vector
-        with pytest.raises(ValueError):
-            ga_minimize(objective, 3, params, initial=[target, target])
+        # the warm start is one vector of n_vars ratios; a shorter one is
+        # not broadcast over the genes
+        for bad in ([0.5], [0.5, 0.5], [target, target]):
+            with pytest.raises(ValueError, match=r"initial has shape .* \(n_vars,\) = \(3,\)"):
+                ga_minimize(objective, 3, params, initial=bad)
 
 
 class TestOptimizePowerSplit:

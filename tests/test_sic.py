@@ -36,6 +36,8 @@ class TestSystemConfig:
             SystemConfig(alphas=(1.2, -0.2), p0=1.0, code=CODE)
         with pytest.raises(ValueError):
             SystemConfig(alphas=(1.0,), p0=-1.0, code=CODE)
+        with pytest.raises(ValueError, match="at least one user required"):
+            SystemConfig(alphas=(), p0=1.0, code=CODE)
 
     def test_only_one_retransmission(self):
         with pytest.raises(TypeError):
