@@ -12,10 +12,11 @@ Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
 The sweep command analyses an SNR grid as one stack, in a single analyze
 call whose first failing point, in grid order, sets the error; simulate
 runs its grid points in order.  Each starts once every point has
-validated.  Every command that emits checks its output format, flag or
-config value, where it resolves it, before any work.  The parser is
-built once per process (build_parser caches it) and reused by every
-main call, so in-process callers pay for it once.
+validated.  An SNR grid holds at most MAX_GRID_POINTS points, counted
+before its values are built.  Every command that emits checks its
+output format, flag or config value, where it resolves it, before any
+work.  The parser is built once per process (build_parser caches it)
+and reused by every main call, so in-process callers pay for it once.
 """
 
 import argparse
@@ -39,6 +40,9 @@ from .optimizer import GaParams, min_blocklength, pareto_front
 from .sic import Phase, SystemConfig
 
 SCHEMA_VERSION = 1
+# most points an SNR grid may hold: sweep and simulate build one cluster
+# per point before any runs, and the grid is checked before it is built
+MAX_GRID_POINTS = 10_000
 
 SIM_FIELDS = [
     "scenario", "N", "n_hat", "snr_db", "R", "n", "user", "per",
@@ -68,16 +72,20 @@ def _parse_alphas(value) -> tuple:
 
 
 def _parse_grid(value) -> List[float]:
-    """SNR grids: a comma list '0,1,2' or a range 'start:stop:count'."""
+    """SNR grids: a comma list '0,1,2' or a range 'start:stop:count'.
+    Every form holds at most MAX_GRID_POINTS points, counted before the
+    grid's values are built."""
     text = str(value)
     try:
         if isinstance(value, (list, tuple)):
+            _check_grid_size(len(value))
             grid = [float(v) for v in value]
         elif ":" in text:
             start, stop, count = text.split(":")
             count = int(count)
             if count < 1:
                 raise ValueError
+            _check_grid_size(count)
             if count == 1:
                 if float(stop) != float(start):
                     raise UsageError(f"SNR grid {value!r} has one point but "
@@ -86,12 +94,20 @@ def _parse_grid(value) -> List[float]:
             step = (float(stop) - float(start)) / (count - 1)
             return [float(start) + step * i for i in range(count)]
         else:
-            grid = [float(v) for v in text.split(",") if v.strip()]
+            items = [v for v in text.split(",") if v.strip()]
+            _check_grid_size(len(items))
+            grid = [float(v) for v in items]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse SNR grid from {value!r}") from exc
     if not grid:
         raise UsageError(f"SNR grid {value!r} holds no value")
     return grid
+
+
+def _check_grid_size(count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"an SNR grid of {count} points exceeds the "
+                         f"{MAX_GRID_POINTS}-point cap")
 
 
 def _load_config(path: Optional[str]) -> dict:

@@ -21,19 +21,31 @@ slot with probability p_s, else two.
 
 Production path.  One move table (the N+1 successors of every state and
 their probabilities, column w < N for the first SIC failure at stage w,
-column N for all-success) feeds the solve, the metrics, the dense
-matrix and the simulator.  Every chain first takes the regenerative
-solve: the expected visits x per excursion from state 0 (the only state
-with a self-loop) solve (I - Q)^T x = P[0, 1:] over the other states and
-pi = [1, x] / (1 + sum x).  Systems up to 81 states (N <= 4) are
-factored dense with LAPACK, larger ones with SuperLU on the N+1 entries
-per row, with no 3^N x 3^N array.  A slot's successor has a prefix of
-the SIC order as its S users, so most states are entered from state 0
-alone or from no state at all; their x is P[0, t] exactly, and SuperLU
-factors only the states that a state other than 0 enters.  On the
-benchmark's sweeps that is 90-110 of 242 unknowns at N = 5, 216-252 of
-728 at N = 6, 530-568 of 2186 at N = 7 and about 1260 of 6560 at N = 8.
-SuperLU eliminates them in one fixed order per user count
+column N for all-success) feeds the dense matrix and the simulator; the
+analysis reads the same table on each chain's entered states only.  The
+SIC stage tables and the successors are built for every state, as the
+decoding orders decide which states some move enters; a state that no
+move enters has no stationary mass.  Error rates, move probabilities,
+the solve and the per-user sums then see only the entered states: on the
+benchmark's sweeps (seeds 1-3) 8 of 9 at N = 2, 20 of 27 at N = 3, 40-48
+of 81 at N = 4, 91-111 of 243 at N = 5, 217-253 of 729 at N = 6, 531-569
+of 2187 at N = 7 and 1259-1266 of 6561 at N = 8, and on its GA rows
+15-20 of 27 at N = 3 and 73-112 of 243 at N = 5.  An orphan, an entered
+state whose only predecessors besides state 0 are states that no move
+enters, brings those predecessors along as rows, so that the LU factors
+the same states as on the whole chain: at most 2 more rows in 7 of the
+99 sweep chains, and at most 7 in 21 of 31751 GA rows.  Every chain
+first takes the regenerative solve: the expected visits x per excursion
+from state 0 (the only state with a self-loop) solve (I - Q)^T x =
+P[0, 1:] over the other states and pi = [1, x] / (1 + sum x).  Systems up to 81 states
+(N <= 4) are factored dense with LAPACK, larger ones with SuperLU on the
+N+1 entries per row, with no 3^N x 3^N array.  A slot's successor has a
+prefix of the SIC order as its S users, so most states are entered from
+state 0 alone or from no state at all; their x is P[0, t] exactly, and
+SuperLU factors only the states that a state other than 0 enters.  On
+the benchmark's sweeps that is 90-110 of 242 unknowns at N = 5, 216-252
+of 728 at N = 6, 530-568 of 2186 at N = 7 and about 1260 of 6560 at
+N = 8.  SuperLU eliminates them in one fixed order per user count
 (_elimination_order: more F digits first, then fewer S digits), not a
 minimum-degree order computed per chain: on the benchmark's N = 8 chain
 at 14 dB the factorization holds 53k nonzeros against 21k but takes
@@ -42,34 +54,46 @@ are the only place a subtraction enters.  A chain whose LU has a pivot
 below PIVOT_FLOOR (most chains that rarely return to state 0: short
 blocks, low SNR, a nearly silenced user), a SuperLU failure or a vector
 that is not finite goes to subtraction-free Grassmann-Taksar-Heyman
-elimination over the states that some move enters.  The floor also
-routes the chains in which some state cannot move to state 0 in one
-slot (a silenced user): among 100000 random chains at N = 2..5 and
--25..+20 dB it rejected all 28658 of those.  GTH holds a dense matrix
-of the entered states: at N = 8 (k = 50, n = 60, 0 dB) 948 of 6561
-states; analyze takes 0.04 s, and its traced peak is 9.5 MiB.  Per-user
-metrics are closed-form sums over the table (_move_sums, which also
-turns the simulator's slot counts into its tallies): P(next F | R) is a
-forward cumulative sum of first-failure probabilities and P(next S | S
-or F) a reverse one, never 1 - q.
+elimination over the states that its given moves enter.  The floor also
+routes the chains in which some state cannot move to state 0 in one slot
+(a silenced user): among 100000 random chains at N = 2..5 and
+-25..+20 dB it rejected all 28658 of those.  GTH holds a dense matrix of
+the entered states: at N = 8 (k = 50, n = 60, 0 dB) 948 of 6561 states;
+analyze takes 0.04 s, and its traced peak is 9.5 MiB.  Per-user metrics
+are closed-form sums over the table (_move_sums, which also turns the
+simulator's slot counts into its tallies): P(next F | R) is a forward
+cumulative sum of first-failure probabilities and P(next S | S or F) a
+reverse one, never 1 - q.  The sums are scattered back over all 3^N
+states before the dot products with the stationary vector, so those run
+over the same states, in the same order, as on the whole table.
 
 Stacks.  The engine has a leading batch axis: the tables, the stationary
 solve and the metrics take a (B, N) stack of received-power vectors, in
 chunks of at most STACK_STATES chain states (_table_analysis), so
 max_user_per evaluates a whole GA generation in one call and analyze a
 whole SNR grid (a sequence of configs that share user count and code;
-one config is a stack of one).
-The SIC stage tables are built stage-major, one row of B 3^N entries
-per user, so each stage's sums and argmax run along the long axis; the
-sums over users add them one by one in index order at every N.  The
-chains up to 81 states are assembled by one bincount and factored and
-solved one by one, in one LAPACK dgesv call each.  Larger ones are
-factored together: one SuperLU of the block-diagonal matrix of the
-whole stack, whose pivots stay in their own blocks.  A GA generation of 30 chains at N = 5 (0 dB, k = 50, n = 228)
-solves in 4.6 ms as two such stacks against 8.9 ms one by one.  Every
-chain that goes to GTH is solved one by one.  Every floating-point
-operation is the one a chain sees alone, so a row's result does not
-depend on the stack around it.
+one config is a stack of one).  The SIC stage tables are built
+stage-major, one row of B 3^N entries per user, so every operation of a
+stage runs along the long axis: the sums over users add them one by one
+in index order at every N, and the pick is the stage's maximum, its ties
+resolved to the lowest user by a maximum over a rank mask, with no
+argmax or np.where over the short axis.  The analysis keeps its (chain,
+state) rows in one flat list, each chain's own entered states, not one
+union per stack: on the benchmark's GA stacks of 16 rows or more a union
+held up to 27 of 27 states at N = 3 and 242 of 243 at N = 5, and with a
+union a row's value would depend on its stack.  The chains up to 81
+states are assembled by one bincount and factored and solved one by one,
+in one LAPACK dgesv call each.  Larger ones are factored together: one
+SuperLU of the block-diagonal matrix of the whole stack, whose pivots
+stay in their own blocks.  A GA generation of 30 chains at N = 5 (0 dB,
+k = 50, n = 228) solves in 4.6 ms as two such stacks against 8.9 ms one
+by one.  Every chain that goes to GTH is solved one by one, on its own
+moves.  Every floating-point operation is the one a chain sees alone, so
+a row's result does not depend on the stack around it.  Against the same
+engine over every state (tests/oracle.py), a chain whose LU holds reads
+the same bits; of the chains that go to GTH, whose dense matrix may then
+hold fewer states, some PERs and p_s move, by at most 4.7e-16 relative
+on 700 random stacks.
 
 Accuracy.  Three measurements, each of its own scope, and a counterexample;
 none is a bound held for every chain:
@@ -231,37 +255,56 @@ def _stage_tables(digits: np.ndarray, powers: np.ndarray):
     (3^N, N) for one vector: column ell holds the user decoded at stage
     ell and the SINR it is decoded at.
 
-    The work is stage-major: one (N, B 3^N) row per user, so every sum,
-    argmax and mask acts along the long axis, not along rows N long.  The
-    sums over users add them one by one in index order, and argmax keeps
-    ties on the lowest user, so the tables match a row-wise form that
-    sums the same way bit for bit.
+    The work is stage-major: one (N, B 3^N) row per user, and every
+    operation acts along the long axis, never along rows N long: on
+    (5, 3888) arrays argmax over the short axis took 86 us against 6.4 us
+    for a sum or a max over it, and np.where with a state mask 79 us
+    against 14 us for a divide.  The sums over users add them one by one
+    in index order.  The Chase-combining term is multiplied by a 0/1 row, decoded users are
+    removed by subtracting inf, and the pick is the stage's maximum: of
+    the users equal to it, the one of highest rank n-1-u, so ties go to
+    the lowest user.  The tables match a row-wise form that sums the same
+    way and picks by argmax bit for bit.  Each stage writes into the same
+    two work arrays, which at N = 5..8 took about a third off the time of
+    fresh temporaries.
     """
     m, n = digits.shape
     powers = np.asarray(powers, dtype=float)
     lead = powers.shape[:-1]
     # one column per (configuration, state) pair
     powers = np.repeat(powers.reshape(-1, n).T, m, axis=1)
-    is_r = np.tile((digits == _R).T, powers.shape[1] // m)
-    is_f = np.tile((digits == _F).T, powers.shape[1] // m)
-    undecoded = np.ones(powers.shape, dtype=bool)
-    orders = np.empty(powers.shape[::-1], dtype=np.int64)
-    gammas = np.empty(powers.shape[::-1], dtype=np.float64)
-    cols = np.arange(powers.shape[1])
+    size = powers.shape[1]
+    r_row = np.tile((digits == _R).T.astype(float), size // m)
+    f_powers = np.tile((digits == _F).T, size // m) * powers
+    # the powers of the undecoded users, and of the stored first copies
+    # that interfere with an R user's: F users and undecoded R users
+    undec_p = powers.copy()
+    stored_p = f_powers + r_row * powers
+    removed = np.zeros(powers.shape)
+    rank = np.arange(n - 1, -1, -1, dtype=np.int8)[:, None]
+    orders = np.empty((size, n), dtype=np.int64)
+    gammas = np.empty((size, n))
+    cols = np.arange(size)
+    g, chase = np.empty(powers.shape), np.empty(powers.shape)
     for stage in range(n):
-        undec_p = undecoded * powers
-        denom_new = undec_p.sum(axis=0) - undec_p + 1.0
-        g = powers / denom_new
-        # stored first copy of an R user: F users and undecoded R users interfere
-        stored = is_f | (is_r & undecoded)
-        stored_p = stored * powers
-        denom_orig = stored_p.sum(axis=0) - stored_p + 1.0
-        g = g + np.where(is_r, powers / denom_orig, 0.0)
-        g = np.where(undecoded, g, -np.inf)
-        pick = g.argmax(axis=0)  # ties resolve to the lowest user index
+        # g = P / (undecoded interference + 1) + is_r P / (stored + 1) - removed
+        np.subtract(undec_p.sum(axis=0), undec_p, out=g)
+        g += 1.0
+        np.divide(powers, g, out=g)
+        np.subtract(stored_p.sum(axis=0), stored_p, out=chase)
+        chase += 1.0
+        np.divide(powers, chase, out=chase)
+        chase *= r_row
+        g += chase
+        g -= removed
+        best = g.max(axis=0)
+        pick = (n - 1) - ((g == best) * rank).max(axis=0).astype(np.int64)
         orders[:, stage] = pick
-        gammas[:, stage] = g[pick, cols]
-        undecoded[pick, cols] = False
+        gammas[:, stage] = best
+        at = pick * size + cols
+        undec_p.reshape(-1)[at] = 0.0
+        stored_p.reshape(-1)[at] = f_powers.reshape(-1)[at]
+        removed.reshape(-1)[at] = np.inf
     return orders.reshape(lead + (m, n)), gammas.reshape(lead + (m, n))
 
 
@@ -285,8 +328,37 @@ def _chain_table(powers: np.ndarray, code: CodeParams):
     powers = np.asarray(powers, dtype=float)
     n = powers.shape[-1]
     _check_user_count(n)
-    digits = _state_digits(n)
-    orders, gammas = _stage_tables(digits, powers)
+    orders, gammas = _stage_tables(_state_digits(n), powers)
+    prob, eps = _move_probs(gammas, code)
+    return orders, _successors(orders), prob, eps
+
+
+@lru_cache(maxsize=16)
+def _fall_back(n_users: int) -> np.ndarray:
+    """(3^N, N) table: the digit user u of state s falls back to when it
+    is not decoded (R from S or F, F from R), times 3^u."""
+    digits = _state_digits(n_users)
+    table = np.where(digits == _R, _F, _R) * 3 ** np.arange(n_users, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _successors(orders: np.ndarray) -> np.ndarray:
+    """The (..., 3^N, N+1) successor table of _chain_table from the
+    (..., 3^N, N) decoding orders: move w is the state in which the users
+    decoded before stage w are in S and the others have fallen back."""
+    m, n = orders.shape[-2:]
+    fd = np.zeros(orders.shape[:-1] + (n + 1,), dtype=np.int64)
+    fd[..., :n] = _fall_back(n)[np.arange(m)[:, None], orders]
+    # the fallen-back digits summed from the last stage forward
+    return np.cumsum(fd[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _move_probs(gammas: np.ndarray, code: CodeParams):
+    """(prob, eps) of _chain_table from the (..., N) stage SINRs of any
+    set of states: eps is each stage's failure probability and prob
+    (..., N+1) the probability of each move."""
+    n = gammas.shape[-1]
     eps, ok = per_cc_batch(gammas, code)
     # first failure at stage w: stages before w succeed, w fails; one
     # column at a time, 1.4-5x faster than cumprod and concatenate
@@ -297,45 +369,50 @@ def _chain_table(powers: np.ndarray, code: CodeParams):
         prob[..., w] = eps[..., w] * q_succ
         q_succ = q_succ * ok[..., w]
     prob[..., n] = q_succ
-    # the digit every user from the failing stage on falls back to, summed
-    # from the last stage forward
-    pow3 = 3 ** np.arange(n, dtype=np.int64)
-    fail_digit = np.where(digits == _R, _F, _R).astype(np.int64)
-    fd = np.zeros(orders.shape[:-1] + (n + 1,), dtype=np.int64)
-    fd[..., :n] = fail_digit[np.arange(len(digits))[:, None], orders] * pow3[orders]
-    succ = np.cumsum(fd[..., ::-1], axis=-1)[..., ::-1]
-    return orders, succ, prob, eps
+    return prob, eps
 
 
 def _regeneration_state(src, dst, prob, m: int) -> int:
-    """A state the chain reaches from everywhere: state 0 when every state
-    moves to it, else the lowest state of the only closed class.  Several
-    closed classes raise ReducibleChainError.
+    """A state the chain reaches from everywhere.  src -> dst with
+    probability prob are the moves of the states present: those whose
+    moves are given, among them every state that a move enters.  Returns
+    state 0 when every present state moves to it, else the lowest state
+    of the only closed class among the present states; a state absent
+    from the moves is no class of its own.  Several closed classes raise
+    ReducibleChainError.
     """
     live = prob > 0.0
     src, dst = src[live], dst[live]
-    if len(np.unique(src[dst == 0])) == m:
+    present = np.unique(src)
+    if len(np.unique(src[dst == 0])) == len(present):
         return 0
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
     _, labels = connected_components(graph, directed=True, connection="strong")
     leaving = labels[src] != labels[dst]
-    closed = np.setdiff1d(labels, labels[src[leaving]])
+    closed = np.setdiff1d(labels[present], labels[src[leaving]])
     if len(closed) > 1:
         raise ReducibleChainError(
             f"the chain has {len(closed)} closed classes and no unique "
             "stationary vector"
         )
-    return int(np.flatnonzero(labels == closed[0])[0])
+    return int(present[labels[present] == closed[0]][0])
 
 
-def _stationary(src, dst, prob, m: int):
-    """Stationary vectors of a stack of B chains: chain b moves src ->
-    dst[b] with probability prob[b] (repeated pairs add up).  src (M,) is
-    shared by every chain; dst and prob are (B, M).
+def _chain_bounds(chain, n_chains: int) -> np.ndarray:
+    """Where each chain's moves start in a move list sorted by chain."""
+    return np.searchsorted(chain, np.arange(n_chains + 1))
 
-    Returns the (B, m) vectors and a list of B errors: None where the
-    solve holds, else the ReducibleChainError or NumericalError that chain
-    raises on its own.  Every chain is solved exactly as it would be alone.
+
+def _stationary(chain, src, dst, prob, n_chains: int, m: int):
+    """Stationary vectors of n_chains chains of m states, given as one
+    flat list of moves sorted by chain: chain[i] moves src[i] -> dst[i]
+    with probability prob[i] (repeated moves add up).  A chain's moves
+    may leave out the states that no move enters; those read 0.
+
+    Returns the (n_chains, m) vectors and a list of n_chains errors: None
+    where the solve holds, else the ReducibleChainError or NumericalError
+    that chain raises on its own.  Every chain is solved exactly as it
+    would be alone.
 
     Two solves.  Every chain takes the regenerative LU, in one call for
     the whole stack: _regenerative_lu (dense) up to DENSE_SOLVE_STATES,
@@ -347,25 +424,26 @@ def _stationary(src, dst, prob, m: int):
     A chain with a pivot below PIVOT_FLOOR (as were all the measured
     chains with a state that cannot move to state 0 in one slot), a
     SuperLU failure or a vector that is not finite (a divisor underflowed
-    to 0) goes to GTH (_gth) over the states that some move enters, one
-    chain at a time.  A NumericalError is a residual ||P^T p - p||_inf
-    above STATIONARY_TOL (one bincount for the whole stack) or a negative
-    mass; NaN fails every comparison, so an all-NaN vector is one too.
-    The numpy warnings of a solve that underflows are silenced: the
-    residual test turns its vector into NumericalError.
+    to 0) goes to GTH (_gth) on its own moves, over the states that they
+    enter.  A NumericalError is a residual ||P^T p - p||_inf above
+    STATIONARY_TOL (one bincount for the whole stack) or a negative mass;
+    NaN fails every comparison, so an all-NaN vector is one too.  The
+    numpy warnings of a solve that underflows are silenced: the residual
+    test turns its vector into NumericalError.
     """
-    n_chains = len(prob)
     errors = [None] * n_chains
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         solve = _regenerative_lu if m <= DENSE_SOLVE_STATES else _regenerative_splu
-        p = solve(src, dst, prob, m)
-        for b in np.flatnonzero(~np.isfinite(p).all(axis=1)):
+        p = solve(chain, src, dst, prob, n_chains, m)
+        failed = np.flatnonzero(~np.isfinite(p).all(axis=1))
+        bounds = _chain_bounds(chain, n_chains) if len(failed) else None
+        for b in failed:
+            own = np.s_[bounds[b]:bounds[b + 1]]
             try:
-                p[b] = _gth(src, dst[b], prob[b], m)
+                p[b] = _gth(src[own], dst[own], prob[own], m)
             except ReducibleChainError as exc:
                 p[b], errors[b] = 0.0, exc
-        flow = np.bincount((np.arange(n_chains)[:, None] * m + dst).ravel(),
-                           weights=(prob * p[:, src]).ravel(),
+        flow = np.bincount(chain * m + dst, weights=prob * p[chain, src],
                            minlength=n_chains * m).reshape(n_chains, m)
         residual = np.abs(flow - p).max(axis=1)
     # NaN fails every comparison, so the test is written to catch it
@@ -379,24 +457,25 @@ def _stationary(src, dst, prob, m: int):
     return np.maximum(p, 0.0), errors
 
 
-def _regenerative_lu(src, dst, prob, m: int):
-    """Stationary vectors of a stack of chains by dense LAPACK: with Q the
-    chain over the states other than 0, the expected visits x per
-    excursion from state 0 solve (I - Q)^T x = P[0, 1:], and
-    pi = [1, x] / (1 + sum x).  One bincount assembles every chain's
-    matrix; each is factored on its own.  The diagonal of I - Q is exactly
-    1 (no state but 0 has a self-loop), so no near-1 entry enters as in a
-    replaced-row solve.  Each column of the transpose sums to its state's
-    probability of moving to state 0 in one slot, so the transpose is
-    column diagonally dominant (strictly where that probability is
-    positive) and the LU pivots stay on its diagonal.  Each chain takes
-    one dgesv call, which factors and solves at once; the pivots of the
-    whole stack are kept and tested after the loop, and a chain with a
-    pivot below PIVOT_FLOOR reads NaN.
+def _regenerative_lu(chain, src, dst, prob, n_chains: int, m: int):
+    """Stationary vectors of the chains of _stationary's flat moves by
+    dense LAPACK, (n_chains, m): with Q the chain over the states other
+    than 0, the expected visits x per excursion from state 0 solve
+    (I - Q)^T x = P[0, 1:], and pi = [1, x] / (1 + sum x).  One bincount
+    assembles every chain's matrix; each is factored on its own.  A
+    state whose moves are left out and that no move enters has the unit
+    row and column of I and reads 0, as it does with its moves in.  The
+    diagonal of I - Q is exactly 1 (no state but 0 has a self-loop), so
+    no near-1 entry enters as in a replaced-row solve.  Each column of the
+    transpose sums to its state's probability of moving to state 0 in one
+    slot, so the transpose is column diagonally dominant (strictly where
+    that probability is positive) and the LU pivots stay on its diagonal.
+    Each chain takes one dgesv call, which factors and solves at once; the
+    pivots of the whole stack are kept and tested after the loop, and a
+    chain with a pivot below PIVOT_FLOOR reads NaN.
     """
-    n_chains = len(prob)
-    at = (np.arange(n_chains)[:, None] * m + src) * m + dst
-    pm = np.bincount(at.ravel(), weights=prob.ravel(),
+    at = (chain * m + src) * m + dst
+    pm = np.bincount(at, weights=prob,
                      minlength=n_chains * m * m).reshape(n_chains, m, m)
     # (I - Q)^T of every chain, handed to LAPACK in Fortran order with no copy
     a = np.eye(m - 1) - pm[:, 1:, 1:]
@@ -410,42 +489,40 @@ def _regenerative_lu(src, dst, prob, m: int):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
-    """The regenerative solve of _regenerative_lu for a stack of chains by
-    SuperLU, on the N+1 entries per row: dst and prob are (B, M), or (M,)
-    for one chain, and the result (B, m).
+def _regenerative_splu(chain, src, dst, prob, n_chains: int, m: int) -> np.ndarray:
+    """The regenerative solve of _regenerative_lu by SuperLU, on the N+1
+    entries per row, for the chains of _stationary's flat moves:
+    (n_chains, m).
 
-    Only the states that some state other than 0 enters are unknowns.  A
-    state t that only state 0 enters is visited P[0, t] times per
-    excursion, exactly; its moves are carried into the right-hand side of
-    the states it enters.  Its row of (I - Q)^T is its unit diagonal
-    alone, so dropping it leaves the other pivots as they were.  One
-    block-diagonal (I - Q)^T holds each chain's block of kept states, in
-    the fixed order of _elimination_order; the blocks are as long as each
-    chain's kept states.  One factorization, one read of U's diagonal and
-    one solve replace B of each.  A block's pivots stay in its own rows,
-    so every row is bit-identical to its chain solved as a stack of one.
-    A row reads NaN when a pivot of its block falls below PIVOT_FLOOR.  A
-    pivot that cancels to exactly 0 fails the whole factorization; each
-    chain then retries as a stack of one, and the failing one reads NaN.
+    Only the states that some present state other than 0 enters are
+    unknowns.  A state t that only state 0 enters is visited P[0, t]
+    times per excursion, exactly; its moves are carried into the
+    right-hand side of the states it enters.  Its row of (I - Q)^T is its
+    unit diagonal alone, so dropping it leaves the other pivots as they
+    were.  One block-diagonal (I - Q)^T holds each chain's block of kept
+    states, in the fixed order of _elimination_order; the blocks are as
+    long as each chain's kept states.  One factorization, one read of U's
+    diagonal and one solve replace n_chains of each.  A block's pivots
+    stay in its own rows, so every row is bit-identical to its chain
+    solved as a stack of one.  A row reads NaN when a pivot of its block
+    falls below PIVOT_FLOOR.  A pivot that cancels to exactly 0 fails the
+    whole factorization; each chain then retries as a stack of one, and
+    the failing one reads NaN.
     """
-    dst, prob = np.atleast_2d(dst, prob)
-    n_chains = len(prob)
     order = _elimination_order(round(math.log(m, 3)))
-    # every (chain, state) pair numbered b m + state, chain by chain
-    base = np.arange(n_chains)[:, None] * m
-    at_src, at_dst = base + src, base + dst
+    # every (chain, state) pair numbered chain m + state
+    at_src, at_dst = chain * m + src, chain * m + dst
     from_0 = src == 0
     entered = np.bincount(at_dst[~from_0 & (prob > 0.0)], minlength=n_chains * m) > 0
     # the kept states in elimination order, chain by chain, and their column
+    base = np.arange(n_chains)[:, None] * m
     kept = (base + order)[entered.reshape(n_chains, m)[:, order]]
     size = len(kept)
     col = np.full(n_chains * m, -1)
     col[kept] = np.arange(size)
     is_kept = col >= 0
     # P[0, t], the visits of every skipped state, then the moves they carry
-    x = np.bincount(at_dst[:, from_0].ravel(), weights=prob[:, from_0].ravel(),
-                    minlength=n_chains * m)
+    x = np.bincount(at_dst[from_0], weights=prob[from_0], minlength=n_chains * m)
     carried = ~from_0 & ~is_kept[at_src]
     rhs = x + np.bincount(at_dst[carried], weights=x[at_src[carried]] * prob[carried],
                           minlength=n_chains * m)
@@ -463,8 +540,10 @@ def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
     except RuntimeError:  # a pivot cancelled to exactly 0
         if n_chains == 1:
             return np.full((1, m), np.nan)
-        return np.concatenate([_regenerative_splu(src, dst[b:b + 1], prob[b:b + 1], m)
-                               for b in range(n_chains)])
+        bounds = _chain_bounds(chain, n_chains)
+        return np.concatenate([
+            _regenerative_splu(chain[own] - b, src[own], dst[own], prob[own], 1, m)
+            for b, own in enumerate(map(slice, bounds[:-1], bounds[1:]))])
     x[kept] = lu.solve(rhs[kept])
     bad = np.bincount(kept[np.abs(lu.U.diagonal()) < PIVOT_FLOOR] // m,
                       minlength=n_chains) > 0
@@ -477,13 +556,15 @@ def _regenerative_splu(src, dst, prob, m: int) -> np.ndarray:
 def _gth(src, dst, prob, m: int) -> np.ndarray:
     """Stationary vector of one chain by Grassmann-Taksar-Heyman
     elimination, rooted at _regeneration_state (moved to position 0;
-    ReducibleChainError if the chain has several closed classes).
+    ReducibleChainError if the chain has several closed classes).  src ->
+    dst with probability prob are the moves of the states present: every
+    state, or those that some move enters (see _regeneration_state).
 
-    The dense matrix holds only the states that some move of positive
-    probability enters, the root among them: no such move leaves them, so
-    they form a closed sub-chain with the same stationary vector, and the
-    others read 0.  At N = 8 (k = 50, n = 60, 0 dB) that is 948 of 6561
-    states, 7 MiB instead of 328 MiB of doubles.
+    The dense matrix holds only the states that some given move of
+    positive probability enters, the root among them: no such move leaves
+    them, so they form a closed sub-chain with the same stationary vector,
+    and the others read 0.  At N = 8 (k = 50, n = 60, 0 dB) that is 948 of
+    6561 states, 7 MiB instead of 328 MiB of doubles.
 
     States are censored out from the last position to position 1; each
     pivot is the sum of the eliminated state's remaining out-probabilities
@@ -520,21 +601,23 @@ def _gth(src, dst, prob, m: int) -> np.ndarray:
     return p
 
 
-def _move_sums(orders: np.ndarray, weights: np.ndarray):
+def _move_sums(orders: np.ndarray, weights: np.ndarray, digits: np.ndarray):
     """Per-state, per-user sums of move weights behind e_i and p_s.
 
-    weights (B, 3^N, N+1) weighs every state's N+1 moves in the layout of
-    _chain_table's succ: the analysis passes their probabilities, the
-    simulator its slot counts.  Returns (to_f, to_s), both (B, 3^N, N),
-    column u for user u.  to_f sums the moves that lose u's packet: every
-    move from F, and from R those whose first failure is at or before u's
-    stage.  to_s sums the moves that deliver a fresh packet of u at the
-    first try: from S or F, those whose first failure comes after u's
-    stage.  Both are sums of nonnegative terms (never 1 - q), so tiny
-    error rates keep their relative precision.
+    orders (..., N) holds the decoding orders of any set of states and
+    digits their phase digits (broadcast against orders: the (3^N, N)
+    table for every state, or one row per state); weights (..., N+1)
+    weighs each state's N+1 moves in the layout of _chain_table's succ.
+    The analysis passes the probabilities of each chain's entered states,
+    the simulator its slot counts on every state.  Returns (to_f, to_s),
+    both shaped as orders, column u for user u.  to_f sums the moves that
+    lose u's packet: every move from F, and from R those whose first
+    failure is at or before u's stage.  to_s sums the moves that deliver
+    a fresh packet of u at the first try: from S or F, those whose first
+    failure comes after u's stage.  Both are sums of nonnegative terms
+    (never 1 - q), so tiny error rates keep their relative precision.
     """
-    n_chains, m, n = orders.shape
-    digits = _state_digits(n)
+    n = orders.shape[-1]
     # column ell of lost: moves whose first failure is at or before stage
     # ell; of fresh: moves whose first failure is at stage ell or after
     lost, fresh = weights.copy(), weights.copy()
@@ -542,7 +625,7 @@ def _move_sums(orders: np.ndarray, weights: np.ndarray):
         lost[..., w] += lost[..., w - 1]
         fresh[..., n - w] += fresh[..., n - w + 1]
     # stage column ell moved to the column of the user decoded there
-    at = (np.arange(n_chains * m)[:, None] * n + orders.reshape(-1, n)).ravel()
+    at = (np.arange(orders.size // n)[:, None] * n + orders.reshape(-1, n)).ravel()
     to_f = np.empty(orders.size, dtype=weights.dtype)
     to_f[at] = lost[..., :n].ravel()
     to_s = np.empty(orders.size, dtype=weights.dtype)
@@ -568,15 +651,48 @@ def _table_analysis(powers: np.ndarray, code: CodeParams):
 
 
 def _chunk_analysis(powers: np.ndarray, code: CodeParams):
-    """_table_analysis of one chunk.  A user that no move delivers (a
-    silenced one) has a PER of exactly 1."""
-    orders, succ, prob = _chain_table(powers, code)[:3]
-    n_chains, m, moves = succ.shape
-    p, errors = _stationary(np.repeat(np.arange(m), moves), succ.reshape(n_chains, -1),
-                            prob.reshape(n_chains, -1), m)
-    to_f, to_s = _move_sums(orders, prob)
+    """_table_analysis of one chunk, on each chain's entered states.
+
+    The stage tables and successors of every state decide which states
+    some move of a chain enters; only those (chain, state) rows, in one
+    flat list, get error rates, move probabilities, a place in the solve
+    and move sums.  A state that no move enters has no stationary mass.
+    The rows are each chain's own, so a row's result does not depend on
+    the stack.  A user that no move delivers (a silenced one) has a PER of
+    exactly 1."""
+    n_chains, n = powers.shape
+    _check_user_count(n)
+    digits = _state_digits(n)
+    m = len(digits)
+    orders, gammas = _stage_tables(digits, powers)
+    succ = _successors(orders)
+    at = (np.arange(n_chains)[:, None, None] * m + succ).reshape(-1, n + 1)
+    entered = np.zeros(n_chains * m, dtype=bool)
+    entered[at] = True
+    rows = np.flatnonzero(entered)
+    # an orphan, an entered state whose only predecessors besides state 0
+    # are states that no move enters, brings those predecessors along:
+    # SuperLU keeps an orphan among its unknowns on the whole chain, and
+    # without them the LU's rounding moved in the last bit
+    fed = np.zeros(n_chains * m, dtype=bool)
+    fed[np.take(at, rows[rows % m > 0], axis=0)] = True
+    orphan = entered & ~fed
+    orphan[::m] = False
+    if orphan.any():
+        rows = np.flatnonzero(entered | orphan[at].any(axis=-1))
+    chain, state = np.divmod(rows, m)
+    orders = np.take(orders.reshape(-1, n), rows, axis=0)
+    succ = np.take(at, rows, axis=0) - m * chain[:, None]
+    prob = _move_probs(np.take(gammas.reshape(-1, n), rows, axis=0), code)[0]
+    p, errors = _stationary(np.repeat(chain, n + 1), np.repeat(state, n + 1),
+                            succ.ravel(), prob.ravel(), n_chains, m)
+    # the sums scattered back over every state, so that the dot products
+    # run over all 3^N states and a state that no move enters adds 0
+    to_f, to_s = np.zeros((2, n_chains * m, n))
+    to_f[rows], to_s[rows] = _move_sums(orders, prob, np.take(digits, state, axis=0))
     p = p[:, None]
-    pers, succ_prob = (p @ to_f)[:, 0], (p @ to_s)[:, 0]
+    pers = (p @ to_f.reshape(n_chains, m, n))[:, 0]
+    succ_prob = (p @ to_s.reshape(n_chains, m, n))[:, 0]
     # a PER of 1 can round one ulp above it
     pers = np.minimum(pers, 1.0)
     # a user that no move delivers loses every packet, though its R and F
@@ -584,10 +700,10 @@ def _chunk_analysis(powers: np.ndarray, code: CodeParams):
     # stacks with such a user are checked: a state's moves deliver the
     # users decoded before its deepest first failure of positive probability
     if (succ_prob == 0.0).any():
-        deepest = (np.arange(moves) * (prob > 0.0)).max(axis=-1, keepdims=True)
-        reach = np.arange(moves - 1) < deepest
+        deepest = (np.arange(n + 1) * (prob > 0.0)).max(axis=-1, keepdims=True)
+        reach = np.arange(n) < deepest
         delivered = np.zeros(pers.shape, dtype=bool)
-        delivered[np.nonzero(reach)[0], orders[reach]] = True
+        delivered[chain[np.nonzero(reach)[0]], orders[reach]] = True
         pers[~delivered] = 1.0
     return pers, np.minimum(succ_prob, 1.0), errors
 
@@ -618,7 +734,8 @@ def stationary_distribution(tm: TransitionMatrix) -> StationaryDistribution:
     # a boolean mask scans a dense float matrix ~7x faster than np.nonzero
     idx = np.flatnonzero(tm.matrix != 0.0)
     src, dst = np.divmod(idx, tm.dim)
-    (p,), (error,) = _stationary(src, dst[None], tm.matrix.ravel()[idx][None], tm.dim)
+    (p,), (error,) = _stationary(np.zeros_like(src), src, dst, tm.matrix.ravel()[idx], 1,
+                                 tm.dim)
     if error is not None:
         raise error
     return StationaryDistribution(probs=p)

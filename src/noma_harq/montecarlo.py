@@ -92,7 +92,8 @@ from scipy.special import exp1
 
 from .cellplan import CELL_RADIUS, build_plan, locate_segment
 from .fbl import CodeParams
-from .markov import _chain_table, _check_user_count, _move_sums, oma_received_power, throughput
+from .markov import (_chain_table, _check_user_count, _move_sums, _state_digits,
+                     oma_received_power, throughput)
 from .sic import SystemConfig
 
 # decimation stride for the goodness-of-fit visit counts; the chain
@@ -434,7 +435,7 @@ def _episode(seq, cfg: SimConfig, ratios, visits_thin=None):
     orders, eps, succ = _decode_tables(matrix * p0, cfg.system.code)
     slots = cfg.slots // cfg.episodes
     counts = _run_chain(dyn_rng, eps, succ, slots, cfg.warmup, visits_thin=visits_thin)
-    to_f, to_s = _move_sums(orders, counts)
+    to_f, to_s = _move_sums(orders, counts, _state_digits(orders.shape[-1]))
     n_rot = len(matrix)
     rot_slots = slots // n_rot + (np.arange(n_rot) < slots % n_rot)
     return (counts.sum(axis=(0, 2)), to_f.sum(axis=(0, 1)), to_s.sum(axis=(0, 1)),

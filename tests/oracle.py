@@ -4,8 +4,9 @@ scalar SIC order, and per-user metrics as loops over the dense
 transition matrix.  The package computes the same quantities with its
 vectorized per_cc_batch and successor table; the tests compare the two.
 Also the SIC stage tables one (configuration, state) row at a time, the
-simulator's chain one slot at a time, and the chi-square fit the
-simulator tests apply to state visits."""
+analysis over every state of each chain, the simulator's chain one slot
+at a time, and the chi-square fit the simulator tests apply to state
+visits."""
 
 import math
 from functools import reduce
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.special import erfc
 from scipy.stats import chi2
 
-from noma_harq import montecarlo
+from noma_harq import markov, montecarlo
 from noma_harq.fbl import LOG2E_SQ, CodeParams
 from noma_harq.markov import StationaryDistribution, TransitionMatrix, _state_digits
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
@@ -128,6 +129,31 @@ def stage_tables(digits: np.ndarray, powers: np.ndarray):
         gammas[:, stage] = g[rows, pick]
         undecoded[rows, pick] = False
     return orders.reshape(lead + (m, n)), gammas.reshape(lead + (m, n))
+
+
+def table_analysis(powers: np.ndarray, code: CodeParams):
+    """(PER, p_s, errors) of a (B, N) stack of received powers, solved
+    over every state of each chain: the all-states form of
+    markov._table_analysis, which solves and sums over each chain's
+    entered states only.  Every state's moves go to markov._stationary,
+    and the per-user sums run over the move table of every state."""
+    orders, succ, prob = markov._chain_table(powers, code)[:3]
+    n_chains, m, moves = succ.shape
+    chain = np.repeat(np.arange(n_chains), m * moves)
+    src = np.tile(np.repeat(np.arange(m), moves), n_chains)
+    p, errors = markov._stationary(chain, src, succ.ravel(), prob.ravel(), n_chains, m)
+    to_f, to_s = markov._move_sums(orders, prob, _state_digits(powers.shape[1]))
+    p = p[:, None]
+    pers, succ_prob = (p @ to_f)[:, 0], (p @ to_s)[:, 0]
+    pers = np.minimum(pers, 1.0)
+    # a user that no move of positive probability delivers has a PER of 1
+    if (succ_prob == 0.0).any():
+        deepest = (np.arange(moves) * (prob > 0.0)).max(axis=-1, keepdims=True)
+        reach = np.arange(moves - 1) < deepest
+        delivered = np.zeros(pers.shape, dtype=bool)
+        delivered[np.nonzero(reach)[0], orders[reach]] = True
+        pers[~delivered] = 1.0
+    return pers, np.minimum(succ_prob, 1.0), errors
 
 
 def transition_prob(state: SystemState, next_state: SystemState,

@@ -565,6 +565,33 @@ class TestInputChecks:
         assert "stop differs from start" in capsys.readouterr().err
         assert cli._parse_grid("2:2:1") == [2.0]
 
+    @pytest.mark.parametrize("value", [
+        "0:1:10001", ",".join(["0"] * 10001), [0.0] * 10001,
+    ], ids=["range", "comma-list", "config-list"])
+    def test_grid_above_the_cap_refused(self, value):
+        with pytest.raises(cli.UsageError, match="10001 points exceeds the 10000-point cap"):
+            cli._parse_grid(value)
+        assert len(cli._parse_grid("0:1:10000")) == cli.MAX_GRID_POINTS
+
+    def test_huge_grid_refused_before_any_analysis(self, capsys, monkeypatch):
+        # a million-point range built a list of a million floats and one
+        # cluster per point before anything checked its size
+        def unreached(*args, **kwargs):
+            raise AssertionError("the analysis started")
+
+        monkeypatch.setattr(cli, "analyze", unreached)
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "--alphas", "0.5,0.5", "--snr-db", "0:1:1000000"]
+                        + self.CODE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert capsys.readouterr().err == (
+            "error: an SNR grid of 1000000 points exceeds the 10000-point cap\n")
+
     def test_rate_must_give_integer_bits(self, capsys):
         assert main(["analyze", "--alphas", "0.29,0.35,0.36", "--snr-db", "0",
                      "--rate", "0.333", "--blocklength", "100"]) == 2

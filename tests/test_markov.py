@@ -26,7 +26,8 @@ from noma_harq.markov import (
 )
 from noma_harq.montecarlo import SimConfig, simulate_coordinated, simulate_uncoordinated
 from noma_harq.sic import Phase, SystemConfig, SystemState, decoding_order
-from oracle import per_cc, per_user, stage_tables, success_prob, transition_prob
+from oracle import per_cc, per_user, stage_tables, success_prob, table_analysis, \
+    transition_prob
 
 CODE = CodeParams(k=25, n=100)
 ANCHOR_CFG = SystemConfig(alphas=(0.29, 0.35, 0.36), p0=10 ** (-2.02 / 10), code=CODE)
@@ -282,6 +283,19 @@ def stage_table_stacks(n_users: int):
         yield _normalized(raw) * 10 ** rng.uniform(-1.0, 1.5, size=(size[0], 1))
 
 
+def tied_powers(n_users: int):
+    """(B, N) received powers with exact ties, at -5 and +10 dB: two equal
+    ratios, three equal ratios and all equal, the others distinct.  Tied
+    users in the same phase give equal SINRs, which the pick must resolve
+    to the lowest user as argmax does."""
+    rows = []
+    for tied in sorted({2, min(3, n_users), n_users}):
+        raw = np.arange(1.0, n_users + 1.0)
+        raw[:tied] = 1.0
+        rows.append(np.roll(raw, n_users // 2))
+    return np.vstack([_normalized(rows) * 10 ** (db / 10) for db in (-5.0, 10.0)])
+
+
 class TestStageTables:
     # at N = 8 numpy's row sum adds these powers pairwise, and the one by
     # one sum of the engine and its oracle differs from it in the last bit
@@ -291,6 +305,8 @@ class TestStageTables:
     def test_stage_major_tables_match_row_wise_oracle(self, n_users):
         digits = markov._state_digits(n_users)
         stacks = list(stage_table_stacks(n_users))
+        if n_users >= 2:
+            stacks.append(tied_powers(n_users))
         if n_users == 8:
             sequential = 0.0
             for power in self.N8_PAIRWISE:
@@ -458,7 +474,7 @@ def assert_lu_matches_gth(case, lu, rtol, atol=0.0):
                 want = markov._gth(src, dst, weights, m)
                 assert np.all(np.abs(got - want) <= rtol * want + atol)
                 continue
-            (p,), (error,) = markov._stationary(src, dst[None], weights[None], m)
+            (p,), (error,) = markov._stationary(np.zeros_like(src), src, dst, weights, 1, m)
             try:
                 want = markov._gth(src, dst, weights, m)
             except ReducibleChainError:
@@ -560,8 +576,9 @@ class TestEliminationOrder:
                 with pytest.MonkeyPatch.context() as mp, \
                         np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     mp.setattr(markov, "splu", spy)
-                    got = markov._regenerative_splu(src, dst, weights, m)[0]
-                    (p,), _ = markov._stationary(src, dst[None], weights[None], m)
+                    got = markov._regenerative_splu(np.zeros_like(src), src, dst, weights,
+                                                    1, m)[0]
+                    (p,), _ = markov._stationary(np.zeros_like(src), src, dst, weights, 1, m)
                 assert set(sizes) == {len(entered)}
                 nothing = np.bincount(dst, weights=weights, minlength=m) == 0.0
                 assert nothing.any() and np.all(p[nothing] == 0.0)
@@ -576,7 +593,10 @@ class TestEliminationOrder:
               CodeParams(k=50, n=100)))
     @example((_normalized([np.arange(1.0, 7.0)]), 10 ** -0.5, CodeParams(k=75, n=100)))
     def test_sparse_lu_matches_gth_above_the_pivot_floor(self, case):
-        assert_lu_matches_gth(case, markov._regenerative_splu, rtol=1e-12)
+        assert_lu_matches_gth(
+            case, lambda src, dst, prob, m: markov._regenerative_splu(np.zeros_like(src), src,
+                                                                      dst, prob, 1, m)[0],
+            rtol=1e-12)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(dense_stacks())
@@ -592,8 +612,8 @@ class TestEliminationOrder:
         # GTH, state 0 up to 6e-14 absolute (2.8e-8 relative where the
         # chain returns to it once in 2.6e8 slots)
         assert_lu_matches_gth(
-            case, lambda src, dst, prob, m: markov._regenerative_lu(src, dst[None],
-                                                                    prob[None], m)[0],
+            case, lambda src, dst, prob, m: markov._regenerative_lu(np.zeros_like(src), src,
+                                                                    dst, prob, 1, m)[0],
             rtol=1e-9, atol=1e-13)
 
 
@@ -949,6 +969,89 @@ class TestStackedEngine:
         assert f"after {markov.OMA_ITERATIONS} iterations" in records[0].getMessage()
 
 
+@st.composite
+def engine_stacks(draw):
+    """(B, N) ratio stack, P0 and code at N = 1..8: 1 to 40 rows (fewer at
+    N >= 6, at most 2^13 chain states), sometimes a silenced user, over
+    -25..+20 dB with short and long blocks."""
+    n = draw(st.integers(1, 8))
+    b = draw(st.integers(1, max(1, min(40, 2 ** 13 // 3 ** n))))
+    rows = np.array([[draw(st.integers(1, 100)) for _ in range(n)] for _ in range(b)],
+                    dtype=float)
+    if n > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, b - 1)), 0] = 0.0
+    k = draw(st.integers(5, 119))
+    code = CodeParams(k=k, n=k + draw(st.integers(1, 2 * k + 49)))
+    return _normalized(rows), 10 ** (draw(st.floats(-25.0, 20.0)) / 10), code
+
+
+def entered_moves(alphas, p0, code):
+    """(src, dst, prob, m) of one chain's moves from the states that some
+    of its moves enter, and the count of those states."""
+    _, succ, prob = markov._chain_table(alphas * p0, code)[:3]
+    m, moves = succ.shape
+    rows = np.unique(succ)
+    return np.repeat(rows, moves), succ[rows].ravel(), prob[rows].ravel(), m
+
+
+class TestEnteredStates:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(engine_stacks())
+    @example(_nan_stack("N5"))
+    @example(N6_SHORT_BLOCKS)
+    @example(SHORT_BLOCKS)
+    def test_engine_matches_all_states_reference(self, case):
+        # the engine solves and sums over each chain's entered states; the
+        # reference over all 3^N.  A chain whose regenerative LU holds
+        # reads the same bits; one that goes to GTH, whose dense matrix
+        # holds the states its given moves enter, within 1e-15 relative
+        alphas, p0, code = case
+        powers = alphas * p0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = markov._table_analysis(powers, code)
+            want = table_analysis(powers, code)
+        _, succ, prob = markov._chain_table(powers, code)[:3]
+        n_chains, m, moves = succ.shape
+        solve = markov._regenerative_lu if m <= markov.DENSE_SOLVE_STATES \
+            else markov._regenerative_splu
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lu = solve(np.repeat(np.arange(n_chains), m * moves),
+                       np.tile(np.repeat(np.arange(m), moves), n_chains), succ.ravel(),
+                       prob.ravel(), n_chains, m)
+        for b in range(n_chains):
+            assert type(got[2][b]) is type(want[2][b])
+            if want[2][b] is not None:
+                continue
+            for value, reference in zip(got[:2], want[:2]):
+                if np.isfinite(lu[b]).all():
+                    np.testing.assert_array_equal(value[b], reference[b])
+                else:
+                    assert np.all(np.abs(value[b] - reference[b]) <= 1e-15 * reference[b])
+
+    def test_regeneration_state_0_over_the_entered_states(self):
+        # every entered state moves to state 0, and states that no move
+        # enters are absent from the moves: they are no closed class
+        src, dst, prob, m = entered_moves(np.array(ANCHOR_CFG.alphas), ANCHOR_CFG.p0, CODE)
+        present = np.unique(src)
+        assert len(present) < m
+        assert set(src[(dst == 0) & (prob > 0.0)]) == set(present)
+        assert markov._regeneration_state(src, dst, prob, m) == 0
+
+    @pytest.mark.parametrize("n_users", [3, 5], ids=["dense", "sparse"])
+    def test_closed_class_over_the_entered_states(self, n_users):
+        # user 0 is silenced: no state moves to state 0, and the one closed
+        # class starts at state 1 on the whole chain as on its entered
+        # states; the states absent from the moves add no class
+        raw = np.r_[0.0, np.linspace(1.0, 2.0, n_users - 1)]
+        src, dst, prob, m = entered_moves(raw / raw.sum(), 3.0, CODE)
+        assert len(np.unique(src)) < m
+        assert markov._regeneration_state(src, dst, prob, m) == 1
+        _, succ, full = markov._chain_table(3.0 * raw / raw.sum(), CODE)[:3]
+        every = np.repeat(np.arange(m), n_users + 1)
+        assert markov._regeneration_state(every, succ.ravel(), full.ravel(), m) == 1
+
+
 class TestOmaReceivedPower:
     @pytest.mark.parametrize("snr_db", [-9.5, -9.0, -8.5])
     def test_slow_fixed_point_is_reached(self, snr_db, caplog):
@@ -984,7 +1087,7 @@ class TestMoveSums:
         digits = markov._state_digits(n).tolist()
         counts = np.random.default_rng(n).integers(0, 1000, size=succ.shape)
         for weights in (counts, prob):
-            to_f, to_s = markov._move_sums(orders, weights)
+            to_f, to_s = markov._move_sums(orders, weights, markov._state_digits(n))
             want_f = np.zeros(to_f.shape, dtype=weights.dtype)
             want_s = np.zeros(to_s.shape, dtype=weights.dtype)
             for b, s, w in np.ndindex(succ.shape):
