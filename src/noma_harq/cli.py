@@ -71,10 +71,18 @@ def _parse_alphas(value) -> tuple:
         raise UsageError(f"cannot parse power ratios from {value!r}") from exc
 
 
+def _finite(value) -> float:
+    """float(value), refusing NaN and the infinities with ValueError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_grid(value) -> List[float]:
     """SNR grids: a comma list '0,1,2' or a range 'start:stop:count'.
     Every form holds at most MAX_GRID_POINTS points, counted before the
-    grid's values are built."""
+    grid's values are built, and only finite points."""
     text = str(value)
     try:
         if isinstance(value, (list, tuple)):
@@ -90,9 +98,10 @@ def _parse_grid(value) -> List[float]:
                 if float(stop) != float(start):
                     raise UsageError(f"SNR grid {value!r} has one point but "
                                      "stop differs from start")
-                return [float(start)]
-            step = (float(stop) - float(start)) / (count - 1)
-            return [float(start) + step * i for i in range(count)]
+                grid = [float(start)]
+            else:
+                step = (float(stop) - float(start)) / (count - 1)
+                grid = [float(start) + step * i for i in range(count)]
         else:
             items = [v for v in text.split(",") if v.strip()]
             _check_grid_size(len(items))
@@ -101,6 +110,8 @@ def _parse_grid(value) -> List[float]:
         raise UsageError(f"cannot parse SNR grid from {value!r}") from exc
     if not grid:
         raise UsageError(f"SNR grid {value!r} holds no value")
+    if not all(map(math.isfinite, grid)):
+        raise UsageError(f"--snr-db {value!r} holds a point that is not finite")
     return grid
 
 
@@ -158,7 +169,7 @@ def _check_users(n_users: int) -> None:
 
 
 def _code_params(res: Resolver) -> CodeParams:
-    rate = res.get("rate", required=True, cast=float)
+    rate = res.get("rate", required=True, cast=_finite)
     n = res.get("blocklength", required=True, cast=int)
     k = round(rate * n)
     if abs(rate * n - k) > 1e-9 * abs(rate * n):
@@ -171,7 +182,7 @@ def _code_params(res: Resolver) -> CodeParams:
 
 def _system_config(res: Resolver) -> SystemConfig:
     alphas = _parse_alphas(res.get("alphas", required=True))
-    snr_db = res.get("snr_db", required=True, cast=float)
+    snr_db = res.get("snr_db", required=True, cast=_finite)
     code = _code_params(res)
     try:
         return SystemConfig(alphas=alphas, p0=db_to_linear(snr_db), code=code)
@@ -394,7 +405,7 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
     n_users = res.get("users", required=True, cast=int)
     _check_users(n_users)
     k = res.get("bits", required=True, cast=int)
-    snr_db = res.get("snr_db", required=True, cast=float)
+    snr_db = res.get("snr_db", required=True, cast=_finite)
     target = res.get("target_per", required=True, cast=float)
     cap = res.get("max_n", 4096, cast=int)
     params = _ga_params(res)

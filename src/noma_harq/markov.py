@@ -30,12 +30,8 @@ the solve and the per-user sums then see only the entered states: on the
 benchmark's sweeps (seeds 1-3) 8 of 9 at N = 2, 20 of 27 at N = 3, 40-48
 of 81 at N = 4, 91-111 of 243 at N = 5, 217-253 of 729 at N = 6, 531-569
 of 2187 at N = 7 and 1259-1266 of 6561 at N = 8, and on its GA rows
-15-20 of 27 at N = 3 and 73-112 of 243 at N = 5.  An orphan, an entered
-state whose only predecessors besides state 0 are states that no move
-enters, brings those predecessors along as rows, so that the LU factors
-the same states as on the whole chain: at most 2 more rows in 7 of the
-99 sweep chains, and at most 7 in 21 of 31751 GA rows.  Every chain
-first takes the regenerative solve: the expected visits x per excursion
+15-20 of 27 at N = 3 and 73-112 of 243 at N = 5.  Every chain first
+takes the regenerative solve: the expected visits x per excursion
 from state 0 (the only state with a self-loop) solve (I - Q)^T x =
 P[0, 1:] over the other states and pi = [1, x] / (1 + sum x).  Systems up to 81 states
 (N <= 4) are factored dense with LAPACK, larger ones with SuperLU on the
@@ -63,9 +59,10 @@ analyze takes 0.04 s, and its traced peak is 9.5 MiB.  Per-user metrics
 are closed-form sums over the table (_move_sums, which also turns the
 simulator's slot counts into its tallies): P(next F | R) is a forward
 cumulative sum of first-failure probabilities and P(next S | S or F) a
-reverse one, never 1 - q.  The sums are scattered back over all 3^N
-states before the dot products with the stationary vector, so those run
-over the same states, in the same order, as on the whole table.
+reverse one, never 1 - q.  Each user's PER and p_s add the stationary
+mass times these sums over its chain's entered states, one state at a
+time in index order (one bincount per output), so the program, not a
+BLAS kernel, fixes the order of the additions.
 
 Stacks.  The engine has a leading batch axis: the tables, the stationary
 solve and the metrics take a (B, N) stack of received-power vectors, in
@@ -90,10 +87,17 @@ k = 50, n = 228) solves in 4.6 ms as two such stacks against 8.9 ms one
 by one.  Every chain that goes to GTH is solved one by one, on its own
 moves.  Every floating-point operation is the one a chain sees alone, so
 a row's result does not depend on the stack around it.  Against the same
-engine over every state (tests/oracle.py), a chain whose LU holds reads
-the same bits; of the chains that go to GTH, whose dense matrix may then
-hold fewer states, some PERs and p_s move, by at most 4.7e-16 relative
-on 700 random stacks.
+engine over every state (tests/oracle.py, which adds each sum in the
+same state order), on 600 random stacks at N = 1..8 (-25..+20 dB,
+k = 5..119, n = k+1..3k+49, a fifth with a silenced user), every chain
+the dense LU solves reads the same bits (3054 chains).  SuperLU has one
+unknown fewer wherever an entered state's only predecessors besides
+state 0 are states that no move enters: 533 of its 555 chains read the
+same bits and the rest were within 9.4e-16 relative, and on 1500 stacks
+at N = 5..8 within 7.8e-15 (103 of 3227 moved).  GTH, whose dense matrix
+may hold fewer states, read the same bits on 4416 of 4504 chains and the
+rest within 9.7e-16, and on the N = 5..8 stacks within 2.3e-15 (424 of
+6651 moved).
 
 Accuracy.  Three measurements, each of its own scope, and a counterexample;
 none is a bound held for every chain:
@@ -656,10 +660,12 @@ def _chunk_analysis(powers: np.ndarray, code: CodeParams):
     The stage tables and successors of every state decide which states
     some move of a chain enters; only those (chain, state) rows, in one
     flat list, get error rates, move probabilities, a place in the solve
-    and move sums.  A state that no move enters has no stationary mass.
-    The rows are each chain's own, so a row's result does not depend on
-    the stack.  A user that no move delivers (a silenced one) has a PER of
-    exactly 1."""
+    and move sums.  A state that no move enters has no stationary mass,
+    so no other row is added.  Each (chain, user) PER and p_s is one
+    bincount over the flat rows, which adds the chain's rows one at a time
+    in state order.  The rows are each chain's own, so a row's result does
+    not depend on the stack.  A user that no move delivers (a silenced
+    one) has a PER of exactly 1."""
     n_chains, n = powers.shape
     _check_user_count(n)
     digits = _state_digits(n)
@@ -670,29 +676,18 @@ def _chunk_analysis(powers: np.ndarray, code: CodeParams):
     entered = np.zeros(n_chains * m, dtype=bool)
     entered[at] = True
     rows = np.flatnonzero(entered)
-    # an orphan, an entered state whose only predecessors besides state 0
-    # are states that no move enters, brings those predecessors along:
-    # SuperLU keeps an orphan among its unknowns on the whole chain, and
-    # without them the LU's rounding moved in the last bit
-    fed = np.zeros(n_chains * m, dtype=bool)
-    fed[np.take(at, rows[rows % m > 0], axis=0)] = True
-    orphan = entered & ~fed
-    orphan[::m] = False
-    if orphan.any():
-        rows = np.flatnonzero(entered | orphan[at].any(axis=-1))
     chain, state = np.divmod(rows, m)
     orders = np.take(orders.reshape(-1, n), rows, axis=0)
     succ = np.take(at, rows, axis=0) - m * chain[:, None]
     prob = _move_probs(np.take(gammas.reshape(-1, n), rows, axis=0), code)[0]
     p, errors = _stationary(np.repeat(chain, n + 1), np.repeat(state, n + 1),
                             succ.ravel(), prob.ravel(), n_chains, m)
-    # the sums scattered back over every state, so that the dot products
-    # run over all 3^N states and a state that no move enters adds 0
-    to_f, to_s = np.zeros((2, n_chains * m, n))
-    to_f[rows], to_s[rows] = _move_sums(orders, prob, np.take(digits, state, axis=0))
-    p = p[:, None]
-    pers = (p @ to_f.reshape(n_chains, m, n))[:, 0]
-    succ_prob = (p @ to_s.reshape(n_chains, m, n))[:, 0]
+    to_f, to_s = _move_sums(orders, prob, np.take(digits, state, axis=0))
+    # bincount adds each (chain, user) sum's terms one by one, in state order
+    key = (chain[:, None] * n + np.arange(n)).ravel()
+    mass = p[chain, state][:, None]
+    pers, succ_prob = (np.bincount(key, weights=(mass * t).ravel(), minlength=n_chains * n)
+                       .reshape(n_chains, n) for t in (to_f, to_s))
     # a PER of 1 can round one ulp above it
     pers = np.minimum(pers, 1.0)
     # a user that no move delivers loses every packet, though its R and F
@@ -825,8 +820,11 @@ def max_user_per(alphas, p0: float, code: CodeParams):
     STATIONARY_TOL, or a NaN vector when every solve underflows at low
     SNR) reads NaN, which the GA ranks worst.  A call with NaN rows or
     rows of several closed classes logs both counts as one INFO record.
+    A p0 or a ratio that is NaN or infinite raises ValueError.
     """
     alphas = np.asarray(alphas, dtype=float)
+    if not (math.isfinite(p0) and np.isfinite(alphas).all()):
+        raise ValueError(f"p0 and the ratios must be finite, got p0 = {p0!r}")
     pers, _, errors = _table_analysis(np.atleast_2d(alphas) * p0, code)
     worst = pers.max(axis=1)
     failed = reducible = 0

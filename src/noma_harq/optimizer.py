@@ -195,7 +195,10 @@ def optimize_power_split(
     trace: Optional[TraceFn] = None,
 ) -> Tuple[np.ndarray, float]:
     """Minimize the worst per-user PER over the ratio simplex at one power;
-    initial is one warm-start ratio vector, and the answer is ga_minimize's."""
+    initial is one warm-start ratio vector, and the answer is ga_minimize's.
+    A p0_db that is NaN or infinite raises ValueError."""
+    if not math.isfinite(p0_db):
+        raise ValueError(f"p0_db must be finite, got {p0_db!r}")
     objective = functools.partial(max_user_per, p0=10.0 ** (p0_db / 10.0), code=code)
     label = f"P0={p0_db:g}dB n={code.n}"
     hook = None if trace is None else (lambda g, v: trace(label, g, v))
@@ -297,6 +300,8 @@ def min_blocklength(
     one INFO record on the noma_harq.optimizer logger, with the start and
     the blocklengths tried in order.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     if not 0.0 < target_per < 1.0:
         raise ValueError(f"target_per must lie in (0, 1), got {target_per!r}")
     if k < 1:

@@ -136,15 +136,17 @@ def table_analysis(powers: np.ndarray, code: CodeParams):
     over every state of each chain: the all-states form of
     markov._table_analysis, which solves and sums over each chain's
     entered states only.  Every state's moves go to markov._stationary,
-    and the per-user sums run over the move table of every state."""
+    and the per-user sums run over the move table of every state, one
+    state at a time in index order."""
     orders, succ, prob = markov._chain_table(powers, code)[:3]
     n_chains, m, moves = succ.shape
     chain = np.repeat(np.arange(n_chains), m * moves)
     src = np.tile(np.repeat(np.arange(m), moves), n_chains)
     p, errors = markov._stationary(chain, src, succ.ravel(), prob.ravel(), n_chains, m)
     to_f, to_s = markov._move_sums(orders, prob, _state_digits(powers.shape[1]))
-    p = p[:, None]
-    pers, succ_prob = (p @ to_f)[:, 0], (p @ to_s)[:, 0]
+    # each sum adds the states one by one in index order
+    p = p[:, :, None]
+    pers, succ_prob = (reduce(np.add, np.moveaxis(p * t, 1, 0)) for t in (to_f, to_s))
     pers = np.minimum(pers, 1.0)
     # a user that no move of positive probability delivers has a PER of 1
     if (succ_prob == 0.0).any():

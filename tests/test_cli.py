@@ -645,13 +645,23 @@ class TestInputChecks:
         (["cellplan", "--alphas", "0.5,-0.5"], "ratios must be positive"),
         (["cellplan", "--alphas", "0.5,0.5", "--r-outer=-1"],
          "r_outer must be positive, got -1.0"),
+        (["analyze", "--rate=nan", "--blocklength", "100"] + PAIR, "--rate"),
+        (["analyze", "--rate=inf", "--blocklength", "100"] + PAIR, "--rate"),
+        (["analyze", "--alphas", "0.5,0.5", "--snr-db=nan"] + CODE, "--snr-db"),
+        (["optimize-pareto", "--snr-db=nan"] + GA + CODE, "--snr-db"),
+        (["sweep", "--alphas", "0.5,0.5", "--snr-db", "0:inf:3"] + CODE, "--snr-db"),
+        (["min-blocklength", "--bits", "50", "--snr-db=inf", "--target-per", "0.01"]
+         + GA, "--snr-db"),
+        (["min-blocklength", "--bits", "50", "--snr-db=nan", "--target-per", "0.01"]
+         + GA, "--snr-db"),
     ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
             "snr-db", "config-cast", "simulate-users", "max-n", "negative-max-n",
             "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config",
             "nested-config", "no-ratio", "alphas", "config-alphas", "zero-rate",
             "grid-list", "grid-range", "grid-two-fields", "grid-count", "config-grid",
             "missing-config", "unparsable-config", "list-config", "cellplan-ratio",
-            "cellplan-r-outer"])
+            "cellplan-r-outer", "nan-rate", "inf-rate", "nan-snr", "nan-pareto-grid",
+            "inf-grid-range", "inf-min-blocklength-snr", "nan-min-blocklength-snr"])
     def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
         configs = {"BAD_CONFIG": {"blocklength": "abc"},
                    "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"},

@@ -719,6 +719,16 @@ class TestUserMetrics:
         # whose R and F mass can sum to one ulp below 1
         assert max_user_per(np.array([0.0, 0.5, 0.5]), 10.0, CODE) == 1.0
 
+    @pytest.mark.parametrize("alphas, p0", [
+        ([0.5, 0.5], math.nan), ([0.5, 0.5], math.inf), ([0.5, math.nan], 1.0),
+        ([[0.5, 0.5], [math.inf, 0.5]], 1.0),
+    ], ids=["nan-p0", "inf-p0", "nan-ratio", "inf-ratio-row"])
+    def test_non_finite_input_rejected(self, alphas, p0):
+        # a NaN SINR equals no stage maximum, so the SIC pick would repeat
+        # a user and index past the move table
+        with pytest.raises(ValueError, match="must be finite"):
+            max_user_per(np.array(alphas), p0, CODE)
+
     def test_several_closed_classes_read_one_and_are_logged(self, caplog):
         # two silenced users fail every decode, so their relative R/F
         # parity never changes and the chain has two closed classes
@@ -969,6 +979,14 @@ class TestStackedEngine:
         assert f"after {markov.OMA_ITERATIONS} iterations" in records[0].getMessage()
 
 
+# the relative bound of a SuperLU chain against the all-states reference:
+# where an entered state's only predecessors besides state 0 are states
+# that no move enters, the engine's LU has one unknown fewer than the
+# reference's and rounds apart; at most 7.8e-15 on 1500 random stacks at
+# N = 5..8 (-25..+20 dB, k = 5..119, n = k+1..3k+49)
+SPARSE_LU_TOL = 1e-14
+
+
 @st.composite
 def engine_stacks(draw):
     """(B, N) ratio stack, P0 and code at N = 1..8: 1 to 40 rows (fewer at
@@ -1002,9 +1020,12 @@ class TestEnteredStates:
     @example(SHORT_BLOCKS)
     def test_engine_matches_all_states_reference(self, case):
         # the engine solves and sums over each chain's entered states; the
-        # reference over all 3^N.  A chain whose regenerative LU holds
-        # reads the same bits; one that goes to GTH, whose dense matrix
-        # holds the states its given moves enter, within 1e-15 relative
+        # reference over all 3^N, each sum state by state in index order.
+        # A chain that the dense LU solves reads the same bits; one that
+        # SuperLU solves, which leaves out the unentered predecessors of a
+        # state entered from state 0, within SPARSE_LU_TOL relative; one
+        # that goes to GTH, whose dense matrix holds the states its given
+        # moves enter, within 1e-15
         alphas, p0, code = case
         powers = alphas * p0
         with warnings.catch_warnings():
@@ -1019,15 +1040,14 @@ class TestEnteredStates:
             lu = solve(np.repeat(np.arange(n_chains), m * moves),
                        np.tile(np.repeat(np.arange(m), moves), n_chains), succ.ravel(),
                        prob.ravel(), n_chains, m)
+        lu_tol = 0.0 if m <= markov.DENSE_SOLVE_STATES else SPARSE_LU_TOL
         for b in range(n_chains):
             assert type(got[2][b]) is type(want[2][b])
             if want[2][b] is not None:
                 continue
+            tol = lu_tol if np.isfinite(lu[b]).all() else 1e-15
             for value, reference in zip(got[:2], want[:2]):
-                if np.isfinite(lu[b]).all():
-                    np.testing.assert_array_equal(value[b], reference[b])
-                else:
-                    assert np.all(np.abs(value[b] - reference[b]) <= 1e-15 * reference[b])
+                assert np.all(np.abs(value[b] - reference[b]) <= tol * reference[b])
 
     def test_regeneration_state_0_over_the_entered_states(self):
         # every entered state moves to state 0, and states that no move

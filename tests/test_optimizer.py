@@ -209,12 +209,12 @@ class TestOptimizePowerSplit:
         (3, -2.02, CodeParams(k=25, n=100),
          GaParams(population_size=60, generations=100, seed=2024),
          ["0x1.58d060ffd6de3p-2", "0x1.31614790472ebp-2", "0x1.75ce576fe1f33p-2"],
-         "0x1.603e3ff504caap-7"),
+         "0x1.603e3ff504cabp-7"),
         (5, 0.0, CodeParams(k=50, n=228),
          GaParams(population_size=32, generations=20, seed=2025),
          ["0x1.72ec4cd06aa95p-3", "0x1.9d22621ac9414p-3", "0x1.e30b4b33ec433p-3",
           "0x1.c3e697d0e603fp-3", "0x1.48ff6e0ff9ce6p-3"],
-         "0x1.f4b0e5d0c136fp-8"),
+         "0x1.f4b0e5d0c1371p-8"),
     ])
     def test_golden_optimum(self, n_users, p0_db, code, params, want_alphas, want_val):
         # the searches as the benchmark's power-optimization round runs
@@ -223,6 +223,11 @@ class TestOptimizePowerSplit:
         alphas, val = optimize_power_split(n_users, p0_db, code, params)
         assert [a.hex() for a in alphas] == want_alphas
         assert val.hex() == want_val
+
+    @pytest.mark.parametrize("p0_db", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, p0_db):
+        with pytest.raises(ValueError, match="p0_db must be finite"):
+            optimize_power_split(2, p0_db, CodeParams(k=25, n=100), FAST)
 
     def test_matches_anchor_neighborhood(self):
         code = CodeParams(k=25, n=100)
@@ -418,6 +423,11 @@ class TestMinBlocklength:
     def test_user_count_validated_before_bound(self, n_users):
         with pytest.raises(ValueError, match="n_users"):
             min_blocklength(50, 0.0, n_users, 0.1, FAST)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            min_blocklength(50, snr_db, 2, 0.1, FAST)
 
     def test_validation(self):
         with pytest.raises(ValueError):
