@@ -2,8 +2,9 @@
 
 The library modules work in linear scale, except that the optimizer's
 optimize_power_split, pareto_front and min_blocklength take their power
-in dB and convert it themselves; every other dB <-> linear conversion
-happens here.  Every emission carries a reproducibility
+in dB.  They and this module convert dB to linear through
+sic.db_to_linear alone, which refuses a level with no positive finite
+linear value.  Every emission carries a reproducibility
 header (tool version, command, resolved parameters) that can be fed
 back through --config to reproduce the run; each command offers only
 the options it reads, and every one it reads lands in that header.
@@ -37,7 +38,7 @@ from .markov import MAX_USERS, _state_digits, analyze, build_transition_matrix, 
 from .montecarlo import SimConfig, SimResult, simulate_coordinated, \
     simulate_oma_baseline, simulate_uncoordinated
 from .optimizer import GaParams, min_blocklength, pareto_front
-from .sic import Phase, SystemConfig
+from .sic import Phase, SystemConfig, db_to_linear
 
 SCHEMA_VERSION = 1
 # most points an SNR grid may hold: sweep and simulate build one cluster
@@ -52,10 +53,6 @@ SIM_FIELDS = [
 
 class UsageError(NomaHarqError):
     """Invalid command-line or config-file input."""
-
-
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def _finite(value) -> float:
 def _parse_grid(value) -> List[float]:
     """SNR grids: a comma list '0,1,2' or a range 'start:stop:count'.
     Every form holds at most MAX_GRID_POINTS points, counted before the
-    grid's values are built, and only finite points."""
+    grid's values are built, and only points that db_to_linear takes."""
     text = str(value)
     try:
         if isinstance(value, (list, tuple)):
@@ -110,8 +107,11 @@ def _parse_grid(value) -> List[float]:
         raise UsageError(f"cannot parse SNR grid from {value!r}") from exc
     if not grid:
         raise UsageError(f"SNR grid {value!r} holds no value")
-    if not all(map(math.isfinite, grid)):
-        raise UsageError(f"--snr-db {value!r} holds a point that is not finite")
+    try:
+        for snr in grid:
+            db_to_linear(snr)
+    except ValueError as exc:
+        raise UsageError(f"--snr-db {value!r}: {exc}") from exc
     return grid
 
 
@@ -171,9 +171,14 @@ def _check_users(n_users: int) -> None:
 def _code_params(res: Resolver) -> CodeParams:
     rate = res.get("rate", required=True, cast=_finite)
     n = res.get("blocklength", required=True, cast=int)
-    k = round(rate * n)
-    if abs(rate * n - k) > 1e-9 * abs(rate * n):
-        raise UsageError(f"rate {rate} at blocklength {n} gives {rate * n!r} "
+    try:
+        bits = _finite(rate * n)
+    except (OverflowError, ValueError) as exc:
+        raise UsageError(f"rate {rate} at blocklength {n} gives no finite count "
+                         "of information bits") from exc
+    k = round(bits)
+    if abs(bits - k) > 1e-9 * abs(bits):
+        raise UsageError(f"rate {rate} at blocklength {n} gives {bits!r} "
                          "information bits, not an integer")
     if k < 1:
         raise UsageError(f"rate {rate} at blocklength {n} leaves no information bits")

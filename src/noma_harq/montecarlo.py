@@ -41,17 +41,17 @@ and the state visits follow from the counts, so memory is
 O(n_hat * 3^N * N) with no 3^N x 3^N array.
 
 The chain steps in numpy wherever it can.  A slot whose uniforms clear
-every stage's largest failure probability decodes every stage from any
-state, so the chain is in state 0 after it; the stretches between such
-slots step in lockstep, and the few long ones left are walked one slot
-at a time in Python.  Each slot makes the move a slot-by-slot walk of
-the same uniforms makes, so every result is bit-identical to that walk
-(kept as run_chain in tests/oracle.py).  A chunk keeps its uniforms as
-drawn, (slots, N), and each slot's move, but no per-slot array of
-rotations, first rows or reset bounds.  A test across a slot's N stages
-reads the uniforms one stage at a time, through the column views
-u[:, w], against the error rates as stage columns, (N, R * 3^N), and
-their bounds per rotation, (N, R).  It is then N one-dimensional numpy
+every stage's largest failure probability, over every row of every
+rotation, decodes every stage from any state, so the chain is in state 0
+after it; the stretches between such slots step in lockstep, and the few
+long ones left are walked one slot at a time in Python.  Each slot makes
+the move a slot-by-slot walk of the same uniforms makes, so every result
+is bit-identical to that walk (kept as run_chain in tests/oracle.py).  A
+chunk keeps its uniforms as drawn, (slots, N), and each slot's move, but
+no per-slot array of rotations or first rows.  A test across a slot's N
+stages reads the uniforms one stage at a time, through the column views
+u[:, w], against the error rates as stage columns, (N, R * 3^N), or
+against one bound per stage.  It is then N one-dimensional numpy
 operations, an &= or a masked store per stage; the same test as a
 reduction along the short stage axis runs numpy's inner loop once per
 slot.  On a 32767-slot chunk at N = 2..5 the reset test took 56-171 us
@@ -323,31 +323,29 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     visits_thin.
 
     Slot t draws N uniforms u and fails first at the first stage w with
-    u[w] < eps[rot, state, w].  A reset slot has u[w] >= max_s eps[rot,
-    s, w] at every stage, so it decodes every stage from any state and
-    the chain is in state 0 after it (the coalescence of Propp and
-    Wilson's coupled chains).  Each chunk of uniforms splits into
-    segments that end at reset slots; every segment but the first starts
-    in state 0, so all of them step in lockstep, one numpy step per slot
-    position.  Once fewer than _LOCKSTEP_MIN segments remain, _walk
-    finishes them one slot at a time on packed stage ranks, whose table
-    _rank_table builds once per call, when the first walk needs it.
-    Every slot makes the move a slot-by-slot walk of the same uniforms
-    makes, so the counts are bit-identical to it.
+    u[w] < eps[rot, state, w].  A reset slot has u[w] >= max_(r, s)
+    eps[r, s, w] at every stage, so it decodes every stage from any
+    state of any rotation and the chain is in state 0 after it (the
+    coalescence of Propp and Wilson's coupled chains).  Each chunk of
+    uniforms splits into segments that end at reset slots; every segment
+    but the first starts in state 0, so all of them step in lockstep,
+    one numpy step per slot position.  Once fewer than _LOCKSTEP_MIN
+    segments remain, _walk finishes them one slot at a time on packed
+    stage ranks, whose table _rank_table builds once per call.  Every
+    slot makes the move a slot-by-slot walk of the same uniforms makes,
+    so the counts are bit-identical to it.
 
     A chunk's uniforms stay as drawn, (slots, N), and are read one stage
-    at a time through the column views u[:, w]; eps and its per-rotation
-    bounds are stage columns, (N, R * 3^N) and (N, R).  A test across the
-    N stages is then N one-dimensional numpy operations (see the module
-    docstring for the measured cost of the short-axis reductions
-    all(axis=1) and argmax(axis=1) they replace).  The reset test runs
-    once per rotation residue: slots r, r + R, ... of a chunk that starts
-    at slot t all use rotation (t + r) % R, so the strided views u[r::R,
-    w] meet one scalar bound each.  A slot's first failure is a masked
-    store from the last stage back to the first, which leaves the first
-    failing stage.  No array of the chunk's rotations is kept: a segment
-    starting at chunk slot j starts in row (j + t % R) % R * 3^N, and the
-    walk needs none, as the row it carries names its rotation.
+    at a time through the column views u[:, w]; eps is stage columns,
+    (N, R * 3^N), and the reset bounds one scalar per stage.  A test
+    across the N stages is then N one-dimensional numpy operations (see
+    the module docstring for the measured cost of the short-axis
+    reductions all(axis=1) and argmax(axis=1) they replace).  A slot's
+    first failure is a masked store from the last stage back to the
+    first, which leaves the first failing stage.  No array of the
+    chunk's rotations is kept: a segment starting at chunk slot j of a
+    chunk that starts at slot t starts in row (j + t % R) % R * 3^N, and
+    the walk needs none, as the row it carries names its rotation.
 
     The chain is carried as its row r * 3^N + state, which the successor
     table maps to the row of the next slot's rotation.  A slot's move is
@@ -357,14 +355,14 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
     n_rot, m, n = eps.shape
     n1 = n + 1
     eps_cols = list(eps.reshape(-1, n).T.copy())
-    clear = eps.max(axis=1).T
+    clear = eps.max(axis=(0, 1))
     # the row of the next slot: its rotation r + 1 (mod R) and the successor
     succ_rows = (np.roll(np.arange(n_rot), -1)[:, None, None] * m + succ).reshape(-1)
+    table = _rank_table(eps, succ_rows)
     chunk = min(_CHAIN_CHUNK, slots)
     # every stage decoded: the first failure of a slot that fails none
     no_failure = np.full(chunk, n)
     counts = np.zeros(n_rot * m * n1, dtype=np.int64)
-    table = None
     row = 0
     done = 0
     while done < slots:
@@ -373,13 +371,9 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
         u_cols = [u[:, w] for w in range(n)]
         # slot t of the chunk uses rotation (t + phase) % R
         phase = done % n_rot
-        reset = np.empty(take, dtype=bool)
-        for r in range(n_rot):
-            bound = clear[:, (phase + r) % n_rot]
-            test = reset[r::n_rot]
-            np.greater_equal(u[r::n_rot, 0], bound[0], out=test)
-            for w in range(1, n):
-                test &= u[r::n_rot, w] >= bound[w]
+        reset = u_cols[0] >= clear[0]
+        for w in range(1, n):
+            reset &= u_cols[w] >= clear[w]
         ends = np.append(np.flatnonzero(reset[:-1]) + 1, take)
         lengths = np.diff(ends, prepend=0)
         # longest first: the segments still running are always a prefix;
@@ -402,8 +396,6 @@ def _run_chain(dyn_rng, eps: np.ndarray, succ: np.ndarray, slots: int, warmup: i
             rows[:k] = succ_rows[key]
         left = int(np.searchsorted(-lengths, -steps))
         if left:
-            if table is None:
-                table = _rank_table(eps, succ_rows)
             _walk(u, table, starts[:left] + steps, starts[:left] + lengths[:left], rows[:left],
                   keys)
         lo = min(max(warmup - done, 0), take)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import InfeasibleError
 from .fbl import CodeParams
 from .markov import _single_user, max_user_per
+from .sic import db_to_linear
 
 _log = logging.getLogger(__name__)
 
@@ -196,10 +197,8 @@ def optimize_power_split(
 ) -> Tuple[np.ndarray, float]:
     """Minimize the worst per-user PER over the ratio simplex at one power;
     initial is one warm-start ratio vector, and the answer is ga_minimize's.
-    A p0_db that is NaN or infinite raises ValueError."""
-    if not math.isfinite(p0_db):
-        raise ValueError(f"p0_db must be finite, got {p0_db!r}")
-    objective = functools.partial(max_user_per, p0=10.0 ** (p0_db / 10.0), code=code)
+    A p0_db that sic.db_to_linear refuses raises its ValueError."""
+    objective = functools.partial(max_user_per, p0=db_to_linear(p0_db), code=code)
     label = f"P0={p0_db:g}dB n={code.n}"
     hook = None if trace is None else (lambda g, v: trace(label, g, v))
     return ga_minimize(objective, n_users, params, initial=initial, trace=hook)
@@ -277,10 +276,12 @@ def min_blocklength(
     g = 0, eps rises with the SINR near zero, and the bound does not hold.
 
     The search starts at the first n >= k + 1 where the bound meets the
-    target, or at 2^k + 1; an n_cap below k + 1 is a ValueError.  For
-    N = 1 the bound is the exact PER, so the search makes one GA run.  If the bound rules out every n <= n_cap,
-    InfeasibleError is raised before any GA run, carrying the smallest
-    bound value, a lower bound on any split's worst PER.
+    target, or at 2^k + 1; an n_cap below k + 1 is a ValueError, and so
+    is an snr_db that sic.db_to_linear refuses.  For N = 1 the bound is
+    the exact PER, so the search makes one GA run.  If the bound rules
+    out every n <= n_cap, InfeasibleError is raised before any GA run,
+    carrying the smallest bound value, a lower bound on any split's worst
+    PER.
 
     From the start, the search brackets the answer and then shrinks the
     bracket, on f(n) = log(PER(n) / target_per), which is smooth in n
@@ -300,8 +301,7 @@ def min_blocklength(
     one INFO record on the noma_harq.optimizer logger, with the start and
     the blocklengths tried in order.
     """
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
+    p0 = db_to_linear(snr_db)
     if not 0.0 < target_per < 1.0:
         raise ValueError(f"target_per must lie in (0, 1), got {target_per!r}")
     if k < 1:
@@ -312,7 +312,7 @@ def min_blocklength(
         raise ValueError(f"n_cap {n_cap} leaves no blocklength above k = {k} "
                          "information bits to search")
 
-    share = 10.0 ** (snr_db / 10.0) / n_users
+    share = p0 / n_users
     start, lowest = k + 1, math.inf
     while start <= n_cap and math.log2(start) <= k:
         bound, _ = _single_user(share, CodeParams(k=k, n=start))

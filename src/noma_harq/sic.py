@@ -38,6 +38,24 @@ from .fbl import CodeParams
 ALPHA_SUM_TOL = 1e-9
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db / 10), the linear value of a level in dB.
+
+    Every dB -> linear conversion in the package goes through here.  A
+    level whose linear value is not a positive finite double raises
+    ValueError naming it: NaN, the infinities, an overflow above about
+    3082.5 dB and an underflow to 0 below about -3233 dB.
+    """
+    db = float(db)
+    try:
+        value = 10 ** (db / 10)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{db!r} dB has no positive finite linear value")
+    return value
+
+
 class Phase(IntEnum):
     """Per-user packet phase; the integer value is the base-3 state digit."""
 
@@ -65,6 +83,9 @@ class SystemConfig:
             raise ValueError("at least one user required")
         if any(not (a > 0.0) for a in self.alphas):
             raise ValueError(f"power ratios must be positive, got {self.alphas}")
+        # positive ratios above 1 cannot sum to 1, and may overflow the sum
+        if any(a > 1.0 + ALPHA_SUM_TOL for a in self.alphas):
+            raise ValueError(f"power ratios must not exceed 1, got {self.alphas}")
         total = math.fsum(self.alphas)
         if abs(total - 1.0) > ALPHA_SUM_TOL:
             raise ValueError(f"power ratios must sum to 1, got {total!r}")

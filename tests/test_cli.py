@@ -598,6 +598,7 @@ class TestInputChecks:
         assert "not an integer" in capsys.readouterr().err
 
     PAIR = ["--alphas", "0.5,0.5", "--snr-db", "0"]
+    HUGE_DB = "4000.0 dB has no positive finite linear value"
     GA = ["--users", "2", "--population", "8", "--generations", "2"]
 
     @pytest.mark.parametrize("args, named", [
@@ -654,6 +655,20 @@ class TestInputChecks:
          + GA, "--snr-db"),
         (["min-blocklength", "--bits", "50", "--snr-db=nan", "--target-per", "0.01"]
          + GA, "--snr-db"),
+        # levels whose linear value overflows a double
+        (["analyze", "--alphas", "0.5,0.5", "--snr-db", "4000"] + CODE, HUGE_DB),
+        (["sweep", "--alphas", "0.5,0.5", "--snr-db", "3000:4000:2"] + CODE, HUGE_DB),
+        (["simulate", "--alphas", "0.5,0.5", "--snr-db", "4000", "--slots", "2000",
+          "--warmup", "100"] + CODE, HUGE_DB),
+        (["optimize-pareto", "--snr-db", "3000:4000:2"] + GA + CODE, HUGE_DB),
+        (["min-blocklength", "--bits", "50", "--snr-db", "4000", "--target-per", "0.01"]
+         + GA, HUGE_DB),
+        (["analyze", "--rate", "1e308", "--blocklength", "100"] + PAIR,
+         "gives no finite count of information bits"),
+        (["analyze", "--rate", "0.25", "--blocklength", "1" * 401] + PAIR,
+         "gives no finite count of information bits"),
+        (["analyze", "--alphas", "1e308,1e308", "--snr-db", "0"] + CODE,
+         "power ratios must not exceed 1"),
     ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
             "snr-db", "config-cast", "simulate-users", "max-n", "negative-max-n",
             "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config",
@@ -661,7 +676,9 @@ class TestInputChecks:
             "grid-list", "grid-range", "grid-two-fields", "grid-count", "config-grid",
             "missing-config", "unparsable-config", "list-config", "cellplan-ratio",
             "cellplan-r-outer", "nan-rate", "inf-rate", "nan-snr", "nan-pareto-grid",
-            "inf-grid-range", "inf-min-blocklength-snr", "nan-min-blocklength-snr"])
+            "inf-grid-range", "inf-min-blocklength-snr", "nan-min-blocklength-snr",
+            "huge-snr", "huge-sweep-grid", "huge-simulate-snr", "huge-pareto-grid",
+            "huge-min-blocklength-snr", "huge-rate", "huge-blocklength", "huge-alphas"])
     def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
         configs = {"BAD_CONFIG": {"blocklength": "abc"},
                    "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"},

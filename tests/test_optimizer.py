@@ -224,9 +224,9 @@ class TestOptimizePowerSplit:
         assert [a.hex() for a in alphas] == want_alphas
         assert val.hex() == want_val
 
-    @pytest.mark.parametrize("p0_db", [math.nan, math.inf])
+    @pytest.mark.parametrize("p0_db", [math.nan, math.inf, 4000.0])
     def test_non_finite_power_rejected(self, p0_db):
-        with pytest.raises(ValueError, match="p0_db must be finite"):
+        with pytest.raises(ValueError, match="dB has no positive finite linear value"):
             optimize_power_split(2, p0_db, CodeParams(k=25, n=100), FAST)
 
     def test_matches_anchor_neighborhood(self):
@@ -424,9 +424,9 @@ class TestMinBlocklength:
         with pytest.raises(ValueError, match="n_users"):
             min_blocklength(50, 0.0, n_users, 0.1, FAST)
 
-    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 4000.0])
     def test_non_finite_power_rejected(self, snr_db):
-        with pytest.raises(ValueError, match="snr_db must be finite"):
+        with pytest.raises(ValueError, match="dB has no positive finite linear value"):
             min_blocklength(50, snr_db, 2, 0.1, FAST)
 
     def test_validation(self):

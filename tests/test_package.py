@@ -99,6 +99,24 @@ def test_scalar_sic_path_is_a_test_oracle_only():
         assert sorted(names & scalar) == [], path.name
 
 
+def test_only_sic_raises_ten_to_a_power():
+    # sic.db_to_linear is the one dB -> linear conversion, so one check
+    # refuses every level whose linear value is not a positive finite double
+    def ten(node):
+        return isinstance(node, ast.Constant) and node.value == 10
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "sic":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                assert not ten(node.left), (path.name, node.lineno)
+            if isinstance(node, ast.Call) and node.args:
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                assert not (name in ("pow", "power", "float_power") and ten(node.args[0])), \
+                    (path.name, node.lineno)
+
+
 def test_no_module_reads_the_environment():
     # every setting comes from arguments, config files or module constants
     for path in sorted(PACKAGE.glob("*.py")):

@@ -39,6 +39,13 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="at least one user required"):
             SystemConfig(alphas=(), p0=1.0, code=CODE)
 
+    def test_huge_ratios_refused_before_the_sum(self):
+        # their sum overflowed math.fsum before any check saw them
+        with pytest.raises(ValueError, match="power ratios must not exceed 1"):
+            SystemConfig(alphas=(1e308, 1e308), p0=1.0, code=CODE)
+        # within the sum's tolerance a ratio may still read just above 1
+        assert cfg_for((1.0 + 5e-10,)).alphas == (1.0 + 5e-10,)
+
     def test_only_one_retransmission(self):
         with pytest.raises(TypeError):
             SystemConfig(alphas=(1.0,), p0=1.0, code=CODE, max_transmissions=3)
