@@ -69,7 +69,8 @@ class CellPlan:
     def assignment(self) -> np.ndarray:
         """n_hat x n_hat grid of ratio indices, rows = rings."""
         grid = np.add.outer(np.arange(self.n_hat), np.arange(self.n_hat))
-        return (grid + self.rotation) % self.n_hat
+        # reduced as a Python int: numpy cannot hold a rotation past int64
+        return (grid + self.rotation % self.n_hat) % self.n_hat
 
     def rotated(self, steps: int = 1) -> "CellPlan":
         """Plan with the ratio assignment advanced by the given slots."""

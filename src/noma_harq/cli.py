@@ -10,10 +10,16 @@ back through --config to reproduce the run; each command offers only
 the options it reads, and every one it reads lands in that header.
 
 Exit codes: 0 success, 2 usage error, 3 numerical or infeasibility error.
-The sweep command analyses an SNR grid as one stack, in a single analyze
-call whose first failing point, in grid order, sets the error; simulate
-runs its grid points in order.  Each starts once every point has
-validated.  An SNR grid holds at most MAX_GRID_POINTS points, counted
+main builds each command's Resolver and alone maps errors to exit codes:
+refused input raises UsageError (exit 2), directly or as a library
+constructor's ValueError turned into one by _refused; any other
+NomaHarqError exits 3.  A config file's integers are read by _integer
+(an int, a decimal string or a float with no fractional part) and its
+switches by _switch (JSON true or false); any other value is refused,
+not truncated or coerced.  The sweep command analyses an SNR grid as
+one stack, in a single analyze call whose first failing point, in grid
+order, sets the error; simulate runs its grid points in order.  Each
+starts once every point has validated.  An SNR grid holds at most MAX_GRID_POINTS points, counted
 before its values are built.  Every command that emits checks its
 output format, flag or config value, where it resolves it, before any
 work.  The parser is built once per process (build_parser caches it)
@@ -21,6 +27,7 @@ and reused by every main call, so in-process callers pay for it once.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -55,6 +62,15 @@ class UsageError(NomaHarqError):
     """Invalid command-line or config-file input."""
 
 
+@contextlib.contextmanager
+def _refused():
+    """Turn a ValueError raised inside into a UsageError (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -73,6 +89,21 @@ def _finite(value) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _integer(value) -> int:
+    """An int, a decimal string or a float with no fractional part, as an
+    int; a bool, a fraction, NaN or an infinity raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _switch(value) -> bool:
+    """A switch's value: JSON true or false, or the flag's True."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
     return value
 
 
@@ -170,7 +201,7 @@ def _check_users(n_users: int) -> None:
 
 def _code_params(res: Resolver) -> CodeParams:
     rate = res.get("rate", required=True, cast=_finite)
-    n = res.get("blocklength", required=True, cast=int)
+    n = res.get("blocklength", required=True, cast=_integer)
     try:
         bits = _finite(rate * n)
     except (OverflowError, ValueError) as exc:
@@ -182,17 +213,16 @@ def _code_params(res: Resolver) -> CodeParams:
                          "information bits, not an integer")
     if k < 1:
         raise UsageError(f"rate {rate} at blocklength {n} leaves no information bits")
-    return CodeParams(k=k, n=n)
+    with _refused():
+        return CodeParams(k=k, n=n)
 
 
 def _system_config(res: Resolver) -> SystemConfig:
     alphas = _parse_alphas(res.get("alphas", required=True))
     snr_db = res.get("snr_db", required=True, cast=_finite)
     code = _code_params(res)
-    try:
+    with _refused():
         return SystemConfig(alphas=alphas, p0=db_to_linear(snr_db), code=code)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _grid_systems(res: Resolver):
@@ -202,11 +232,9 @@ def _grid_systems(res: Resolver):
     grid = _parse_grid(res.get("snr_db", required=True))
     code = _code_params(res)
     _check_users(len(alphas))
-    try:
+    with _refused():
         return grid, [SystemConfig(alphas=alphas, p0=db_to_linear(snr), code=code)
                       for snr in grid]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _format(res: Resolver) -> str:
@@ -219,7 +247,7 @@ def _format(res: Resolver) -> str:
 
 
 def _ga_trace(res: Resolver):
-    if not res.get("verbose", False):
+    if not res.get("verbose", False, cast=_switch):
         return None
 
     def trace(label, generation, best):
@@ -230,26 +258,24 @@ def _ga_trace(res: Resolver):
 
 
 def _ga_params(res: Resolver) -> GaParams:
-    try:
+    with _refused():
         return GaParams(
-            population_size=res.get("population", 60, cast=int),
-            generations=res.get("generations", 200, cast=int),
-            seed=res.get("seed", 12345, cast=int),
+            population_size=res.get("population", 60, cast=_integer),
+            generations=res.get("generations", 200, cast=_integer),
+            seed=res.get("seed", 12345, cast=_integer),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
 
-def _meta(command: str, res: Resolver) -> dict:
+def _meta(res: Resolver) -> dict:
     return {
         "tool": "noma-harq",
         "version": __version__,
         "schema": SCHEMA_VERSION,
-        "command": command,
+        "command": res.args["command"],
         "config": res.resolved,
     }
 
@@ -317,8 +343,7 @@ def _analysis_rows(scenario: str, metrics, snr_db: float,
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    res = Resolver(args, _load_config(args.config))
+def cmd_analyze(res: Resolver) -> int:
     cfg = _system_config(res)
     _check_users(cfg.n_users)
     fmt = _format(res)
@@ -361,18 +386,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 phases = "".join(Phase(d).name for d in digits[idx])
                 writer.writerow([idx, phases, repr(float(prob))])
 
-    emit(records, fields, _meta("analyze", res), out, fmt)
+    emit(records, fields, _meta(res), out, fmt)
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    res = Resolver(args, _load_config(args.config))
+def cmd_sweep(res: Resolver) -> int:
     scenario = res.config.get("scenario", "coordinated")
     if scenario != "coordinated":
         raise UsageError(f"sweep analyses a coordinated cluster, not scenario "
                          f"{scenario!r}: simulate runs uncoordinated grids")
     grid, systems = _grid_systems(res)
-    oma = bool(res.get("oma", False))
+    oma = res.get("oma", False, cast=_switch)
     out, fmt = res.get("out"), _format(res)
     rows = []
     for snr, system, metrics in zip(grid, systems, analyze(systems)):
@@ -380,13 +404,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if oma:
             rows += _analysis_rows("oma", oma_metrics(system, metrics), snr,
                                    system.code)
-    emit(rows, SIM_FIELDS, _meta("sweep", res), out, fmt)
+    emit(rows, SIM_FIELDS, _meta(res), out, fmt)
     return 0
 
 
-def cmd_optimize_pareto(args: argparse.Namespace) -> int:
-    res = Resolver(args, _load_config(args.config))
-    n_users = res.get("users", required=True, cast=int)
+def cmd_optimize_pareto(res: Resolver) -> int:
+    n_users = res.get("users", required=True, cast=_integer)
     _check_users(n_users)
     code = _code_params(res)
     grid = _parse_grid(res.get("snr_db", required=True))
@@ -401,28 +424,25 @@ def cmd_optimize_pareto(args: argparse.Namespace) -> int:
         for i, a in enumerate(sorted(pt.alphas)):
             rec[f"alpha_{i+1}"] = a
         records.append(rec)
-    emit(records, fields, _meta("optimize-pareto", res), out, fmt)
+    emit(records, fields, _meta(res), out, fmt)
     return 0
 
 
-def cmd_min_blocklength(args: argparse.Namespace) -> int:
-    res = Resolver(args, _load_config(args.config))
-    n_users = res.get("users", required=True, cast=int)
+def cmd_min_blocklength(res: Resolver) -> int:
+    n_users = res.get("users", required=True, cast=_integer)
     _check_users(n_users)
-    k = res.get("bits", required=True, cast=int)
+    k = res.get("bits", required=True, cast=_integer)
     snr_db = res.get("snr_db", required=True, cast=_finite)
     target = res.get("target_per", required=True, cast=float)
-    cap = res.get("max_n", 4096, cast=int)
+    cap = res.get("max_n", 4096, cast=_integer)
     params = _ga_params(res)
     trace = _ga_trace(res)
     out, fmt = res.get("out"), _format(res)
-    try:
+    with _refused():
         # the search checks the target and k before it starts
         n_min, alphas = min_blocklength(
             k, snr_db, n_users, target, params, n_cap=cap, trace=trace,
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     fields = ["n_min", "k", "snr_db", "target_per", "users"] + [
         f"alpha_{i+1}" for i in range(n_users)
     ]
@@ -430,30 +450,27 @@ def cmd_min_blocklength(args: argparse.Namespace) -> int:
            "users": n_users}
     for i, a in enumerate(sorted(alphas)):
         rec[f"alpha_{i+1}"] = a
-    emit([rec], fields, _meta("min-blocklength", res), out, fmt)
+    emit([rec], fields, _meta(res), out, fmt)
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    res = Resolver(args, _load_config(args.config))
+def cmd_simulate(res: Resolver) -> int:
     grid, systems = _grid_systems(res)
     scenario = res.get("scenario", "coordinated")
-    users = res.get("users", systems[0].n_users, cast=int)
+    users = res.get("users", systems[0].n_users, cast=_integer)
     _check_users(users)
-    oma = bool(res.get("oma", False))
-    seed = res.get("seed", 1, cast=int)
-    slots = res.get("slots", 1_000_000, cast=int)
-    warmup = res.get("warmup", 1000, cast=int)
+    oma = res.get("oma", False, cast=_switch)
+    seed = res.get("seed", 1, cast=_integer)
+    slots = res.get("slots", 1_000_000, cast=_integer)
+    warmup = res.get("warmup", 1000, cast=_integer)
     episodes = res.get("episodes", 50 if scenario == "uncoordinated" else 1,
-                       cast=int)
+                       cast=_integer)
     out, fmt = res.get("out"), _format(res)
-    try:
+    with _refused():
         configs = [SimConfig(system=system, slots=slots, seed=seed + idx,
                              scenario=scenario, n_actual=users, warmup=warmup,
                              episodes=episodes)
                    for idx, system in enumerate(systems)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     run = simulate_uncoordinated if scenario == "uncoordinated" else \
         simulate_coordinated
     rows = []
@@ -464,15 +481,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rows += _sim_rows(simulate_oma_baseline(SimConfig(
                 system=cfg.system, slots=slots, seed=cfg.seed, warmup=warmup,
             )), snr, cfg.system.code)
-    emit(rows, SIM_FIELDS, _meta("simulate", res), out, fmt)
+    emit(rows, SIM_FIELDS, _meta(res), out, fmt)
     return 0
 
 
-def cmd_cellplan(args: argparse.Namespace) -> int:
-    res = Resolver(args, _load_config(args.config))
+def cmd_cellplan(res: Resolver) -> int:
     alphas = _parse_alphas(res.get("alphas", required=True))
     r_outer = res.get("r_outer", CELL_RADIUS, cast=float)
-    rotation = res.get("rotation", 0, cast=int)
+    rotation = res.get("rotation", 0, cast=_integer)
     out = res.get("out")
     if not alphas:
         raise UsageError("a plan needs at least one ratio")
@@ -480,12 +496,9 @@ def cmd_cellplan(args: argparse.Namespace) -> int:
     # grows with the square of the ratio count
     if len(alphas) > MAX_USERS:
         raise UsageError(f"{len(alphas)} ratios exceeds the {MAX_USERS}-ratio cap")
-    try:
+    with _refused():
         plan = build_plan(r_outer, alphas, rotation=rotation)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _write(json.dumps({"meta": _meta("cellplan", res), "plan": plan.to_dict()},
-                      indent=2), out)
+    _write(json.dumps({"meta": _meta(res), "plan": plan.to_dict()}, indent=2), out)
     return 0
 
 
@@ -593,16 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(Resolver(args, _load_config(args.config)))
     except NomaHarqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, UsageError) else 3
 
 
 if __name__ == "__main__":

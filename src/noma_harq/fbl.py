@@ -27,20 +27,26 @@ from scipy.special import erfc
 
 # (log2 e)^2, the high-SNR limit of the channel dispersion in bits^2
 LOG2E_SQ = math.log2(math.e) ** 2
+# largest k or n of a code: per_cc_batch computes in doubles, which hold
+# every integer up to 2**53 exactly
+MAX_CODE_INT = 2 ** 53
 
 
 @dataclass(frozen=True)
 class CodeParams:
-    """Channel code parameters: k information bits in an n-use codeword."""
+    """Channel code parameters: k information bits in an n-use codeword,
+    each a positive integer of at most MAX_CODE_INT."""
 
     k: int
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        for name, value in (("k", self.k), ("n", self.n)):
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if value > MAX_CODE_INT:
+                raise ValueError(f"{name} = {value} exceeds 2**53, above which a "
+                                 "double does not hold every integer")
 
     @property
     def rate(self) -> float:

@@ -125,6 +125,12 @@ class TestRotation:
                                for t in range(n_hat)])
                 assert avg == pytest.approx(mean_ratio, rel=1e-12)
 
+    def test_rotation_past_int64(self):
+        plan = build_plan(1000.0, (0.1, 0.2, 0.3, 0.4))
+        huge = build_plan(1000.0, plan.alphas, rotation=10 ** 400 + 1)
+        assert np.array_equal(huge.assignment, plan.rotated(1).assignment)
+        assert huge.to_dict()["rotation"] == 10 ** 400 + 1
+
     def test_original_plan_unchanged(self):
         plan = build_plan(1000.0, ALPHAS3)
         plan.rotated(2)

@@ -535,6 +535,47 @@ class TestOptionAudit:
         assert [d for d in dests if d not in config] == []
 
 
+class TestConfigValueReaders:
+    # every integer option of every command, each run on the audit values,
+    # so a new one fails here until AUDIT_VALUES lists it; a 401-digit
+    # --slots or --generations asks for that much work, not a crash
+    ENDLESS = {"--slots", "--generations"}
+
+    @pytest.mark.parametrize("command", sorted(subcommands()))
+    def test_integers_and_switches_read_or_refused(self, command, tmp_path, capsys):
+        # int() truncated a config file's 100.9, overflowed on its 1e400
+        # (JSON's inf) and read a 401-digit rotation past numpy's int64;
+        # bool() read the string "false" as true
+        base, runs = {}, []
+        for action in subcommands()[command]._actions:
+            flag = next((o for o in action.option_strings if o.startswith("--")), None)
+            if flag in (None, "--help", "--config", "--out", "--emit-matrix",
+                        "--state-table"):
+                continue
+            if AUDIT_VALUES[flag] is not None:
+                base[flag] = AUDIT_VALUES[flag]
+            if action.type is int:
+                if flag not in self.ENDLESS:  # dest None: given as a flag
+                    runs.append((flag, None, "1" * 401))
+                runs += [(flag, action.dest, "1e400"), (flag, action.dest, "100.9")]
+            elif action.const is True:
+                runs.append((flag, action.dest, '"false"'))
+        config = tmp_path / "config.json"
+        for flag, dest, value in runs:
+            argv = [command] + [f"{f}={v}" for f, v in base.items() if f != flag]
+            if dest is None:
+                code = main(argv + [f"{flag}={value}"])
+            else:
+                config.write_text(f'{{"{dest}": {value}}}')
+                code = main(argv + ["--config", str(config)])
+            err = capsys.readouterr().err
+            if dest is not None:
+                assert (code, err) == (2, f"error: cannot read {flag} from "
+                                          f"{json.loads(value)!r}\n"), value
+            assert code in (0, 2) and (code == 0 or (
+                err.startswith("error: ") and err.count("\n") == 1)), (flag, value)
+
+
 class TestReadmeExamples:
     def test_every_example_parses(self):
         # a removed flag or command cannot leave a dead example behind
@@ -669,6 +710,13 @@ class TestInputChecks:
          "gives no finite count of information bits"),
         (["analyze", "--alphas", "1e308,1e308", "--snr-db", "0"] + CODE,
          "power ratios must not exceed 1"),
+        # codes a double cannot count exactly, and a negative blocklength
+        (["analyze", "--rate", "0.5", "--blocklength", str(2 ** 60)] + PAIR,
+         "k = 576460752303423488 exceeds 2**53"),
+        (["min-blocklength", "--bits", "1" * 401, "--max-n", "2" * 402, "--snr-db", "0",
+          "--target-per", "0.01"] + GA, "1" * 401 + " exceeds 2**53"),
+        (["analyze", "--rate=-0.25", "--blocklength=-100"] + PAIR,
+         "n must be a positive integer, got -100"),
     ], ids=["population", "pareto-users", "empty-grid", "target-per", "bits",
             "snr-db", "config-cast", "simulate-users", "max-n", "negative-max-n",
             "coordinated-users", "coordinated-episodes", "sweep-uncoordinated-config",
@@ -678,7 +726,8 @@ class TestInputChecks:
             "cellplan-r-outer", "nan-rate", "inf-rate", "nan-snr", "nan-pareto-grid",
             "inf-grid-range", "inf-min-blocklength-snr", "nan-min-blocklength-snr",
             "huge-snr", "huge-sweep-grid", "huge-simulate-snr", "huge-pareto-grid",
-            "huge-min-blocklength-snr", "huge-rate", "huge-blocklength", "huge-alphas"])
+            "huge-min-blocklength-snr", "huge-rate", "huge-blocklength", "huge-alphas",
+            "inexact-blocklength", "inexact-bits", "negative-code"])
     def test_bad_input_usage_error(self, args, named, tmp_path, capsys):
         configs = {"BAD_CONFIG": {"blocklength": "abc"},
                    "UNCOORDINATED_CONFIG": {"scenario": "uncoordinated"},

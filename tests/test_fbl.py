@@ -91,6 +91,13 @@ class TestCodeParams:
         with pytest.raises(ValueError):
             CodeParams(k=10, n=0)
 
+    def test_counts_past_exact_doubles_refused(self):
+        # per_cc_batch computes n log2(1 + g) - k + log2 n in doubles
+        CodeParams(k=2 ** 53, n=2 ** 53)
+        for k, n in ((2 ** 53 + 1, 2 ** 53 + 2), (10, 2 ** 53 + 1)):
+            with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+                CodeParams(k=k, n=n)
+
     def test_rate_may_exceed_one(self):
         code = CodeParams(k=120, n=100)
         assert code.rate == pytest.approx(1.2)
